@@ -17,8 +17,6 @@ import numpy as np
 __all__ = [
     "ClusterModel",
     "INITIAL_PROFILE",
-    "segment_intervals",
-    "performance_vector",
     "interval_vectors",
     "train_clusters",
     "assign_profile",
@@ -30,29 +28,22 @@ __all__ = [
 INITIAL_PROFILE = 1
 
 
-def segment_intervals(n_attempts: int, interval_len: int = 20) -> list[tuple[int, int]]:
-    """(start, end) attempt ranges per interval; the last may be partial."""
-    if interval_len < 1:
-        raise ValueError("interval_len must be >= 1")
-    return [(s, min(s + interval_len, n_attempts))
-            for s in range(0, n_attempts, interval_len)]
-
-
-def performance_vector(history, skill_count: int) -> np.ndarray:
-    """Cumulative success rate per skill; 0.5 where never attempted.
-
-    ``history`` is an iterable of (skill_dense_index, correct) pairs
-    covering intervals 1..z.
+def _boundary_vectors(attempts, skill_count: int, interval_len: int):
+    """Walk one student's attempts and yield (n, vector) each time n, the
+    number of attempts seen, completes an interval. ``vector`` is the
+    cumulative success rate per skill over those n attempts; 0.5 where a
+    skill was never attempted.
     """
     correct = np.zeros(skill_count)
     total = np.zeros(skill_count)
-    for skill, outcome in history:
+    for i, (skill, outcome) in enumerate(attempts):
         total[skill] += 1
         correct[skill] += outcome
-    vec = np.full(skill_count, 0.5)
-    attempted = total > 0
-    vec[attempted] = correct[attempted] / total[attempted]
-    return vec
+        if (i + 1) % interval_len == 0:
+            vec = np.full(skill_count, 0.5)
+            attempted = total > 0
+            vec[attempted] = correct[attempted] / total[attempted]
+            yield i + 1, vec
 
 
 def interval_vectors(attempts, skill_count: int, interval_len: int = 20) -> list[np.ndarray]:
@@ -62,18 +53,7 @@ def interval_vectors(attempts, skill_count: int, interval_len: int = 20) -> list
     pairs for a single student. A student with fewer attempts than one
     full interval contributes nothing.
     """
-    correct = np.zeros(skill_count)
-    total = np.zeros(skill_count)
-    out = []
-    for i, (skill, outcome) in enumerate(attempts):
-        total[skill] += 1
-        correct[skill] += outcome
-        if (i + 1) % interval_len == 0:
-            vec = np.full(skill_count, 0.5)
-            attempted = total > 0
-            vec[attempted] = correct[attempted] / total[attempted]
-            out.append(vec)
-    return out
+    return [vec for _, vec in _boundary_vectors(attempts, skill_count, interval_len)]
 
 
 @dataclass(frozen=True)
@@ -182,20 +162,10 @@ def profile_labels(attempts, model: ClusterModel, skill_count: int,
     1..z-1 only, so it is fixed before any attempt of interval z is
     observed.
     """
-    n = len(attempts)
-    labels = np.empty(n, dtype=int)
-    correct = np.zeros(skill_count)
-    total = np.zeros(skill_count)
-    current = INITIAL_PROFILE
-    for i, (skill, outcome) in enumerate(attempts):
-        if i > 0 and i % interval_len == 0:
-            vec = np.full(skill_count, 0.5)
-            attempted = total > 0
-            vec[attempted] = correct[attempted] / total[attempted]
-            current = assign_profile(vec, model, is_first_interval=False)
-        labels[i] = current
-        total[skill] += 1
-        correct[skill] += outcome
+    labels = np.full(len(attempts), INITIAL_PROFILE, dtype=int)
+    for start, vec in _boundary_vectors(attempts, skill_count, interval_len):
+        if start < len(labels):  # a boundary at the end starts no interval
+            labels[start:start + interval_len] = assign_profile(vec, model)
     return labels
 
 

@@ -9,7 +9,6 @@ degenerate optima.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,6 @@ __all__ = [
     "FitGrid",
     "NoSkillDataError",
     "MasteryTracker",
-    "posterior_given_obs",
-    "advance",
-    "trace_mastery",
-    "sequence_log_likelihood",
     "fit_skill",
     "fit_all_skills",
     "mean_params",
@@ -45,28 +40,6 @@ class BktParams:
     s: float
 
 
-def posterior_given_obs(params: BktParams, prior: float, obs: int) -> float:
-    """Belief update after observing one response.
-
-    A zero denominator (the observation has probability zero under the
-    model) carries no usable evidence, so the prior is returned unchanged.
-    """
-    if obs:
-        num = prior * (1.0 - params.s)
-        den = num + (1.0 - prior) * params.g
-    else:
-        num = prior * params.s
-        den = num + (1.0 - prior) * (1.0 - params.g)
-    if den == 0.0:
-        return prior
-    return num / den
-
-
-def advance(params: BktParams, posterior: float) -> float:
-    """One learning opportunity: unlearned mass transitions with rate t."""
-    return posterior + (1.0 - posterior) * params.t
-
-
 class MasteryTracker:
     """Streaming belief state for one student on one skill.
 
@@ -84,14 +57,12 @@ class MasteryTracker:
         self.prior = params.l0
         self.coprior = 1.0 - params.l0
 
-    def step_probability(self, obs: int) -> float:
-        """P(obs | history) before updating."""
-        p = self.params
-        if obs:
-            return self.prior * (1.0 - p.s) + self.coprior * p.g
-        return self.prior * p.s + self.coprior * (1.0 - p.g)
-
     def update(self, obs: int) -> None:
+        """Condition on one response, then take one learning step.
+
+        A response with probability zero under the model carries no
+        usable evidence, so the belief enters the step unchanged.
+        """
         p = self.params
         if obs:
             num = self.prior * (1.0 - p.s)
@@ -107,38 +78,6 @@ class MasteryTracker:
             copost = alt / den
         self.prior = post + copost * p.t
         self.coprior = copost * (1.0 - p.t)
-
-
-def trace_mastery(params: BktParams, responses) -> np.ndarray:
-    """Mastery prior before each response; entry 0 is l0.
-
-    The prior (not the posterior) is the value available when the
-    response it precedes is still unknown, so it is what downstream
-    prediction consumes.
-    """
-    responses = list(responses)
-    if not responses:
-        raise ValueError("responses must be non-empty")
-    trace = np.empty(len(responses))
-    state = MasteryTracker(params)
-    for i, r in enumerate(responses):
-        trace[i] = state.prior
-        state.update(r)
-    return trace
-
-
-def sequence_log_likelihood(params: BktParams, responses) -> float:
-    """Sum of log P(response | history) along one skill sequence."""
-    responses = list(responses)
-    if not responses:
-        raise ValueError("responses must be non-empty")
-    ll = 0.0
-    state = MasteryTracker(params)
-    for r in responses:
-        p = state.step_probability(r)
-        ll += math.log(p) if p > 0.0 else -math.inf
-        state.update(r)
-    return ll
 
 
 @dataclass(frozen=True)

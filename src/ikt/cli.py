@@ -15,12 +15,13 @@ import sys
 import numpy as np
 
 from . import __version__, ability, bkt, tan
-from .dataset import (CANONICAL_SCHEMA, DataFormatError, SchemaError, load_csv,
-                      load_schema, preprocess, render_drop_report, save_canonical,
-                      _parse_keyvalue)
+from .dataset import (CANONICAL_SCHEMA, DataFormatError, FoldSplit, SchemaError,
+                      load_csv, load_schema, preprocess, render_drop_report,
+                      save_canonical, _parse_keyvalue)
 from .difficulty import load_difficulty_table, save_difficulty_table
 from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
-                         evaluate_feature_sets, render_ablation_text)
+                         SingleClassError, build_feature_rows, evaluate_feature_sets,
+                         fit_fold_artifacts, render_ablation_text)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -56,38 +57,35 @@ def _parse_bool(value: str, key: str) -> bool:
         raise InputError(f"{key}: expected true/false, got {value!r}") from None
 
 
-def load_config(path: str | None) -> tuple[ExperimentConfig, bool]:
-    """Config file to ExperimentConfig; every problem is reported at once.
+def load_config(path: str | None, args=None) -> tuple[ExperimentConfig, bool]:
+    """Config file plus command-line overrides to ExperimentConfig,
+    validated once; every problem is reported at once.
 
     An empty (or absent) file yields the full default configuration. The
-    extra ``ablation`` key switches the evaluate command to the three-way
-    feature comparison.
+    extra ``ablation`` key (or the ``--ablation`` flag) switches the
+    evaluate command to the three-way feature comparison. ``--seed``,
+    ``--workers`` and ``--feature-set`` on ``args`` override the file.
     """
     values: dict = {}
-    ablation = False
     errors: list[str] = []
     if path is not None:
         if not os.path.exists(path):
             raise InputError(f"config file not found: {path}")
-        kv = _parse_keyvalue(path)
-        for key, raw in kv.items():
-            if key == "ablation":
-                try:
-                    ablation = _parse_bool(raw, "ablation")
-                except InputError as exc:
-                    errors.append(str(exc))
-                continue
-            if key not in _CONFIG_TYPES:
+        for key, raw in _parse_keyvalue(path).items():
+            typ = bool if key == "ablation" else _CONFIG_TYPES.get(key)
+            if typ is None:
                 errors.append(f"{key}: unknown configuration key")
                 continue
-            typ = _CONFIG_TYPES[key]
             try:
                 values[key] = _parse_bool(raw, key) if typ is bool else typ(raw)
-            except (ValueError, InputError) as exc:
-                if isinstance(exc, InputError):
-                    errors.append(str(exc))
-                else:
-                    errors.append(f"{key}: expected {typ.__name__}, got {raw!r}")
+            except InputError as exc:
+                errors.append(str(exc))
+            except ValueError:
+                errors.append(f"{key}: expected {typ.__name__}, got {raw!r}")
+    for key in ("seed", "workers", "feature_set"):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    ablation = values.pop("ablation", False) or getattr(args, "ablation", False)
     config = ExperimentConfig(**values)
     errors.extend(config.validate())
     if errors:
@@ -125,10 +123,13 @@ def write_manifest(path: str, config: ExperimentConfig, inputs: dict,
 
 
 def _load_dataset(path: str, schema_path: str | None):
+    """Load and clean a log; without a schema it must be canonical csv."""
+    if schema_path is not None and not os.path.exists(schema_path):
+        raise InputError(f"schema file not found: {schema_path}")
     if not os.path.exists(path):
         raise InputError(f"data file not found: {path}")
-    schema = load_schema(schema_path) if schema_path else CANONICAL_SCHEMA
     try:
+        schema = load_schema(schema_path) if schema_path else CANONICAL_SCHEMA
         return preprocess(load_csv(path, schema))
     except (SchemaError, DataFormatError) as exc:
         raise InputError(str(exc)) from exc
@@ -177,15 +178,7 @@ def _dump_predictions(path: str, table, keep, scores, skill_names) -> None:
 # commands
 
 def cmd_preprocess(args) -> int:
-    if not os.path.exists(args.schema):
-        raise InputError(f"schema file not found: {args.schema}")
-    if not os.path.exists(args.data):
-        raise InputError(f"data file not found: {args.data}")
-    try:
-        schema = load_schema(args.schema)
-        data = preprocess(load_csv(args.data, schema))
-    except (SchemaError, DataFormatError) as exc:
-        raise InputError(str(exc)) from exc
+    data = _load_dataset(args.data, args.schema)
     os.makedirs(args.out, exist_ok=True)
     out_csv = os.path.join(args.out, "preprocessed.csv")
     save_canonical(data, out_csv)
@@ -199,31 +192,16 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
-    if getattr(args, "feature_set", None) is not None:
-        updates["feature_set"] = args.feature_set
-    return dataclasses.replace(config, **updates) if updates else config
-
-
 def cmd_evaluate(args) -> int:
-    config, ablation = load_config(args.config)
-    config = _apply_overrides(config, args)
-    if args.ablation:
-        ablation = True
-    errors = config.validate()
-    if errors:
-        raise InputError("invalid configuration:\n  " + "\n  ".join(errors))
-
+    config, ablation = load_config(args.config, args)
     data = _load_dataset(args.data, args.schema)
     if data.n_records == 0:
         raise InputError(f"{args.data}: no usable records")
     feature_sets = list(FEATURE_SETS) if ablation else [config.feature_set]
-    reports, outputs = evaluate_feature_sets(data, config, feature_sets)
+    try:
+        reports, outputs = evaluate_feature_sets(data, config, feature_sets)
+    except SingleClassError as exc:
+        raise InputError(str(exc)) from exc
 
     os.makedirs(args.out, exist_ok=True)
     artifact_paths = []
@@ -263,14 +241,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config, _ = load_config(args.config)
-    config = _apply_overrides(config, args)
+    config, _ = load_config(args.config, args)
     data = _load_dataset(args.data, args.schema)
     if data.n_records == 0:
         raise InputError(f"{args.data}: no usable records")
-
-    from .dataset import FoldSplit
-    from .evaluation import build_feature_rows, fit_fold_artifacts
 
     all_students = frozenset(data.by_student)
     fold = FoldSplit(fold_id=0, train_students=all_students, test_students=frozenset())
@@ -284,13 +258,9 @@ def cmd_fit(args) -> int:
     profile_path = os.path.join(args.out, "profiles.tsv")
     with open(profile_path, "w", encoding="utf-8") as fh:
         fh.write("student\tinterval\tlabel\n")
-        for s in data.by_student:
-            recs = data.by_student[s]
-            attempts = [(data.skill_index[r.skill_id], r.correct) for r in recs]
-            labels = ability.profile_labels(attempts, artifacts.clusters,
-                                            data.n_skills, config.interval_len)
-            for z, start in enumerate(range(0, len(recs), config.interval_len), 1):
-                fh.write(f"{s}\t{z}\t{labels[start]}\n")
+        for row in np.nonzero(train.position % config.interval_len == 0)[0]:
+            z = train.position[row] // config.interval_len + 1
+            fh.write(f"{train.student[row]}\t{z}\t{train.profile[row]}\n")
     paths.append(profile_path)
     write_manifest(os.path.join(args.out, "manifest.kv"), config,
                    {"data": args.data}, paths)
@@ -299,8 +269,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config, _ = load_config(args.config)
-    config = _apply_overrides(config, args)
+    config, _ = load_config(args.config, args)
     data = _load_dataset(args.data, args.schema)
 
     def artifact(name):
@@ -308,9 +277,6 @@ def cmd_predict(args) -> int:
         if not os.path.exists(p):
             raise InputError(f"artifact not found: {p}")
         return p
-
-    from .dataset import FoldSplit
-    from .evaluation import build_feature_rows
 
     model_path = None
     for fs in FEATURE_SETS:

@@ -126,10 +126,6 @@ class Dataset:
     drops: Counter = field(default_factory=Counter)
 
     @property
-    def students(self) -> list[str]:
-        return list(self.by_student)
-
-    @property
     def n_records(self) -> int:
         return sum(len(r) for r in self.by_student.values())
 

@@ -369,6 +369,11 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
     else:
         outputs = [_run_fold(data, fold, config, feature_sets) for fold in folds]
     outputs.sort(key=lambda o: o.fold_id)
+    for o in outputs:
+        if np.unique(o.labels).size < 2:
+            raise SingleClassError(f"fold {o.fold_id}: the scored test labels hold "
+                                   "fewer than two classes, so AUC is undefined; "
+                                   "use fewer folds")
 
     reports = {}
     for fs in feature_sets:

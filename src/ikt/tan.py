@@ -7,10 +7,17 @@ minimizing negated weights). Continuous evidence is discretized with
 entropy-based recursive binary splits accepted under the minimum
 description length criterion; conditional probability tables are
 Laplace-smoothed.
+
+Scalar and batch inference read one table: a fitted model holds, per
+node, log P(value | parent value, correct) - log P(value | parent value,
+incorrect). ``predict_many`` gathers whole columns from it and
+``explain`` looks up one entry per node, so the contributions explain
+reports are exactly the terms the batch posterior sums.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +36,6 @@ __all__ = [
     "learn_structure",
     "estimate_cpts",
     "fit_tan",
-    "predict_proba",
     "predict_many",
     "explain",
     "save_model",
@@ -125,12 +131,6 @@ class Discretizer:
     def n_bins(self, feature: str) -> int:
         return len(self.cutpoints[feature]) + 1
 
-    def transform_value(self, feature: str, value: float) -> int:
-        cuts = self.cutpoints.get(feature)
-        if cuts is None:
-            return int(value)
-        return int(np.searchsorted(cuts, value, side="right"))
-
     def transform_column(self, feature: str, column: np.ndarray) -> np.ndarray:
         cuts = self.cutpoints.get(feature)
         if cuts is None:
@@ -192,28 +192,6 @@ class TanStructure:
     features: tuple
     parent: dict
 
-    @property
-    def root(self) -> str:
-        for f in self.features:
-            if self.parent[f] is None:
-                return f
-        raise ValueError("structure has no root")
-
-    def is_tree(self) -> bool:
-        roots = [f for f in self.features if self.parent[f] is None]
-        if len(roots) != 1:
-            return False
-        seen = set()
-        for f in self.features:
-            node, path = f, set()
-            while node is not None:
-                if node in path:
-                    return False
-                path.add(node)
-                node = self.parent[node]
-            seen.add(f)
-        return len(seen) == len(self.features)
-
 
 def max_spanning_parents(weight: np.ndarray) -> list:
     """Parent index per node for the maximum spanning tree of a weight
@@ -270,7 +248,12 @@ class TanModel:
     """Fitted classifier: structure, domains, smoothed tables, discretizer.
 
     ``cpts[f]`` has shape (|domain(f)|, |domain(parent(f))| or 1, 2) and
-    every column over the first axis sums to 1. Immutable in use.
+    every column over the first axis sums to 1. Immutable in use: the
+    inference tables below are derived once, at construction.
+
+    ``log_ratio[f][v, p]`` is node f's log-likelihood ratio for domain
+    index v under parent domain index p; ``codes[f]`` maps a value of
+    f's domain to its index; ``prior_log_odds`` is the class term.
     """
 
     structure: TanStructure
@@ -279,6 +262,19 @@ class TanModel:
     cpts: dict
     discretizer: Discretizer
     alpha: float = 1.0
+    log_ratio: dict = field(init=False, repr=False)
+    codes: dict = field(init=False, repr=False)
+    prior_log_odds: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_ratio = {f: np.log(cpt[..., 1]) - np.log(cpt[..., 0])
+                              for f, cpt in self.cpts.items()}
+        self.codes = {f: {int(v): i for i, v in enumerate(dom)}
+                      for f, dom in self.domains.items()}
+        p0, p1 = (float(p) for p in self.class_prior)
+        self.prior_log_odds = ((math.log(p1) if p1 > 0.0 else -math.inf)
+                               - (math.log(p0) if p0 > 0.0 else -math.inf))
 
     @property
     def features(self) -> tuple:
@@ -358,71 +354,38 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else -math.inf
+def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
+    """Posterior plus each node's exact log-likelihood-ratio contribution.
 
-
-def _node_terms(model: TanModel, evidence: dict):
-    """Per-node (p0, p1) lookups plus out-of-domain flags."""
-    disc = model.discretizer
-    terms = []
-    flags = []
+    A node whose value, or whose parent's value, is outside the model
+    domain contributes 0 (the uniform fallback) and is flagged.
+    """
+    cutpoints = model.discretizer.cutpoints
+    values = {f: (bisect.bisect_right(cutpoints[f], evidence[f]) if f in cutpoints
+                  else int(evidence[f])) for f in model.features}
+    codes = {f: model.codes[f].get(v) for f, v in values.items()}
+    contributions = []
+    flags: list = []
+    log_odds = model.prior_log_odds
     for f in model.features:
-        raw = evidence[f]
-        val = disc.transform_value(f, raw) if f in disc.cutpoints else int(raw)
-        dom = model.domains[f]
-        pos = int(np.searchsorted(dom, val))
-        in_dom = pos < len(dom) and dom[pos] == val
         p_feat = model.structure.parent[f]
-        if p_feat is not None:
-            praw = evidence[p_feat]
-            pval = (disc.transform_value(p_feat, praw)
-                    if p_feat in disc.cutpoints else int(praw))
-            pdom = model.domains[p_feat]
-            ppos = int(np.searchsorted(pdom, pval))
-            p_in_dom = ppos < len(pdom) and pdom[ppos] == pval
-        else:
-            pval = None
-            ppos = 0
-            p_in_dom = True
-        if in_dom and p_in_dom:
-            p0 = float(model.cpts[f][pos, ppos, 0])
-            p1 = float(model.cpts[f][pos, ppos, 1])
-        else:
-            uniform = 1.0 / len(dom)
-            p0 = p1 = uniform
-            which = f if not in_dom else p_feat
-            bad = raw if not in_dom else evidence[p_feat]
-            flag = (f"value {bad!r} for {which} is outside the model domain; "
+        code = codes[f]
+        pcode = codes[p_feat] if p_feat is not None else 0
+        if code is None or pcode is None:
+            ratio = 0.0
+            bad = f if code is None else p_feat
+            flag = (f"value {evidence[bad]!r} for {bad} is outside the model domain; "
                     "uniform fallback used")
             if flag not in flags:
                 flags.append(flag)
-        terms.append((f, val, pval, p0, p1))
-    return terms, flags
-
-
-def predict_proba(model: TanModel, evidence: dict) -> float:
-    """Probability the next response is correct, given the evidence tuple."""
-    terms, _ = _node_terms(model, evidence)
-    log_odds = _log(float(model.class_prior[1])) - _log(float(model.class_prior[0]))
-    for _, _, _, p0, p1 in terms:
-        log_odds += _log(p1) - _log(p0)
-    return _sigmoid(log_odds)
-
-
-def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
-    """Posterior plus each node's exact log-likelihood-ratio contribution."""
-    terms, flags = _node_terms(model, evidence)
-    prior_lo = _log(float(model.class_prior[1])) - _log(float(model.class_prior[0]))
-    contributions = []
-    log_odds = prior_lo
-    for f, val, pval, p0, p1 in terms:
-        ratio = _log(p1) - _log(p0)
-        contributions.append(NodeContribution(f, val, pval, ratio))
+        else:
+            ratio = model.log_ratio[f].item(code, pcode)
+        parent_value = values[p_feat] if p_feat is not None else None
+        contributions.append(NodeContribution(f, values[f], parent_value, ratio))
         log_odds += ratio
     return ExplanationRecord(
         posterior=_sigmoid(log_odds),
-        prior_log_odds=prior_lo,
+        prior_log_odds=model.prior_log_odds,
         log_odds=log_odds,
         contributions=tuple(contributions),
         flags=tuple(flags),
@@ -430,43 +393,27 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
 
 
 def predict_many(model: TanModel, columns: dict) -> np.ndarray:
-    """Vectorized predictions for a column batch (same math as
-    predict_proba; out-of-domain values likewise fall back to uniform)."""
-    disc_columns = {}
-    n = None
-    for f in model.features:
-        col = columns[f]
-        disc_columns[f] = (model.discretizer.transform_column(f, col)
-                           if f in model.discretizer.cutpoints
-                           else np.asarray(col, dtype=int))
-        n = len(disc_columns[f])
-
+    """Vectorized posteriors for a column batch, summing the same table
+    entries as explain (out-of-domain nodes likewise contribute 0)."""
     codes = {}
     valid = {}
     for f in model.features:
+        values = model.discretizer.transform_column(f, columns[f])
         dom = model.domains[f]
-        pos = np.searchsorted(dom, disc_columns[f])
-        ok = pos < len(dom)
-        pos_clipped = np.minimum(pos, len(dom) - 1)
-        ok &= dom[pos_clipped] == disc_columns[f]
-        codes[f] = pos_clipped
-        valid[f] = ok
+        codes[f] = np.minimum(np.searchsorted(dom, values), len(dom) - 1)
+        valid[f] = dom[codes[f]] == values
 
-    log_odds = np.full(n, math.log(float(model.class_prior[1]))
-                       - math.log(float(model.class_prior[0])))
+    log_odds = np.full(len(values), model.prior_log_odds)
     for f in model.features:
         p_feat = model.structure.parent[f]
         if p_feat is not None:
             pcodes = codes[p_feat]
             ok = valid[f] & valid[p_feat]
         else:
-            pcodes = np.zeros(n, dtype=int)
+            pcodes = 0
             ok = valid[f]
-        p0 = model.cpts[f][codes[f], pcodes, 0]
-        p1 = model.cpts[f][codes[f], pcodes, 1]
-        ratio = np.where(ok, np.log(p1) - np.log(p0), 0.0)
-        log_odds += ratio
-    out = np.empty(n)
+        log_odds += np.where(ok, model.log_ratio[f][codes[f], pcodes], 0.0)
+    out = np.empty(len(log_odds))
     pos_mask = log_odds >= 0
     out[pos_mask] = 1.0 / (1.0 + np.exp(-log_odds[pos_mask]))
     e = np.exp(log_odds[~pos_mask])

@@ -2,43 +2,55 @@ import numpy as np
 import pytest
 
 from ikt.ability import (ClusterModel, assign_profile, interval_vectors,
-                         load_centroids, performance_vector, profile_labels,
-                         save_centroids, segment_intervals, train_clusters)
+                         load_centroids, profile_labels, save_centroids,
+                         train_clusters)
+from ikt.evaluation import ExperimentConfig
 
 
 class TestSegmentIntervals:
     def test_partial_tail(self):
-        assert segment_intervals(45, 20) == [(0, 20), (20, 40), (40, 45)]
+        # 45 attempts: intervals [0, 20), [20, 40) and a partial [40, 45)
+        model = ClusterModel(centroids=np.array([[0.0], [1.0]]))
+        attempts = [(0, 1)] * 20 + [(0, 0)] * 20 + [(0, 1)] * 5
+        labels = profile_labels(attempts, model, skill_count=1, interval_len=20)
+        assert len(labels) == 45
+        assert labels.tolist() == [1] * 20 + [3] * 20 + [2] * 5
+        assert len(interval_vectors(attempts, 1, 20)) == 2
 
     def test_exactly_one_interval(self):
-        assert segment_intervals(20, 20) == [(0, 20)]
+        model = ClusterModel(centroids=np.array([[0.0], [1.0]]))
+        attempts = [(0, 1)] * 20
+        assert len(interval_vectors(attempts, 1, 20)) == 1
+        assert set(profile_labels(attempts, model, 1, 20)) == {1}
 
     def test_below_threshold(self):
-        assert segment_intervals(7, 20) == [(0, 7)]
+        model = ClusterModel(centroids=np.array([[0.0], [1.0]]))
+        assert interval_vectors([(0, 1)] * 7, 1, 20) == []
+        assert profile_labels([(0, 1)] * 7, model, 1, 20).tolist() == [1] * 7
 
     def test_bad_length(self):
-        with pytest.raises(ValueError):
-            segment_intervals(10, 0)
+        errors = ExperimentConfig(interval_len=0).validate()
+        assert len(errors) == 1 and errors[0].startswith("interval_len")
 
 
 class TestPerformanceVector:
     def test_success_ratio(self):
         history = [(1, 1), (1, 1), (1, 1), (1, 0)]
-        vec = performance_vector(history, skill_count=3)
+        (vec,) = interval_vectors(history, skill_count=3, interval_len=4)
         assert vec[1] == pytest.approx(0.75)
 
     def test_unattempted_default(self):
-        vec = performance_vector([(0, 1)], skill_count=3)
-        assert vec[1] == 0.5 and vec[2] == 0.5
+        (vec,) = interval_vectors([(0, 1)], skill_count=3, interval_len=1)
+        assert vec.tolist() == [1.0, 0.5, 0.5]
 
     def test_empty_history(self):
-        assert performance_vector([], skill_count=3).tolist() == [0.5, 0.5, 0.5]
+        model = ClusterModel(centroids=np.array([[0.5, 0.5, 0.5]]))
+        assert interval_vectors([], skill_count=3) == []
+        assert profile_labels([], model, skill_count=3).size == 0
 
     def test_prefix_monotone_on_untouched_skills(self):
-        first = [(0, 1)] * 20
-        second = first + [(1, 0)] * 20
-        v1 = performance_vector(first, 3)
-        v2 = performance_vector(second, 3)
+        attempts = [(0, 1)] * 20 + [(1, 0)] * 20
+        v1, v2 = interval_vectors(attempts, 3, 20)
         assert v2[0] == v1[0]
         assert v2[2] == v1[2] == 0.5
 

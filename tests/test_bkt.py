@@ -4,86 +4,84 @@ import numpy as np
 import pytest
 
 from ikt.bkt import (BktParams, FitGrid, MasteryTracker, NoSkillDataError,
-                     advance, fit_skill, grid_log_likelihoods, load_params_table,
-                     mean_params, posterior_given_obs, save_params_table,
-                     sequence_log_likelihood, trace_mastery)
+                     fit_skill, grid_log_likelihoods, load_params_table,
+                     mean_params, save_params_table)
+
+from oracles import forward_oracle, simulate_bkt
 
 
-def forward_oracle(params, seq):
-    """Independent 2-state forward pass (vector/matrix form)."""
-    trans = np.array([[1.0, params.t], [0.0, 1.0 - params.t]])
-    emit = {1: np.array([1.0 - params.s, params.g]),
-            0: np.array([params.s, 1.0 - params.g])}
-    dist = np.array([params.l0, 1.0 - params.l0])
-    alpha = dist.copy()
-    trace = []
-    for i, r in enumerate(seq):
-        trace.append(dist[0])
-        obs = emit[r] * dist
-        post = obs / obs.sum()
-        dist = trans @ post
-        alpha = emit[r] * alpha if i == 0 else emit[r] * (trans @ alpha)
-    return np.array(trace), math.log(alpha.sum())
+def updated(params, obs):
+    """The tracker's belief after one response."""
+    state = MasteryTracker(params)
+    state.update(obs)
+    return state
 
 
-def simulate(params, n_seq, length, rng):
+def trace(params, responses):
+    """Tracker priors before each response, as feature-row replay reads them."""
+    state = MasteryTracker(params)
     out = []
-    for _ in range(n_seq):
-        learned = rng.random() < params.l0
-        seq = []
-        for _ in range(length):
-            p_corr = (1.0 - params.s) if learned else params.g
-            seq.append(int(rng.random() < p_corr))
-            if not learned and rng.random() < params.t:
-                learned = True
-        out.append(seq)
-    return out
+    for r in responses:
+        out.append(state.prior)
+        state.update(r)
+    return np.array(out)
+
+
+def grid_point(grid, idx):
+    return BktParams(float(grid.l0_values[idx[0]]), float(grid.t_values[idx[1]]),
+                     float(grid.g_values[idx[2]]), float(grid.s_values[idx[3]]))
 
 
 class TestPosterior:
+    # with t = 0 the tracker's update is the bare posterior
+
     def test_no_guess_correct_proves_mastery(self):
-        p = BktParams(l0=0.3, t=0.1, g=0.0, s=0.0)
-        assert posterior_given_obs(p, 0.3, 1) == 1.0
+        state = updated(BktParams(l0=0.3, t=0.1, g=0.0, s=0.0), 1)
+        assert state.prior == 1.0 and state.coprior == 0.0
 
     def test_correct_update(self):
-        p = BktParams(l0=0.5, t=0.1, g=0.2, s=0.1)
-        assert posterior_given_obs(p, 0.5, 1) == pytest.approx(0.45 / 0.55, abs=1e-12)
+        p = BktParams(l0=0.5, t=0.0, g=0.2, s=0.1)
+        assert updated(p, 1).prior == pytest.approx(0.45 / 0.55, abs=1e-12)
 
     def test_incorrect_update(self):
-        p = BktParams(l0=0.5, t=0.1, g=0.2, s=0.1)
-        assert posterior_given_obs(p, 0.5, 0) == pytest.approx(0.05 / 0.45, abs=1e-12)
+        p = BktParams(l0=0.5, t=0.0, g=0.2, s=0.1)
+        assert updated(p, 0).prior == pytest.approx(0.05 / 0.45, abs=1e-12)
 
     def test_degenerate_denominator_returns_prior(self):
-        # a correct answer has probability zero: no usable evidence
-        p = BktParams(l0=0.0, t=0.1, g=0.0, s=0.0)
-        assert posterior_given_obs(p, 0.0, 1) == 0.0
-        p = BktParams(l0=1.0, t=0.1, g=1.0, s=1.0)
-        assert posterior_given_obs(p, 1.0, 0) == 1.0
+        # a correct answer has probability zero: no usable evidence, so
+        # only the learning step moves the belief
+        state = updated(BktParams(l0=0.0, t=0.1, g=0.0, s=0.0), 1)
+        assert state.prior == pytest.approx(0.1, abs=1e-15)
+        assert state.coprior == pytest.approx(0.9, abs=1e-15)
+        # a wrong answer from a surely learned, never-slipping student
+        assert updated(BktParams(l0=1.0, t=0.1, g=0.2, s=0.0), 0).prior == 1.0
 
     def test_ordering_when_noise_below_half(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             g, s = rng.uniform(0.01, 0.49, 2)
-            p = BktParams(l0=0.5, t=0.1, g=float(g), s=float(s))
             prior = float(rng.uniform(0.01, 0.99))
-            assert posterior_given_obs(p, prior, 1) >= prior >= posterior_given_obs(p, prior, 0)
+            p = BktParams(l0=prior, t=0.0, g=float(g), s=float(s))
+            assert updated(p, 1).prior >= prior >= updated(p, 0).prior
 
 
 class TestAdvance:
+    # with g = s = 0.5 a response carries no evidence, so the tracker's
+    # update is the bare learning step
+
     def test_mastery_absorbing(self):
-        assert advance(BktParams(0.5, 0.7, 0.2, 0.1), 1.0) == 1.0
+        assert updated(BktParams(1.0, 0.7, 0.5, 0.5), 1).prior == 1.0
 
     def test_zero_posterior(self):
-        assert advance(BktParams(0.5, 0.2, 0.2, 0.1), 0.0) == pytest.approx(0.2)
+        assert updated(BktParams(0.0, 0.2, 0.5, 0.5), 0).prior == pytest.approx(0.2)
 
     def test_half_posterior(self):
-        assert advance(BktParams(0.5, 0.1, 0.2, 0.1), 0.5) == pytest.approx(0.55)
+        assert updated(BktParams(0.5, 0.1, 0.5, 0.5), 1).prior == pytest.approx(0.55)
 
     def test_monotone_and_never_decreasing(self):
         rng = np.random.default_rng(1)
-        p = BktParams(0.5, 0.3, 0.2, 0.1)
         posts = np.sort(rng.uniform(0, 1, 100))
-        advanced = [advance(p, float(x)) for x in posts]
+        advanced = [updated(BktParams(float(x), 0.3, 0.5, 0.5), 0).prior for x in posts]
         assert all(a >= x for a, x in zip(advanced, posts))
         assert all(b >= a for a, b in zip(advanced, advanced[1:]))
 
@@ -91,67 +89,64 @@ class TestAdvance:
 class TestTrace:
     def test_single_response_is_l0(self):
         p = BktParams(0.37, 0.2, 0.1, 0.05)
-        assert trace_mastery(p, [1]).tolist() == [0.37]
+        assert trace(p, [1]).tolist() == [0.37]
 
     def test_two_step_chain(self):
         p = BktParams(0.5, 0.1, 0.2, 0.1)
-        trace = trace_mastery(p, [1, 0])
-        assert trace[0] == pytest.approx(0.5, abs=1e-12)
+        tr = trace(p, [1, 0])
+        assert tr[0] == pytest.approx(0.5, abs=1e-12)
         # posterior 0.45/0.55 then one learning step
         expected = 0.45 / 0.55 + (1 - 0.45 / 0.55) * 0.1
-        assert trace[1] == pytest.approx(expected, abs=1e-12)
-
-    def test_length_matches(self):
-        p = BktParams(0.5, 0.1, 0.2, 0.1)
-        for n in (1, 5, 40):
-            assert len(trace_mastery(p, [1, 0] * n)) == 2 * n
+        assert tr[1] == pytest.approx(expected, abs=1e-12)
 
     def test_entries_are_probabilities(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             p = BktParams(*(float(v) for v in rng.uniform(0.05, 0.95, 4)))
-            seq = rng.integers(0, 2, 30)
-            trace = trace_mastery(p, seq)
-            assert np.all(trace >= 0.0) and np.all(trace <= 1.0)
+            tr = trace(p, rng.integers(0, 2, 30))
+            assert np.all(tr >= 0.0) and np.all(tr <= 1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            trace_mastery(BktParams(0.5, 0.1, 0.2, 0.1), [])
+        with pytest.raises(NoSkillDataError):
+            grid_log_likelihoods([], FitGrid())
+        with pytest.raises(NoSkillDataError):
+            grid_log_likelihoods([[]], FitGrid())
 
 
 class TestSequenceLogLikelihood:
-    def test_certain_predictions(self):
-        p = BktParams(l0=1.0, t=0.1, g=0.0, s=0.0)
-        assert sequence_log_likelihood(p, [1, 1]) == 0.0
-
     def test_single_emission(self):
-        p = BktParams(l0=0.5, t=0.0, g=0.2, s=0.1)
-        assert sequence_log_likelihood(p, [1]) == pytest.approx(math.log(0.55), abs=1e-12)
+        # l0 = 0.5, g = 0.2, s = 0.1; t does not act on a single response
+        total = grid_log_likelihoods([[1]], FitGrid())
+        assert np.allclose(total[9, :, 3, 1], math.log(0.55), atol=1e-12, rtol=0)
 
     def test_order_sensitivity(self):
-        p = BktParams(0.4, 0.2, 0.2, 0.1)
-        assert sequence_log_likelihood(p, [1, 0]) != sequence_log_likelihood(p, [0, 1])
+        grid = FitGrid()
+        assert not np.array_equal(grid_log_likelihoods([[1, 0]], grid),
+                                  grid_log_likelihoods([[0, 1]], grid))
 
+    def test_matches_forward_oracle(self):
+        rng = np.random.default_rng(3)
+        grid = FitGrid()
+        for _ in range(20):
+            seqs = [list(rng.integers(0, 2, rng.integers(1, 51)))
+                    for _ in range(int(rng.integers(1, 6)))]
+            total = grid_log_likelihoods(seqs, grid)
+            for _ in range(10):
+                idx = tuple(int(rng.integers(n)) for n in total.shape)
+                p = grid_point(grid, idx)
+                want = sum(forward_oracle(p, s)[1] for s in seqs)
+                assert total[idx] == pytest.approx(want, abs=1e-9)
+
+
+class TestMasteryTracker:
     def test_matches_forward_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = BktParams(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)),
                           float(rng.uniform(0.01, 0.30)), float(rng.uniform(0.01, 0.30)))
             seq = list(rng.integers(0, 2, rng.integers(1, 51)))
-            tr_o, ll_o = forward_oracle(p, seq)
-            assert abs(sequence_log_likelihood(p, seq) - ll_o) < 1e-12
-            assert np.max(np.abs(trace_mastery(p, seq) - tr_o)) < 1e-12
-
-
-class TestMasteryTracker:
-    def test_matches_scalar_composition(self):
-        p = BktParams(0.4, 0.15, 0.2, 0.1)
-        state = MasteryTracker(p)
-        prior = p.l0
-        for r in [1, 1, 0, 1, 0, 0, 1]:
-            assert state.prior == pytest.approx(prior, abs=1e-12)
-            prior = advance(p, posterior_given_obs(p, prior, r))
-            state.update(r)
+            tr_o, _ = forward_oracle(p, seq)
+            assert np.max(np.abs(trace(p, seq) - tr_o)) < 1e-12
 
 
 class TestFitSkill:
@@ -169,9 +164,7 @@ class TestFitSkill:
         seqs = [list(rng.integers(0, 2, rng.integers(1, 25))) for _ in range(30)]
         total = grid_log_likelihoods(seqs, grid)
         for idx in [(0, 0, 0, 0), (18, 18, 5, 5), (7, 3, 1, 4)]:
-            p = BktParams(float(grid.l0_values[idx[0]]), float(grid.t_values[idx[1]]),
-                          float(grid.g_values[idx[2]]), float(grid.s_values[idx[3]]))
-            direct = sum(sequence_log_likelihood(p, s) for s in seqs)
+            direct = sum(forward_oracle(grid_point(grid, idx), s)[1] for s in seqs)
             assert total[idx] == pytest.approx(direct, abs=1e-8)
 
     def test_all_correct_pushes_l0_to_grid_max(self):
@@ -195,7 +188,7 @@ class TestFitSkill:
     def test_recovery_within_one_step(self):
         rng = np.random.default_rng(6)
         true = BktParams(0.40, 0.15, 0.25, 0.10)
-        fitted = fit_skill(simulate(true, 500, 50, rng))
+        fitted = fit_skill(simulate_bkt(true, 500, 50, rng))
         for name in ("l0", "t", "g", "s"):
             assert abs(getattr(fitted, name) - getattr(true, name)) <= 0.05 + 1e-9
 

@@ -35,13 +35,6 @@ class TestPreprocessCommand:
         kv = (out / "preprocess_report.kv").read_text()
         assert "records_kept = 1250" in kv
 
-    def test_missing_schema_exits_2_naming_path(self, workspace, capsys):
-        tmp, raw, _ = workspace
-        code = run(["preprocess", "--data", raw, "--schema", str(tmp / "no.cfg"),
-                    "--out", str(tmp / "x")])
-        assert code == 2
-        assert "no.cfg" in capsys.readouterr().err
-
     def test_empty_input_warns_but_succeeds(self, tmp_path, capsys):
         raw = tmp_path / "empty.csv"
         raw.write_text("user,item,kc,outcome,ts\n", encoding="utf-8")
@@ -53,6 +46,42 @@ class TestPreprocessCommand:
         captured = capsys.readouterr()
         assert "warning" in captured.err
         assert (tmp_path / "out" / "preprocessed.csv").exists()
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("fault", ["missing", "incomplete"])
+    @pytest.mark.parametrize("command", ["preprocess", "evaluate", "fit", "predict"])
+    def test_missing_schema_exits_2_naming_path(self, workspace, capsys, command, fault):
+        tmp, raw, _ = workspace
+        schema = tmp / f"{fault}.cfg"
+        if fault == "incomplete":
+            schema.write_text("student = user\n", encoding="utf-8")
+        argv = [command, "--data", raw, "--schema", str(schema)]
+        if command == "predict":
+            argv += ["--model-dir", str(tmp / "fitted"), "--out", str(tmp / "p.tsv")]
+        else:
+            argv += ["--out", str(tmp / "x")]
+        assert run(argv) == 2
+        assert f"{fault}.cfg" in capsys.readouterr().err
+
+    def test_single_class_fold_exits_2_naming_fold(self, tmp_path, capsys):
+        # folds = 10 on 10 students puts each student in its own test
+        # fold; one student answers everything correctly
+        rows = [(s, p, k, 1 if s == "u003" else c) for s, p, k, c in
+                mixed_process_rows(n_students=10, n_skills=3, attempts=50, seed=9)]
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(rows, str(raw))
+        schema = tmp_path / "schema.cfg"
+        schema.write_text(SCHEMA_TEXT, encoding="utf-8")
+        config = tmp_path / "ten.cfg"
+        config.write_text("folds = 10\ngrid_step = 0.25\nkmeans_restarts = 1\n",
+                          encoding="utf-8")
+        code = run(["evaluate", "--data", str(raw), "--schema", str(schema),
+                    "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "fold" in err and "two classes" in err
 
 
 @pytest.fixture()

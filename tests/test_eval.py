@@ -6,24 +6,9 @@ from ikt.evaluation import (FEATURE_SETS, ExperimentConfig, SingleClassError,
                             auc, build_feature_rows, evaluate_feature_sets,
                             fit_fold_artifacts, rmse, run_ablation, run_cv)
 
+from oracles import pairwise_auc
 from synth import (mastery_process_rows, mixed_process_rows, shuffle_labels,
                    to_dataset)
-
-
-def pairwise_auc(scores, labels):
-    """O(n^2) concordant-pair oracle with half credit for ties."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (len(pos) * len(neg))
 
 
 class TestAuc:

@@ -1,5 +1,3 @@
-import itertools
-import heapq
 import math
 
 import numpy as np
@@ -9,7 +7,9 @@ from ikt.tan import (Discretizer, TanModel, TanStructure,
                      conditional_mutual_information, estimate_cpts, explain,
                      fit_discretizer, fit_tan, learn_structure, load_model,
                      max_spanning_parents, mdlp_cutpoints, predict_many,
-                     predict_proba, save_model)
+                     save_model)
+
+from oracles import enumerate_spanning_tree_weights, joint_oracle, random_tan_model
 
 
 # ---------------------------------------------------------------------------
@@ -40,88 +40,18 @@ def best_cut_by_scan(values, labels):
     return best
 
 
-def prufer_to_edges(seq, n):
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    heap = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(heap, v)
-    a = heapq.heappop(heap)
-    b = heapq.heappop(heap)
-    edges.append((a, b))
-    return edges
+def posterior(model, evidence):
+    return explain(model, evidence).posterior
 
 
-def enumerate_spanning_tree_weights(weight):
-    """Total weight of every labelled spanning tree (Prufer enumeration)."""
-    n = len(weight)
-    totals = []
-    for seq in itertools.product(range(n), repeat=n - 2):
-        totals.append(sum(weight[u][v] for u, v in prufer_to_edges(seq, n)))
-    return totals
-
-
-def joint_oracle(model, evidence):
-    """Posterior from the fully enumerated joint distribution."""
-    feats = model.features
-    domains = [list(model.domains[f]) for f in feats]
-    total = {0: 0.0, 1: 0.0}
-    target = {0: 0.0, 1: 0.0}
-    for combo in itertools.product(*domains):
-        assign = dict(zip(feats, combo))
-        for y in (0, 1):
-            p = float(model.class_prior[y])
-            for fi, f in enumerate(feats):
-                vi = domains[fi].index(assign[f])
-                parent = model.structure.parent[f]
-                pi = (domains[feats.index(parent)].index(assign[parent])
-                      if parent is not None else 0)
-                p *= float(model.cpts[f][vi, pi, y])
-            total[y] += p
-            if all(assign[f] == evidence[f] for f in feats):
-                target[y] += p
-    posterior = target[1] / (target[0] + target[1])
-    return posterior, total[0] + total[1]
-
-
-def random_model(rng, n_features=4, max_domain=6):
-    feats = tuple(f"f{i}" for i in range(n_features))
-    sizes = [int(rng.integers(2, max_domain + 1)) for _ in feats]
-    parent = {feats[0]: None}
-    for j in range(1, n_features):
-        parent[feats[j]] = feats[int(rng.integers(0, j))]
-    cpts = {}
-    for i, f in enumerate(feats):
-        psize = sizes[feats.index(parent[f])] if parent[f] is not None else 1
-        arr = rng.random((sizes[i], psize, 2)) + 0.05
-        arr /= arr.sum(axis=0, keepdims=True)
-        cpts[f] = arr
-    prior = rng.random(2) + 0.1
-    prior /= prior.sum()
-    return TanModel(
-        structure=TanStructure(features=feats, parent=parent),
-        domains={f: np.arange(sizes[i]) for i, f in enumerate(feats)},
-        class_prior=prior,
-        cpts=cpts,
-        discretizer=Discretizer(),
-        alpha=1.0,
-    ), sizes
-
-
-def uniform_model(prior=(0.5, 0.5)):
+def uniform_model(prior=(0.5, 0.5), cpt_b=None):
     feats = ("a", "b")
     return TanModel(
         structure=TanStructure(features=feats, parent={"a": None, "b": "a"}),
         domains={"a": np.arange(3), "b": np.arange(2)},
         class_prior=np.array(prior, dtype=float),
-        cpts={"a": np.full((3, 1, 2), 1 / 3), "b": np.full((2, 3, 2), 1 / 2)},
+        cpts={"a": np.full((3, 1, 2), 1 / 3),
+              "b": np.full((2, 3, 2), 1 / 2) if cpt_b is None else cpt_b},
         discretizer=Discretizer(),
         alpha=1.0,
     )
@@ -240,9 +170,13 @@ class TestLearnStructure:
         rng = np.random.default_rng(9)
         cols = {f"f{i}": rng.integers(0, 3, 500) for i in range(4)}
         st = learn_structure(cols, rng.integers(0, 2, 500))
-        assert st.is_tree()
-        assert sum(1 for f in st.features if st.parent[f] is None) == 1
-        assert st.root == "f0"
+        assert [f for f in st.features if st.parent[f] is None] == ["f0"]
+        for f in st.features:  # every parent chain ends at the root
+            seen = set()
+            while f is not None:
+                assert f not in seen
+                seen.add(f)
+                f = st.parent[f]
 
     def test_needs_two_features(self):
         with pytest.raises(ValueError):
@@ -283,21 +217,25 @@ class TestEstimateCpts:
 class TestPredict:
     def test_uniform_cpts_give_half(self):
         model = uniform_model()
-        assert predict_proba(model, {"a": 1, "b": 0}) == 0.5
+        assert posterior(model, {"a": 1, "b": 0}) == 0.5
+        assert predict_many(model, {"a": [1], "b": [0]}).tolist() == [0.5]
 
     def test_prior_only_inference(self):
         model = uniform_model(prior=(0.3, 0.7))
-        assert predict_proba(model, {"a": 2, "b": 1}) == pytest.approx(0.7, abs=1e-12)
+        assert posterior(model, {"a": 2, "b": 1}) == pytest.approx(0.7, abs=1e-12)
+        assert predict_many(model, {"a": [2], "b": [1]})[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_matches_joint_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            model, sizes = random_model(rng)
+            model, sizes = random_tan_model(rng)
             evidence = {f: int(rng.integers(sizes[i]))
                         for i, f in enumerate(model.features)}
             want, mass = joint_oracle(model, evidence)
             assert mass == pytest.approx(1.0, abs=1e-9)
-            assert predict_proba(model, evidence) == pytest.approx(want, abs=1e-9)
+            assert posterior(model, evidence) == pytest.approx(want, abs=1e-9)
+            batch = predict_many(model, {f: [v] for f, v in evidence.items()})
+            assert batch[0] == pytest.approx(want, abs=1e-9)
 
     def test_never_exactly_zero_or_one_with_smoothing(self):
         rng = np.random.default_rng(12)
@@ -306,24 +244,40 @@ class TestPredict:
         model = fit_tan(cols, labels, continuous=())
         for a in range(3):
             for b in range(2):
-                p = predict_proba(model, {"a": a, "b": b})
+                p = posterior(model, {"a": a, "b": b})
                 assert 0.0 < p < 1.0
+        grid = predict_many(model, {"a": np.repeat(np.arange(3), 2),
+                                    "b": np.tile(np.arange(2), 3)})
+        assert np.all((grid > 0.0) & (grid < 1.0))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(13)
-        model, sizes = random_model(rng)
-        cols = {f: rng.integers(0, sizes[i], 200)
+        model, sizes = random_tan_model(rng)
+        # values one past either end of each domain are out of domain
+        cols = {f: rng.integers(-1, sizes[i] + 1, 200)
                 for i, f in enumerate(model.features)}
-        batch = predict_many(model, cols)
-        for row in range(200):
-            single = predict_proba(model, {f: int(cols[f][row]) for f in model.features})
-            assert batch[row] == pytest.approx(single, abs=1e-12)
+        # and a fitted model whose mastery feature has cutpoints
+        n = 600
+        fcols = {"skill": rng.integers(0, 4, n), "mastery": rng.random(n),
+                 "difficulty": rng.integers(0, 11, n)}
+        labels = (rng.random(n) < 0.1 + 0.8 * fcols["mastery"]).astype(int)
+        fitted = fit_tan(fcols, labels)
+        cuts = fitted.discretizer.cutpoints["mastery"]
+        assert cuts
+        fcols["mastery"][-3:] = (cuts[0], -0.5, 1.5)
+        fcols["difficulty"][:5] = 11  # a level outside the domain
+        for m, c in ((model, cols), (fitted, fcols)):
+            batch = predict_many(m, c)
+            for row in range(len(batch)):
+                record = explain(m, {f: c[f][row].item() for f in m.features})
+                assert batch[row] == pytest.approx(record.posterior, abs=1e-12)
 
     def test_out_of_domain_uses_uniform_and_flags(self):
         model = uniform_model(prior=(0.4, 0.6))
         record = explain(model, {"a": 99, "b": 0})
         assert record.flags
-        assert predict_proba(model, {"a": 99, "b": 0}) == pytest.approx(0.6, abs=1e-12)
+        assert record.posterior == pytest.approx(0.6, abs=1e-12)
+        assert predict_many(model, {"a": [99], "b": [0]})[0] == pytest.approx(0.6, abs=1e-12)
 
 
 class TestExplain:
@@ -335,21 +289,23 @@ class TestExplain:
     def test_contributions_sum_to_log_odds(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
-            model, sizes = random_model(rng)
+            model, sizes = random_tan_model(rng)
             evidence = {f: int(rng.integers(sizes[i]))
                         for i, f in enumerate(model.features)}
             record = explain(model, evidence)
             total = record.prior_log_odds + sum(c.log_ratio for c in record.contributions)
             assert abs(total - record.log_odds) < 1e-12
-            p = predict_proba(model, evidence)
+            for c in record.contributions:  # domains are 0..n-1: value = index
+                parent_index = c.parent_value if c.parent_value is not None else 0
+                assert c.log_ratio == model.log_ratio[c.feature][c.value, parent_index]
+            p = predict_many(model, {f: [v] for f, v in evidence.items()})[0]
             assert record.posterior == pytest.approx(p, abs=1e-12)
 
     def test_dominant_node_has_largest_contribution(self):
-        model = uniform_model()
-        strong = model.cpts["b"].copy()
+        strong = np.empty((2, 3, 2))
         strong[:, :, 1] = np.array([[0.95] * 3, [0.05] * 3])
         strong[:, :, 0] = np.array([[0.05] * 3, [0.95] * 3])
-        model.cpts["b"] = strong
+        model = uniform_model(cpt_b=strong)
         record = explain(model, {"a": 0, "b": 0})
         by_feature = {c.feature: abs(c.log_ratio) for c in record.contributions}
         assert by_feature["b"] > by_feature["a"]
@@ -369,7 +325,8 @@ class TestSerialization:
         save_model(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         ev = {"skill": 2, "mastery": 0.8, "profile": 1, "difficulty": 5}
-        assert predict_proba(loaded, ev) == predict_proba(model, ev)
+        assert explain(loaded, ev) == explain(model, ev)
+        assert np.array_equal(predict_many(loaded, cols), predict_many(model, cols))
 
     def test_zero_cutpoint_feature_stays_continuous(self, tmp_path):
         rng = np.random.default_rng(16)
@@ -381,8 +338,8 @@ class TestSerialization:
         save_model(model, str(path))
         loaded = load_model(str(path))
         assert loaded.discretizer.cutpoints["mastery"] == ()
-        assert predict_proba(loaded, {"skill": 1, "mastery": 0.3}) == \
-            predict_proba(model, {"skill": 1, "mastery": 0.3})
+        assert explain(loaded, {"skill": 1, "mastery": 0.3}) == \
+            explain(model, {"skill": 1, "mastery": 0.3})
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.model"
