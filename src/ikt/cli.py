@@ -14,14 +14,13 @@ import sys
 
 import numpy as np
 
-from . import __version__, ability, bkt, tan
+from . import __version__, ability, bkt, evaluation, tan
 from .dataset import (CANONICAL_SCHEMA, DataFormatError, FoldSplit, SchemaError,
                       load_csv, load_schema, preprocess, render_drop_report,
                       save_canonical, _parse_keyvalue)
 from .difficulty import load_difficulty_table, save_difficulty_table
 from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
-                         SingleClassError, build_feature_rows, evaluate_feature_sets,
-                         fit_fold_artifacts, render_ablation_text)
+                         SingleClassError, evaluate_feature_sets, render_ablation_text)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -248,8 +247,8 @@ def cmd_fit(args) -> int:
 
     all_students = frozenset(data.by_student)
     fold = FoldSplit(fold_id=0, train_students=all_students, test_students=frozenset())
-    artifacts = fit_fold_artifacts(data, fold, config)
-    train, _ = build_feature_rows(data, fold, artifacts, config)
+    artifacts = evaluation.fit_fold_artifacts(data, fold, config)
+    train, _ = evaluation.build_feature_rows(data, fold, artifacts, config)
     feats = FEATURE_SETS[config.feature_set]
     model = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
 
@@ -296,7 +295,7 @@ def cmd_predict(args) -> int:
     )
     all_students = frozenset(data.by_student)
     fold = FoldSplit(fold_id=0, train_students=all_students, test_students=frozenset())
-    table, _ = build_feature_rows(data, fold, artifacts, config)
+    table, _ = evaluation.build_feature_rows(data, fold, artifacts, config)
     feats = FEATURE_SETS[feature_set]
     scores = tan.predict_many(model, table.columns(feats))
     skill_names = {idx: name for name, idx in data.skill_index.items()}

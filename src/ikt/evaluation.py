@@ -361,6 +361,14 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
         raise ValueError("; ".join(errors))
     folds = split_folds(data, k=config.folds, seed=config.seed)
     digest = _fold_digest(folds)
+    # the scored rows skip the same warm-up positions as _run_fold's keep mask
+    skip = config.interval_len if config.skip_first_interval else 0
+    for fold in folds:
+        if len({r.correct for s in fold.test_students
+                for r in data.by_student[s][skip:]}) < 2:
+            raise SingleClassError(f"fold {fold.fold_id}: the scored test labels hold "
+                                   "fewer than two classes, so AUC is undefined; "
+                                   "use fewer folds")
 
     if config.workers > 1:
         jobs = [(data, fold, config, tuple(feature_sets)) for fold in folds]
@@ -369,11 +377,6 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
     else:
         outputs = [_run_fold(data, fold, config, feature_sets) for fold in folds]
     outputs.sort(key=lambda o: o.fold_id)
-    for o in outputs:
-        if np.unique(o.labels).size < 2:
-            raise SingleClassError(f"fold {o.fold_id}: the scored test labels hold "
-                                   "fewer than two classes, so AUC is undefined; "
-                                   "use fewer folds")
 
     reports = {}
     for fs in feature_sets:

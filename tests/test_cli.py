@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from ikt import evaluation
 from ikt.cli import main
 
 from synth import mixed_process_rows, write_raw_csv
@@ -64,24 +65,25 @@ class TestInputErrors:
         assert run(argv) == 2
         assert f"{fault}.cfg" in capsys.readouterr().err
 
-    def test_single_class_fold_exits_2_naming_fold(self, tmp_path, capsys):
-        # folds = 10 on 10 students puts each student in its own test
-        # fold; one student answers everything correctly
-        rows = [(s, p, k, 1 if s == "u003" else c) for s, p, k, c in
-                mixed_process_rows(n_students=10, n_skills=3, attempts=50, seed=9)]
+    @pytest.mark.parametrize("skip, code", [("true", 2), ("false", 0)])
+    def test_single_class_fold_exits_2(self, tmp_path, capsys, monkeypatch, skip, code):
+        # folds = 10 on 10 students puts each student in its own test fold;
+        # u003 misses only its first attempt, which is scored unless skipped
+        rows = [(s, p, k, int(i != 150) if s == "u003" else c) for i, (s, p, k, c) in
+                enumerate(mixed_process_rows(n_students=10, n_skills=3, attempts=50, seed=9))]
         raw = tmp_path / "raw.csv"
         write_raw_csv(rows, str(raw))
         schema = tmp_path / "schema.cfg"
         schema.write_text(SCHEMA_TEXT, encoding="utf-8")
         config = tmp_path / "ten.cfg"
-        config.write_text("folds = 10\ngrid_step = 0.25\nkmeans_restarts = 1\n",
-                          encoding="utf-8")
-        code = run(["evaluate", "--data", str(raw), "--schema", str(schema),
-                    "--config", str(config), "--out", str(tmp_path / "x")])
-        assert code == 2
+        config.write_text("folds = 10\ngrid_step = 0.25\nkmeans_restarts = 1\n"
+                          f"skip_first_interval = {skip}\n", encoding="utf-8")
+        if code == 2:
+            monkeypatch.setattr("ikt.evaluation._run_fold", None)  # a fit would exit 1
+        assert run(["evaluate", "--data", str(raw), "--schema", str(schema),
+                    "--config", str(config), "--out", str(tmp_path / "x")]) == code
         err = capsys.readouterr().err
-        assert "internal error" not in err
-        assert "fold" in err and "two classes" in err
+        assert ("fold" in err and "two classes" in err) == (code == 2)
 
 
 @pytest.fixture()
@@ -158,7 +160,12 @@ class TestEvaluateCommand:
 
 
 class TestFitPredictExplain:
-    def test_full_chain(self, preprocessed, capsys):
+    def test_full_chain(self, preprocessed, capsys, monkeypatch):
+        # tracing wrappers replace these, so they are looked up at call time
+        calls = []
+        for name in ("fit_fold_artifacts", "build_feature_rows"):
+            monkeypatch.setattr(evaluation, name, lambda *a, _n=name,
+                                _f=getattr(evaluation, name): calls.append(_n) or _f(*a))
         tmp, data = preprocessed
         fitted = tmp / "fitted"
         assert run(["fit", "--data", data, "--out", str(fitted), "--seed", "3"]) == 0
@@ -169,6 +176,7 @@ class TestFitPredictExplain:
                     "--out", str(preds)]) == 0
         lines = preds.read_text().splitlines()
         assert len(lines) == 1251  # header + one row per interaction
+        assert calls == ["fit_fold_artifacts", "build_feature_rows", "build_feature_rows"]
 
         capsys.readouterr()
         assert run(["explain", "--model", str(fitted / "tan_ikt3.model"),
