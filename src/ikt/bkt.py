@@ -4,7 +4,9 @@ Each skill is modelled independently: a hidden learned/unlearned state
 with a one-way learning transition, plus guess and slip noise on the
 binary responses. Fitting maximizes response log-likelihood over a full
 parameter grid; guess and slip are capped to avoid the well-known
-degenerate optima.
+degenerate optima. The grid's forward passes run together, one array
+entry per (parameter combination, response pattern); each carries the
+three live entries of its upper-triangular running product.
 """
 
 from __future__ import annotations
@@ -128,10 +130,16 @@ def _dedup_sequences(sequences) -> tuple[list[tuple[int, ...]], np.ndarray]:
 def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
     """Total log-likelihood at every grid point.
 
-    Returns an array of shape (|l0|, |t|, |g|, |s|). The forward pass is
-    expressed as a chain of 2x2 matrices per (t, g, s) combination; the
-    final likelihood is linear in the initial state distribution, so the
-    whole l0 axis costs a single extra broadcast.
+    Returns an array of shape (|l0|, |t|, |g|, |s|). Per (t, g, s)
+    combination the forward pass multiplies 2x2 step matrices: E(r) =
+    diag(P(r|learned), P(r|unlearned)) for the first response and
+    M(r) = E(r) @ A for each later one, with transition A = [[1, t],
+    [0, 1-t]] (columns = source state). All are upper triangular, so the
+    running product [[a, b], [0, c]] is carried as three arrays and a
+    step [[ma, mb], [0, mc]] updates them elementwise: a' = ma*a,
+    b' = ma*b + mb*c, c' = mc*c, rescaled to unit sum with the log scale
+    kept. The final likelihood is linear in the initial state
+    distribution, so the whole l0 axis costs a single extra broadcast.
     """
     patterns, weights = _dedup_sequences(sequences)
     if not patterns:
@@ -139,23 +147,14 @@ def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
 
     l0 = grid.l0_values
     tv, gv, sv = np.meshgrid(grid.t_values, grid.g_values, grid.s_values, indexing="ij")
-    t = tv.ravel()
-    g = gv.ravel()
-    s = sv.ravel()
+    t = tv.ravel()[:, None]
+    g = gv.ravel()[:, None]
+    s = sv.ravel()[:, None]
     n_combo = t.size
-
-    # Emission matrices E(r) = diag(P(r|learned), P(r|unlearned)) and
-    # combined step matrices M(r) = E(r) @ A with transition
-    # A = [[1, t], [0, 1-t]] (columns = source state).
-    zeros = np.zeros(n_combo)
-    e1 = np.stack([np.stack([1.0 - s, zeros], -1),
-                   np.stack([zeros, g], -1)], -2)
-    e0 = np.stack([np.stack([s, zeros], -1),
-                   np.stack([zeros, 1.0 - g], -1)], -2)
-    m1 = np.stack([np.stack([1.0 - s, (1.0 - s) * t], -1),
-                   np.stack([zeros, g * (1.0 - t)], -1)], -2)
-    m0 = np.stack([np.stack([s, s * t], -1),
-                   np.stack([zeros, (1.0 - g) * (1.0 - t)], -1)], -2)
+    # (ma, mb, mc) of E(r) and of M(r), for a correct and for a wrong response
+    e_steps = ((1.0 - s, np.zeros_like(s), g), (s, np.zeros_like(s), 1.0 - g))
+    m_steps = ((1.0 - s, (1.0 - s) * t, g * (1.0 - t)),
+               (s, s * t, (1.0 - g) * (1.0 - t)))
 
     total = np.zeros((l0.size, n_combo))
     chunk = 256
@@ -170,25 +169,29 @@ def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
             resp[i, :len(p)] = p
             valid[i, :len(p)] = True
 
-        prod = np.broadcast_to(np.eye(2), (n_combo, n, 2, 2)).copy()
+        a, b, c = np.ones((n_combo, n)), np.zeros((n_combo, n)), np.ones((n_combo, n))
         logscale = np.zeros((n_combo, n))
-        identity = np.eye(2)
         for pos_t in range(max_len):
-            pos = m1 if pos_t else e1
-            neg = m0 if pos_t else e0
-            mats = np.where(resp[None, :, pos_t, None, None],
-                            pos[:, None], neg[:, None])
-            mats = np.where(valid[None, :, pos_t, None, None], mats, identity)
-            prod = mats @ prod
-            z = prod.sum(axis=(-2, -1))
-            z = np.where(valid[None, :, pos_t], z, 1.0)
-            prod /= z[..., None, None]
+            correct, wrong = m_steps if pos_t else e_steps
+            ma, mb, mc = (np.where(resp[:, pos_t], x, y) for x, y in zip(correct, wrong))
+            v = valid[:, pos_t]
+            padded = not v.all()
+            if padded:  # finished patterns take the identity step
+                ma, mb, mc = np.where(v, ma, 1.0), np.where(v, mb, 0.0), np.where(v, mc, 1.0)
+            b *= ma
+            b += mb * c
+            a *= ma
+            c *= mc
+            z = a + b + c
+            if padded:
+                z = np.where(v, z, 1.0)
+            a /= z
+            b /= z
+            c /= z
             logscale += np.log(z)
 
-        from_learned = prod[..., 0, 0] + prod[..., 1, 0]
-        from_unlearned = prod[..., 0, 1] + prod[..., 1, 1]
         lw = l0[:, None, None]
-        ll = np.log(from_learned[None] * lw + from_unlearned[None] * (1.0 - lw))
+        ll = np.log(a[None] * lw + (b + c)[None] * (1.0 - lw))
         total += ((ll + logscale[None]) * w).sum(axis=-1)
 
     return total.reshape(l0.size, grid.t_values.size,

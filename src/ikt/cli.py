@@ -1,7 +1,8 @@
 """Command-line entry point: preprocess, fit, evaluate, predict, explain.
 
 All outputs are UTF-8 text. Exit codes: 0 success, 2 for input or
-configuration errors, 1 for internal failures.
+configuration errors, 1 for internal failures, which also print their
+traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import dataclasses
 import hashlib
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -70,7 +72,11 @@ def load_config(path: str | None, args=None) -> tuple[ExperimentConfig, bool]:
     if path is not None:
         if not os.path.exists(path):
             raise InputError(f"config file not found: {path}")
-        for key, raw in _parse_keyvalue(path).items():
+        try:
+            entries = _parse_keyvalue(path)
+        except SchemaError as exc:
+            raise InputError(str(exc)) from exc
+        for key, raw in entries.items():
             typ = bool if key == "ablation" else _CONFIG_TYPES.get(key)
             if typ is None:
                 errors.append(f"{key}: unknown configuration key")
@@ -196,6 +202,9 @@ def cmd_evaluate(args) -> int:
     data = _load_dataset(args.data, args.schema)
     if data.n_records == 0:
         raise InputError(f"{args.data}: no usable records")
+    if len(data.by_student) < config.folds:
+        raise InputError(f"{args.data}: need at least {config.folds} students for "
+                         f"{config.folds} folds, have {len(data.by_student)}")
     feature_sets = list(FEATURE_SETS) if ablation else [config.feature_set]
     try:
         reports, outputs = evaluate_feature_sets(data, config, feature_sets)
@@ -285,13 +294,22 @@ def cmd_predict(args) -> int:
             feature_set = fs
     if model_path is None:
         raise InputError(f"no tan_*.model file in {args.model_dir}")
-    model = tan.load_model(model_path)
-    params = bkt.load_params_table(artifact("bkt_params.tsv"))
+    centroids_path = artifact("centroids.tsv")
+    try:
+        model = tan.load_model(model_path)
+        params = bkt.load_params_table(artifact("bkt_params.tsv"))
+        clusters = ability.load_centroids(centroids_path)
+        difficulty = load_difficulty_table(artifact("difficulty.tsv"))
+    except ValueError as exc:
+        raise InputError(f"malformed artifact in {args.model_dir}: {exc}") from exc
+    if data.n_records and clusters.k and clusters.dim != data.n_skills:
+        raise InputError(f"{centroids_path}: centroids have dimension {clusters.dim}, "
+                         f"but {args.data} has {data.n_skills} skills")
     artifacts = FoldArtifacts(
         params_by_skill=params,
         fallback=bkt.mean_params(params.values()),
-        clusters=ability.load_centroids(artifact("centroids.tsv")),
-        difficulty=load_difficulty_table(artifact("difficulty.tsv")),
+        clusters=clusters,
+        difficulty=difficulty,
     )
     all_students = frozenset(data.by_student)
     fold = FoldSplit(fold_id=0, train_students=all_students, test_students=frozenset())
@@ -406,11 +424,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         sys.stderr.write(f"internal error: {exc}\n")
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

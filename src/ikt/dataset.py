@@ -40,16 +40,34 @@ class DataFormatError(Exception):
 def _parse_keyvalue(path: str) -> dict[str, str]:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise SchemaError(f"{path}:{lineno}: expected 'key = value', "
+                                      f"got {raw.strip()!r}")
+                key, value = line.split("=", 1)
+                out[key.strip()] = value.strip()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: byte {_undecodable_offset(path)} is not valid UTF-8") from None
     return out
+
+
+def _undecodable_offset(path: str) -> int:
+    """File offset of the first byte that is not valid UTF-8.
+
+    Text-mode reads report offsets within the decoder's current buffer,
+    so the file is decoded again as a whole; this runs only on failure.
+    """
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return exc.start
+    raise AssertionError(f"{path} decodes as UTF-8")
 
 
 @dataclass(frozen=True)
@@ -180,49 +198,54 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
 
     Rows missing any mapped field are dropped (never silently: see
     ``Dataset.drops``). A non-empty correctness cell that is not 0/1
-    raises ``DataFormatError`` because it signals a mis-mapped column.
+    raises ``DataFormatError`` because it signals a mis-mapped column;
+    so does a byte that is not valid UTF-8, which is never replaced.
     """
     rows: list[tuple[str, str, str, int, str, int]] = []
     drops: Counter = Counter()
-    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=schema.delimiter)
-        if reader.fieldnames is None:
-            return _build_dataset({}, drops)
-        header = set(reader.fieldnames)
-        needed = [schema.student, schema.problem, schema.skill, schema.correct]
-        if schema.order:
-            needed.append(schema.order)
-        if schema.scaffold_column:
-            needed.append(schema.scaffold_column)
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: mapped column(s) not in header: {', '.join(missing)}")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh, delimiter=schema.delimiter)
+            if reader.fieldnames is None:
+                return _build_dataset({}, drops)
+            header = set(reader.fieldnames)
+            needed = [schema.student, schema.problem, schema.skill, schema.correct]
+            if schema.order:
+                needed.append(schema.order)
+            if schema.scaffold_column:
+                needed.append(schema.scaffold_column)
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: mapped column(s) not in header: {', '.join(missing)}")
 
-        for row_idx, row in enumerate(reader):
-            student = (row.get(schema.student) or "").strip()
-            problem = (row.get(schema.problem) or "").strip()
-            skill = (row.get(schema.skill) or "").strip()
-            correct_raw = (row.get(schema.correct) or "").strip()
-            if not student:
-                drops["missing student"] += 1
-                continue
-            if not skill:
-                drops["missing skill"] += 1
-                continue
-            if not problem:
-                drops["missing problem"] += 1
-                continue
-            if not correct_raw:
-                drops["missing correctness"] += 1
-                continue
-            if schema.scaffold_column is not None:
-                flag = (row.get(schema.scaffold_column) or "").strip()
-                if schema.scaffold_keep is not None and flag != schema.scaffold_keep:
-                    drops["scaffolding"] += 1
+            for row_idx, row in enumerate(reader):
+                student = (row.get(schema.student) or "").strip()
+                problem = (row.get(schema.problem) or "").strip()
+                skill = (row.get(schema.skill) or "").strip()
+                correct_raw = (row.get(schema.correct) or "").strip()
+                if not student:
+                    drops["missing student"] += 1
                     continue
-            correct = _parse_correct(correct_raw, row_idx + 2)
-            order_raw = (row.get(schema.order) or "").strip() if schema.order else ""
-            rows.append((student, problem, skill, correct, order_raw, row_idx))
+                if not skill:
+                    drops["missing skill"] += 1
+                    continue
+                if not problem:
+                    drops["missing problem"] += 1
+                    continue
+                if not correct_raw:
+                    drops["missing correctness"] += 1
+                    continue
+                if schema.scaffold_column is not None:
+                    flag = (row.get(schema.scaffold_column) or "").strip()
+                    if schema.scaffold_keep is not None and flag != schema.scaffold_keep:
+                        drops["scaffolding"] += 1
+                        continue
+                correct = _parse_correct(correct_raw, row_idx + 2)
+                order_raw = (row.get(schema.order) or "").strip() if schema.order else ""
+                rows.append((student, problem, skill, correct, order_raw, row_idx))
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: byte {_undecodable_offset(path)} is not "
+                              "valid UTF-8") from None
 
     # The order column may hold numbers or timestamp strings; strings are
     # ranked lexicographically (chronological for ISO timestamps). Empty

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ikt.bkt import (BktParams, FitGrid, MasteryTracker, NoSkillDataError,
-                     fit_skill, grid_log_likelihoods, load_params_table,
-                     mean_params, save_params_table)
+                     fit_all_skills, fit_skill, grid_log_likelihoods,
+                     load_params_table, mean_params, save_params_table)
 
 from oracles import forward_oracle, simulate_bkt
+from synth import mastery_process_rows
 
 
 def updated(params, obs):
@@ -137,6 +139,21 @@ class TestSequenceLogLikelihood:
                 want = sum(forward_oracle(p, s)[1] for s in seqs)
                 assert total[idx] == pytest.approx(want, abs=1e-9)
 
+    def test_matches_forward_oracle_across_chunks(self):
+        # more unique patterns than one 256-pattern chunk, lengths 1-80 so
+        # most steps mask finished patterns, and repeats weighted by count
+        rng = np.random.default_rng(8)
+        seqs = [list(rng.integers(0, 2, rng.integers(1, 81))) for _ in range(270)]
+        seqs += seqs[:15]
+        assert len({tuple(s) for s in seqs}) > 256
+        grid = FitGrid()
+        total = grid_log_likelihoods(seqs, grid)
+        corners = list(itertools.product(*[(0, n - 1) for n in total.shape]))
+        randoms = [tuple(int(rng.integers(n)) for n in total.shape) for _ in range(4)]
+        for idx in corners + randoms:
+            want = sum(forward_oracle(grid_point(grid, idx), s)[1] for s in seqs)
+            assert total[idx] == pytest.approx(want, abs=1e-9)
+
 
 class TestMasteryTracker:
     def test_matches_forward_oracle(self):
@@ -191,6 +208,20 @@ class TestFitSkill:
         fitted = fit_skill(simulate_bkt(true, 500, 50, rng))
         for name in ("l0", "t", "g", "s"):
             assert abs(getattr(fitted, name) - getattr(true, name)) <= 0.05 + 1e-9
+
+    def test_fit_all_skills_pinned(self):
+        # literals recorded with the batched 2x2 matrix-product forward
+        # pass; each skill has over 256 unique patterns of mixed lengths
+        rows, _ = mastery_process_rows(n_students=500, n_skills=3, attempts=60, seed=7)
+        keep = np.random.default_rng(7).integers(1, 61, 500)
+        seqs: dict = {}
+        for i, (student, _, skill, correct) in enumerate(rows):
+            if i % 60 < keep[i // 60]:
+                seqs.setdefault(skill, {}).setdefault(student, []).append(correct)
+        fitted = fit_all_skills({k: list(v.values()) for k, v in seqs.items()})
+        assert fitted == {"s0": BktParams(l0=0.4, t=0.15, g=0.2, s=0.05),
+                          "s1": BktParams(l0=0.3, t=0.15, g=0.1, s=0.1),
+                          "s2": BktParams(l0=0.4, t=0.1, g=0.15, s=0.05)}
 
     def test_no_data(self):
         with pytest.raises(NoSkillDataError):

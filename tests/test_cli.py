@@ -85,6 +85,81 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert ("fold" in err and "two classes" in err) == (code == 2)
 
+    @pytest.mark.parametrize("content, message", [
+        (b"folds 3\n", "bad.kv:1: expected 'key = value'"),
+        (b"seed = 1\nfolds = \xff\n", "bad.kv: byte 17 is not valid UTF-8"),
+    ], ids=["no_equals_sign", "undecodable"])
+    def test_bad_config_file_exits_2(self, workspace, capsys, content, message):
+        tmp, raw, schema = workspace
+        config = tmp / "bad.kv"
+        config.write_bytes(content)
+        assert run(["evaluate", "--data", raw, "--schema", schema,
+                    "--config", str(config), "--out", str(tmp / "x")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal" not in err
+
+    @pytest.mark.parametrize("command", ["preprocess", "evaluate"])
+    def test_undecodable_data_exits_2(self, workspace, capsys, command):
+        tmp, raw, schema = workspace
+        text = (tmp / "raw.csv").read_bytes()
+        offset = text.index(b"\n", 9000) + 2  # past the text reader's first buffer
+        bad = tmp / "bad.csv"
+        bad.write_bytes(text[:offset] + b"\xff" + text[offset:])
+        assert run([command, "--data", str(bad), "--schema", schema,
+                    "--out", str(tmp / "x")]) == 2
+        assert f"bad.csv: byte {offset} is not valid UTF-8" in capsys.readouterr().err
+
+    def test_too_few_students_exits_2(self, workspace, capsys, monkeypatch):
+        tmp, raw, schema = workspace
+        config = tmp / "many.cfg"
+        config.write_text("folds = 26\n", encoding="utf-8")
+        monkeypatch.setattr("ikt.evaluation._run_fold", None)  # a fit would exit 1
+        assert run(["evaluate", "--data", raw, "--schema", schema,
+                    "--config", str(config), "--out", str(tmp / "x")]) == 2
+        assert "need at least 26 students for 26 folds, have 25" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, content", [
+        ("tan_ikt3.model", "not a model\n"),
+        ("bkt_params.tsv", "not a table\n"),
+        ("bkt_params.tsv", "skill_id\tl0\tt\tg\ts\ns1\t0.5\n"),
+        ("centroids.tsv", "0.5\tx\n"),
+        ("difficulty.tsv", "p1\thard\n"),
+    ])
+    def test_malformed_artifact_exits_2(self, workspace, capsys, name, content):
+        tmp, raw, schema = workspace
+        fitted = tmp / "fitted"
+        assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 0
+        (fitted / name).write_text(content, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--data", raw, "--schema", schema,
+                    "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and "internal" not in err
+
+    def test_centroid_dimension_mismatch_exits_2(self, workspace, capsys):
+        tmp, raw, schema = workspace
+        fitted = tmp / "fitted"
+        assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 0
+        rows = mixed_process_rows(n_students=25, n_skills=3, attempts=50, seed=9)
+        fewer = tmp / "two_skills.csv"
+        write_raw_csv([r for r in rows if r[2] != rows[0][2]], str(fewer))
+        capsys.readouterr()
+        assert run(["predict", "--data", str(fewer), "--schema", schema,
+                    "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
+        assert "centroids have dimension 3" in capsys.readouterr().err
+
+    def test_internal_value_error_exits_1_with_traceback(self, workspace, capsys,
+                                                         monkeypatch):
+        def broken(*args):
+            raise ValueError("broken layer")
+
+        monkeypatch.setattr(evaluation, "fit_fold_artifacts", broken)
+        tmp, raw, schema = workspace
+        assert run(["fit", "--data", raw, "--schema", schema, "--out", str(tmp / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "internal error: broken layer" in err
+        assert "Traceback" in err and "in broken" in err
+
 
 @pytest.fixture()
 def preprocessed(workspace):

@@ -41,6 +41,12 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/file.csv", SCHEMA)
 
+    def test_undecodable_byte_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"user,item,kc,outcome\na,p1,s1,1\nb,p\xe91,s1,0\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv: byte 34 is not valid UTF-8"):
+            load_csv(str(path), SCHEMA)
+
     def test_unparseable_correctness(self, tmp_path):
         path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,maybe\n")
         with pytest.raises(DataFormatError):
