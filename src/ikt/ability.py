@@ -32,17 +32,18 @@ def _boundary_vectors(attempts, skill_count: int, interval_len: int):
     """Walk one student's attempts and yield (n, vector) each time n, the
     number of attempts seen, completes an interval. ``vector`` is the
     cumulative success rate per skill over those n attempts; 0.5 where a
-    skill was never attempted.
+    skill was never attempted. The skill code ``skill_count`` (a skill
+    outside the fitted vocabulary) is counted in a slot no vector reads.
     """
-    correct = np.zeros(skill_count)
-    total = np.zeros(skill_count)
+    correct = np.zeros(skill_count + 1)
+    total = np.zeros(skill_count + 1)
     for i, (skill, outcome) in enumerate(attempts):
         total[skill] += 1
         correct[skill] += outcome
         if (i + 1) % interval_len == 0:
             vec = np.full(skill_count, 0.5)
-            attempted = total > 0
-            vec[attempted] = correct[attempted] / total[attempted]
+            attempted = total[:-1] > 0
+            vec[attempted] = correct[:-1][attempted] / total[:-1][attempted]
             yield i + 1, vec
 
 
@@ -135,16 +136,11 @@ def train_clusters(vectors, k: int = 7, seed: int = 0, restarts: int = 10,
     return ClusterModel(centroids=best_centroids)
 
 
-def assign_profile(vector: np.ndarray, model: ClusterModel,
-                   is_first_interval: bool = False) -> int:
-    """Profile label for one (student, interval).
-
-    The first interval always gets the reserved label 1; afterwards the
-    label is 2 + the index of the nearest centroid (squared Euclidean,
-    ties to the lowest index), giving K+1 possible labels in total.
+def assign_profile(vector: np.ndarray, model: ClusterModel) -> int:
+    """Profile label for one completed-interval vector: 2 + the index of
+    the nearest centroid (squared Euclidean, ties to the lowest index), so
+    with the reserved first-interval label 1 there are K+1 labels.
     """
-    if is_first_interval:
-        return INITIAL_PROFILE
     if model.k == 0:
         return INITIAL_PROFILE
     vector = np.asarray(vector, dtype=float)
@@ -177,9 +173,18 @@ def save_centroids(model: ClusterModel, path: str) -> None:
 
 
 def load_centroids(path: str) -> ClusterModel:
+    """Inverse of ``save_centroids``; a malformed row raises ``ValueError``
+    naming ``path:lineno``."""
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 rows.append([float(v) for v in line.split("\t")])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: {len(rows[-1])} values, "
+                                 f"expected {len(rows[0])}")
     return ClusterModel(centroids=np.array(rows))

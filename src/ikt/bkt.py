@@ -247,14 +247,22 @@ def save_params_table(params_by_skill: dict, path: str) -> None:
 
 
 def load_params_table(path: str) -> dict:
+    """Skill id -> parameters in file row order; a malformed row raises
+    ``ValueError`` naming ``path:lineno``."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("skill_id"):
-            raise ValueError(f"{path}: not a skill parameter table")
-        for line in fh:
+            raise ValueError(f"{path}:1: not a skill parameter table")
+        for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
-            skill, l0, t, g, s = line.rstrip("\n").split("\t")
-            out[skill] = BktParams(float(l0), float(t), float(g), float(s))
+            try:
+                skill, l0, t, g, s = line.rstrip("\n").split("\t")
+                params = BktParams(float(l0), float(t), float(g), float(s))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if skill in out:
+                raise ValueError(f"{path}:{lineno}: skill {skill!r} listed twice")
+            out[skill] = params
     return out

@@ -17,9 +17,9 @@ import traceback
 import numpy as np
 
 from . import __version__, ability, bkt, evaluation, tan
-from .dataset import (CANONICAL_SCHEMA, DataFormatError, FoldSplit, SchemaError,
-                      load_csv, load_schema, preprocess, render_drop_report,
-                      save_canonical, _parse_keyvalue)
+from .dataset import (CANONICAL_SCHEMA, DataFormatError, SchemaError, load_csv,
+                      load_schema, preprocess, render_drop_report, save_canonical,
+                      _parse_keyvalue)
 from .difficulty import load_difficulty_table, save_difficulty_table
 from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
                          SingleClassError, evaluate_feature_sets, render_ablation_text)
@@ -160,17 +160,56 @@ def _write_fold_artifacts(outdir: str, artifacts: FoldArtifacts,
     return paths
 
 
-def _dump_predictions(path: str, table, keep, scores, skill_names) -> None:
+def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
+    """The artifacts, interval length and classifier that ``fit`` wrote.
+
+    The skill vocabulary is the row order of ``bkt_params.tsv``, which
+    ``fit`` writes in skill-code order; ``interval_len`` and the feature
+    set, which names the model file, come from ``manifest.kv``.
+    """
+    def artifact(name):
+        p = os.path.join(model_dir, name)
+        if not os.path.exists(p):
+            raise InputError(f"artifact not found: {p}")
+        return p
+
+    manifest, bkt_path = artifact("manifest.kv"), artifact("bkt_params.tsv")
+    centroids_path = artifact("centroids.tsv")
+    try:
+        entries = _parse_keyvalue(manifest)
+        feature_set = entries.get("config.feature_set")
+        interval_len = entries.get("config.interval_len", "")
+        if not (feature_set in FEATURE_SETS and interval_len.isdecimal()
+                and int(interval_len) >= 1):
+            raise ValueError(f"{manifest}: needs config.feature_set and a positive "
+                             "config.interval_len")
+        model = tan.load_model(artifact(f"tan_{feature_set}.model"))
+        params = bkt.load_params_table(bkt_path)
+        clusters = ability.load_centroids(centroids_path)
+        difficulty = load_difficulty_table(artifact("difficulty.tsv"))
+    except (SchemaError, ValueError) as exc:
+        raise InputError(f"malformed artifact: {exc}") from exc
+    if clusters.k and clusters.dim != len(params):
+        raise InputError(f"{centroids_path}: centroids have dimension {clusters.dim}, "
+                         f"but {bkt_path} lists {len(params)} skills")
+    return (FoldArtifacts(skill_index={skill: i for i, skill in enumerate(params)},
+                          params_by_skill=params, clusters=clusters,
+                          difficulty=difficulty),
+            int(interval_len), model)
+
+
+def _dump_predictions(path: str, data, table, keep, scores) -> None:
     cols = ["student", "position", "skill", "mastery", "profile", "difficulty",
             "probability", "label"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(cols) + "\n")
         idx = np.nonzero(keep)[0]
         for row, score in zip(idx, scores):
+            student, position = table.student[row], int(table.position[row])
             fh.write("\t".join([
-                table.student[row],
-                str(int(table.position[row])),
-                skill_names[int(table.skill[row])],
+                student,
+                str(position),
+                data.by_student[student][position].skill_id,
                 f"{table.mastery[row]:.6f}",
                 str(int(table.profile[row])),
                 str(int(table.difficulty[row])),
@@ -213,7 +252,6 @@ def cmd_evaluate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     artifact_paths = []
-    skill_names = {idx: name for name, idx in data.skill_index.items()}
     for fs in feature_sets:
         report = reports[fs]
         p_txt = os.path.join(args.out, f"metrics_{fs}.txt")
@@ -233,12 +271,10 @@ def cmd_evaluate(args) -> int:
         artifact_paths.extend(_write_fold_artifacts(fold_dir, output.artifacts,
                                                     output.models))
         if args.dump_predictions:
-            keep = (~output.test_table.warmup if config.skip_first_interval
-                    else np.ones(len(output.test_table), dtype=bool))
             for fs in feature_sets:
                 p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold_id}.tsv")
-                _dump_predictions(p, output.test_table, keep, output.scores[fs],
-                                  skill_names)
+                _dump_predictions(p, data, output.test_table, output.keep,
+                                  output.scores[fs])
                 artifact_paths.append(p)
 
     write_manifest(os.path.join(args.out, "manifest.kv"), config,
@@ -254,10 +290,8 @@ def cmd_fit(args) -> int:
     if data.n_records == 0:
         raise InputError(f"{args.data}: no usable records")
 
-    all_students = frozenset(data.by_student)
-    fold = FoldSplit(fold_id=0, train_students=all_students, test_students=frozenset())
-    artifacts = evaluation.fit_fold_artifacts(data, fold, config)
-    train, _ = evaluation.build_feature_rows(data, fold, artifacts, config)
+    artifacts = evaluation.fit_fold_artifacts(data, config)
+    train, = evaluation.build_feature_rows(artifacts, config.interval_len, data)
     feats = FEATURE_SETS[config.feature_set]
     model = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
 
@@ -277,49 +311,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config, _ = load_config(args.config, args)
     data = _load_dataset(args.data, args.schema)
-
-    def artifact(name):
-        p = os.path.join(args.model_dir, name)
-        if not os.path.exists(p):
-            raise InputError(f"artifact not found: {p}")
-        return p
-
-    model_path = None
-    for fs in FEATURE_SETS:
-        candidate = os.path.join(args.model_dir, f"tan_{fs}.model")
-        if os.path.exists(candidate):
-            model_path = candidate
-            feature_set = fs
-    if model_path is None:
-        raise InputError(f"no tan_*.model file in {args.model_dir}")
-    centroids_path = artifact("centroids.tsv")
-    try:
-        model = tan.load_model(model_path)
-        params = bkt.load_params_table(artifact("bkt_params.tsv"))
-        clusters = ability.load_centroids(centroids_path)
-        difficulty = load_difficulty_table(artifact("difficulty.tsv"))
-    except ValueError as exc:
-        raise InputError(f"malformed artifact in {args.model_dir}: {exc}") from exc
-    if data.n_records and clusters.k and clusters.dim != data.n_skills:
-        raise InputError(f"{centroids_path}: centroids have dimension {clusters.dim}, "
-                         f"but {args.data} has {data.n_skills} skills")
-    artifacts = FoldArtifacts(
-        params_by_skill=params,
-        fallback=bkt.mean_params(params.values()),
-        clusters=clusters,
-        difficulty=difficulty,
-    )
-    all_students = frozenset(data.by_student)
-    fold = FoldSplit(fold_id=0, train_students=all_students, test_students=frozenset())
-    table, _ = evaluation.build_feature_rows(data, fold, artifacts, config)
-    feats = FEATURE_SETS[feature_set]
-    scores = tan.predict_many(model, table.columns(feats))
-    skill_names = {idx: name for name, idx in data.skill_index.items()}
-    _dump_predictions(args.out, table, np.ones(len(table), dtype=bool), scores,
-                      skill_names)
-    sys.stdout.write(f"{len(table)} predictions written to {args.out}\n")
+    artifacts, interval_len, model = _load_bundle(args.model_dir)
+    table, = evaluation.build_feature_rows(artifacts, interval_len, data)
+    scores = tan.predict_many(model, table.columns(model.features))
+    _dump_predictions(args.out, data, table, np.ones(len(table), dtype=bool), scores)
+    unseen = int((table.skill == len(artifacts.skill_index)).sum())
+    sys.stdout.write(f"{len(table)} predictions written to {args.out} "
+                     f"({unseen} with a skill outside the fitted vocabulary)\n")
     return EXIT_OK
 
 
@@ -403,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score a dataset with fitted artifacts")
     p.add_argument("--data", required=True)
     p.add_argument("--schema")
-    p.add_argument("--config")
     p.add_argument("--model-dir", required=True, help="directory written by fit")
     p.add_argument("--out", required=True, help="predictions tsv path")
     p.set_defaults(func=cmd_predict)

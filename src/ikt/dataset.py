@@ -9,6 +9,7 @@ rows with missing fields and tallies every drop by reason.
 from __future__ import annotations
 
 import csv
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -27,6 +28,9 @@ __all__ = [
     "split_folds",
     "CANONICAL_SCHEMA",
 ]
+
+
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
 
 class SchemaError(Exception):
@@ -248,8 +252,9 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
                               "valid UTF-8") from None
 
     # The order column may hold numbers or timestamp strings; strings are
-    # ranked lexicographically (chronological for ISO timestamps). Empty
-    # or absent order values fall back to file row position.
+    # ranked lexicographically, which is chronological only for ISO
+    # timestamps, so every string must start YYYY-MM-DD. Empty or absent
+    # order values fall back to file row position.
     order_vals = [r[4] for r in rows]
     numeric = True
     for v in order_vals:
@@ -262,6 +267,11 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     if numeric:
         keys = [float(v) if v else float(idx) for v, idx in zip(order_vals, (r[5] for r in rows))]
     else:
+        for v, row in zip(order_vals, rows):
+            if v and not _ISO_DATE.match(v):
+                raise DataFormatError(f"{path}: row {row[5] + 2}: order value {v!r} is "
+                                      "not a number or a YYYY-MM-DD timestamp, so it "
+                                      "cannot be ranked unambiguously")
         rank = {v: float(i) for i, v in enumerate(sorted(set(filter(None, order_vals))))}
         keys = [rank[v] if v else float(idx) for v, idx in zip(order_vals, (r[5] for r in rows))]
 

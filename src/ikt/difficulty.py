@@ -50,16 +50,21 @@ def save_difficulty_table(table: DifficultyTable, path: str) -> None:
 
 
 def load_difficulty_table(path: str) -> DifficultyTable:
+    """Inverse of ``save_difficulty_table``; a malformed row raises
+    ``ValueError`` naming ``path:lineno``."""
     levels = {}
     default = DEFAULT_LEVEL
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("# default\t"):
-                default = int(line.split("\t")[1])
-                continue
-            problem, level = line.split("\t")
-            levels[problem] = int(level)
+            try:
+                if line.startswith("# default\t"):
+                    default = int(line.split("\t")[1])
+                    continue
+                problem, level = line.split("\t")
+                levels[problem] = int(level)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return DifficultyTable(levels=levels, default_level=default)

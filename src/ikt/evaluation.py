@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,12 +124,18 @@ def rmse(scores, labels) -> float:
 
 @dataclass
 class FoldArtifacts:
-    """Everything fitted from one fold's training students."""
+    """Everything fitted from one fold's training students, with the skill
+    coding (id -> code) the features were fitted under. ``fallback``, for
+    skills without parameters, is the mean of the fitted ones."""
 
+    skill_index: dict
     params_by_skill: dict
-    fallback: bkt.BktParams
     clusters: ability.ClusterModel
     difficulty: DifficultyTable
+    fallback: bkt.BktParams = field(init=False)
+
+    def __post_init__(self):
+        self.fallback = bkt.mean_params(self.params_by_skill.values())
 
     def params_for(self, skill_id) -> bkt.BktParams:
         return self.params_by_skill.get(skill_id, self.fallback)
@@ -137,14 +143,13 @@ class FoldArtifacts:
 
 @dataclass
 class FeatureTable:
-    """Columnar feature rows for one fold side; one row per interaction."""
+    """Columnar feature rows for one dataset; one row per interaction."""
 
     skill: np.ndarray
     mastery: np.ndarray
     profile: np.ndarray
     difficulty: np.ndarray
     label: np.ndarray
-    warmup: np.ndarray
     student: list
     position: np.ndarray
 
@@ -159,69 +164,61 @@ def _kmeans_seed(seed: int, fold_id: int) -> int:
     return seed * 1_000_003 + fold_id + 1
 
 
-def fit_fold_artifacts(data: Dataset, fold: FoldSplit,
-                       config: ExperimentConfig) -> FoldArtifacts:
-    """Fit skill parameters, clusters and difficulty on training students.
-
-    Test-fold records are never read. A skill absent from the training
-    fold maps to the mean of all fitted parameter vectors.
+def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
+                       fold_id: int = 0) -> FoldArtifacts:
+    """Fit skill parameters, clusters and difficulty on ``train``, the
+    training students' records; their dataset's skill index becomes the
+    artifacts' skill coding.
     """
-    train_students = [s for s in data.by_student if s in fold.train_students]
-    grid = config.fit_grid()
-
     sequences_by_skill: dict = {}
-    for s in train_students:
+    for recs in train.by_student.values():
         per_skill: dict = {}
-        for rec in data.by_student[s]:
+        for rec in recs:
             per_skill.setdefault(rec.skill_id, []).append(rec.correct)
         for skill, seq in per_skill.items():
             sequences_by_skill.setdefault(skill, []).append(seq)
-    params = bkt.fit_all_skills(sequences_by_skill, grid)
-    fallback = bkt.mean_params(params.values())
+    params = bkt.fit_all_skills(sequences_by_skill, config.fit_grid())
 
     vectors = []
-    for s in train_students:
-        attempts = [(data.skill_index[r.skill_id], r.correct) for r in data.by_student[s]]
-        vectors.extend(ability.interval_vectors(attempts, data.n_skills,
+    for recs in train.by_student.values():
+        attempts = [(train.skill_index[r.skill_id], r.correct) for r in recs]
+        vectors.extend(ability.interval_vectors(attempts, train.n_skills,
                                                 config.interval_len))
     k_eff = min(config.clusters, len(vectors))
     if k_eff >= 1:
         clusters = ability.train_clusters(vectors, k=k_eff,
-                                          seed=_kmeans_seed(config.seed, fold.fold_id),
+                                          seed=_kmeans_seed(config.seed, fold_id),
                                           restarts=config.kmeans_restarts)
     else:
         # no training student completed an interval; every attempt keeps
         # the initial profile
-        clusters = ability.ClusterModel(centroids=np.zeros((0, data.n_skills)))
+        clusters = ability.ClusterModel(centroids=np.zeros((0, train.n_skills)))
 
-    table = build_difficulty_table(data.restricted_to(fold.train_students))
-    return FoldArtifacts(params_by_skill=params, fallback=fallback,
-                         clusters=clusters, difficulty=table)
+    return FoldArtifacts(skill_index=train.skill_index, params_by_skill=params,
+                         clusters=clusters, difficulty=build_difficulty_table(train))
 
 
-def _rows_for_students(data: Dataset, students, artifacts: FoldArtifacts,
-                       config: ExperimentConfig) -> FeatureTable:
+def _feature_table(artifacts: FoldArtifacts, interval_len: int,
+                   data: Dataset) -> FeatureTable:
+    codes = artifacts.skill_index
+    unseen = len(codes)
     skill_col, mastery_col, profile_col, difficulty_col = [], [], [], []
-    label_col, warmup_col, student_col, position_col = [], [], [], []
-    for s in data.by_student:
-        if s not in students:
-            continue
-        recs = data.by_student[s]
-        attempts = [(data.skill_index[r.skill_id], r.correct) for r in recs]
-        profiles = ability.profile_labels(attempts, artifacts.clusters,
-                                          data.n_skills, config.interval_len)
+    label_col, student_col, position_col = [], [], []
+    for s, recs in data.by_student.items():
+        attempts = [(codes.get(r.skill_id, unseen), r.correct) for r in recs]
+        skill_col.extend(code for code, _ in attempts)
+        profiles = ability.profile_labels(attempts, artifacts.clusters, unseen,
+                                          interval_len)
         trackers: dict = {}
         for i, rec in enumerate(recs):
             tracker = trackers.get(rec.skill_id)
             if tracker is None:
                 tracker = bkt.MasteryTracker(artifacts.params_for(rec.skill_id))
                 trackers[rec.skill_id] = tracker
-            skill_col.append(data.skill_index[rec.skill_id])
             mastery_col.append(tracker.prior)
             profile_col.append(profiles[i])
             difficulty_col.append(artifacts.difficulty.lookup(rec.problem_id))
             label_col.append(rec.correct)
-            warmup_col.append(i < config.interval_len)
             student_col.append(s)
             position_col.append(i)
             tracker.update(rec.correct)
@@ -231,23 +228,28 @@ def _rows_for_students(data: Dataset, students, artifacts: FoldArtifacts,
         profile=np.array(profile_col, dtype=int),
         difficulty=np.array(difficulty_col, dtype=int),
         label=np.array(label_col, dtype=int),
-        warmup=np.array(warmup_col, dtype=bool),
         student=student_col,
         position=np.array(position_col, dtype=int),
     )
 
 
-def build_feature_rows(data: Dataset, fold: FoldSplit, artifacts: FoldArtifacts,
-                       config: ExperimentConfig) -> tuple[FeatureTable, FeatureTable]:
-    """One evidence row per interaction, for both sides of the fold.
+def build_feature_rows(artifacts: FoldArtifacts, interval_len: int,
+                       *datasets: Dataset) -> tuple[FeatureTable, ...]:
+    """One evidence row per interaction, one table per dataset.
 
+    Skills are coded by ``artifacts.skill_index``; a skill outside it
+    gets the code ``len(skill_index)``, which no fitted classifier
+    domain holds, the fallback BKT parameters and no ability dimension.
     Mastery is the tracing prior available before the attempt; the
     profile is the student's current-interval label; difficulty comes
-    from the training-fold table (5 when unseen there).
+    from the fitted table (5 when unseen there).
     """
-    train = _rows_for_students(data, fold.train_students, artifacts, config)
-    test = _rows_for_students(data, fold.test_students, artifacts, config)
-    return train, test
+    return tuple(_feature_table(artifacts, interval_len, data) for data in datasets)
+
+
+def _warmup_len(config: ExperimentConfig) -> int:
+    """Leading attempts of each test student that are not scored."""
+    return config.interval_len if config.skip_first_interval else 0
 
 
 @dataclass
@@ -256,7 +258,7 @@ class FoldOutput:
     artifacts: FoldArtifacts
     models: dict
     scores: dict
-    labels: np.ndarray
+    keep: np.ndarray
     test_table: FeatureTable
 
 
@@ -331,9 +333,11 @@ class MetricReport:
 
 def _run_fold(data: Dataset, fold: FoldSplit, config: ExperimentConfig,
               feature_sets) -> FoldOutput:
-    artifacts = fit_fold_artifacts(data, fold, config)
-    train, test = build_feature_rows(data, fold, artifacts, config)
-    keep = ~test.warmup if config.skip_first_interval else np.ones(len(test), dtype=bool)
+    train_data = data.restricted_to(fold.train_students)
+    artifacts = fit_fold_artifacts(train_data, config, fold.fold_id)
+    train, test = build_feature_rows(artifacts, config.interval_len, train_data,
+                                     data.restricted_to(fold.test_students))
+    keep = test.position >= _warmup_len(config)
     models = {}
     scores = {}
     for fs in feature_sets:
@@ -342,7 +346,7 @@ def _run_fold(data: Dataset, fold: FoldSplit, config: ExperimentConfig,
         models[fs] = model
         scores[fs] = tan.predict_many(model, {f: getattr(test, f)[keep] for f in feats})
     return FoldOutput(fold_id=fold.fold_id, artifacts=artifacts, models=models,
-                      scores=scores, labels=test.label[keep], test_table=test)
+                      scores=scores, keep=keep, test_table=test)
 
 
 def _fold_job(args):
@@ -361,11 +365,9 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
         raise ValueError("; ".join(errors))
     folds = split_folds(data, k=config.folds, seed=config.seed)
     digest = _fold_digest(folds)
-    # the scored rows skip the same warm-up positions as _run_fold's keep mask
-    skip = config.interval_len if config.skip_first_interval else 0
     for fold in folds:
         if len({r.correct for s in fold.test_students
-                for r in data.by_student[s][skip:]}) < 2:
+                for r in data.by_student[s][_warmup_len(config):]}) < 2:
             raise SingleClassError(f"fold {fold.fold_id}: the scored test labels hold "
                                    "fewer than two classes, so AUC is undefined; "
                                    "use fewer folds")
@@ -378,16 +380,17 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
         outputs = [_run_fold(data, fold, config, feature_sets) for fold in folds]
     outputs.sort(key=lambda o: o.fold_id)
 
+    labels = [o.test_table.label[o.keep] for o in outputs]
+    all_labels = np.concatenate(labels)
     reports = {}
     for fs in feature_sets:
-        fold_auc = [auc(o.scores[fs], o.labels) for o in outputs]
-        fold_rmse = [rmse(o.scores[fs], o.labels) for o in outputs]
+        fold_auc = [auc(o.scores[fs], y) for o, y in zip(outputs, labels)]
+        fold_rmse = [rmse(o.scores[fs], y) for o, y in zip(outputs, labels)]
         all_scores = np.concatenate([o.scores[fs] for o in outputs])
-        all_labels = np.concatenate([o.labels for o in outputs])
         reports[fs] = MetricReport(
             feature_set=fs,
             seed=config.seed,
-            fold_n=[int(o.labels.size) for o in outputs],
+            fold_n=[int(y.size) for y in labels],
             fold_auc=fold_auc,
             fold_rmse=fold_rmse,
             pooled_auc=auc(all_scores, all_labels),

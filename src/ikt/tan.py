@@ -128,9 +128,6 @@ class Discretizer:
 
     cutpoints: dict = field(default_factory=dict)
 
-    def n_bins(self, feature: str) -> int:
-        return len(self.cutpoints[feature]) + 1
-
     def transform_column(self, feature: str, column: np.ndarray) -> np.ndarray:
         cuts = self.cutpoints.get(feature)
         if cuts is None:
@@ -501,6 +498,12 @@ def load_model(path: str) -> TanModel:
         elif section.startswith("cpt "):
             cpt_rows[section.split(" ", 1)[1]].append(line.split())
 
+    for f in features:
+        missing = [sec for sec, table in (("domain", domains), ("tree", parent),
+                                          ("cpt", cpt_rows)) if f not in table]
+        if missing:
+            raise ValueError(f"{path}: feature {f!r} lacks its "
+                             f"{', '.join(missing)} section")
     structure = TanStructure(features=tuple(features), parent=parent)
     cpts = {}
     for f in features:

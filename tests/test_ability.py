@@ -104,7 +104,11 @@ class TestAssignProfile:
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
 
     def test_first_interval_reserved_label(self):
-        assert assign_profile(np.array([1.0, 1.0]), self.model, is_first_interval=True) == 1
+        # every centroid label is >= 2, yet the first interval's attempts
+        # carry the reserved label 1
+        labels = profile_labels([(1, 1)] * 25, self.model, skill_count=2, interval_len=20)
+        assert labels[:20].tolist() == [1] * 20
+        assert labels[20] == assign_profile(np.array([0.5, 1.0]), self.model) >= 2
 
     def test_exact_centroid_offset_mapping(self):
         # centroid at 0-based row 2 carries label 4: 1 is reserved, so the

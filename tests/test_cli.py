@@ -1,11 +1,20 @@
 import os
+import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ikt import evaluation
-from ikt.cli import main
+from ikt.bkt import load_params_table
+from ikt.cli import _load_bundle, _load_dataset, main
+from ikt.evaluation import ExperimentConfig
 
 from synth import mixed_process_rows, write_raw_csv
+
+CLI_ROWS = mixed_process_rows(n_students=25, n_skills=3, attempts=50, seed=9)
 
 SCHEMA_TEXT = "student = user\nproblem = item\nskill = kc\ncorrect = outcome\norder = ts\n"
 
@@ -13,8 +22,7 @@ SCHEMA_TEXT = "student = user\nproblem = item\nskill = kc\ncorrect = outcome\nor
 @pytest.fixture()
 def workspace(tmp_path):
     raw = tmp_path / "raw.csv"
-    write_raw_csv(mixed_process_rows(n_students=25, n_skills=3, attempts=50, seed=9),
-                  str(raw))
+    write_raw_csv(CLI_ROWS, str(raw))
     schema = tmp_path / "schema.cfg"
     schema.write_text(SCHEMA_TEXT, encoding="utf-8")
     return tmp_path, str(raw), str(schema)
@@ -122,8 +130,12 @@ class TestInputErrors:
         ("tan_ikt3.model", "not a model\n"),
         ("bkt_params.tsv", "not a table\n"),
         ("bkt_params.tsv", "skill_id\tl0\tt\tg\ts\ns1\t0.5\n"),
+        ("bkt_params.tsv", "skill_id\tl0\tt\tg\ts\ns1\t0.5\t0.1\t0.2\t0.1\n"
+                           "s1\t0.5\t0.1\t0.2\t0.1\n"),
         ("centroids.tsv", "0.5\tx\n"),
+        ("centroids.tsv", "0.5\t0.5\t0.5\n0.5\t0.5\n"),
         ("difficulty.tsv", "p1\thard\n"),
+        ("manifest.kv", "config.feature_set = ikt3\n"),
     ])
     def test_malformed_artifact_exits_2(self, workspace, capsys, name, content):
         tmp, raw, schema = workspace
@@ -135,18 +147,40 @@ class TestInputErrors:
                     "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
         err = capsys.readouterr().err
         assert "malformed artifact" in err and "internal" not in err
+        assert re.search(re.escape(name) + r"(:\d+)?: ", err)  # names the file
 
     def test_centroid_dimension_mismatch_exits_2(self, workspace, capsys):
+        # the bundle itself disagrees: 3 centroid columns, 2 skill rows
         tmp, raw, schema = workspace
         fitted = tmp / "fitted"
         assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 0
-        rows = mixed_process_rows(n_students=25, n_skills=3, attempts=50, seed=9)
-        fewer = tmp / "two_skills.csv"
-        write_raw_csv([r for r in rows if r[2] != rows[0][2]], str(fewer))
+        table = fitted / "bkt_params.tsv"
+        table.write_text("".join(table.read_text().splitlines(True)[:-1]))
         capsys.readouterr()
-        assert run(["predict", "--data", str(fewer), "--schema", schema,
+        assert run(["predict", "--data", raw, "--schema", schema,
                     "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
-        assert "centroids have dimension 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "centroids have dimension 3" in err and "lists 2 skills" in err
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_truncated_model_exits_2(self, workspace, capsys, command):
+        tmp, raw, schema = workspace
+        fitted = tmp / "fitted"
+        assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 0
+        model = fitted / "tan_ikt3.model"
+        text = model.read_text()
+        model.write_text(text[:text.index("[tree]")])
+        capsys.readouterr()
+        if command == "predict":
+            argv = ["predict", "--data", raw, "--schema", schema,
+                    "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]
+        else:
+            argv = ["explain", "--model", str(model), "skill=1", "mastery=0.4",
+                    "profile=1", "difficulty=5"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "tan_ikt3.model: feature" in err and "tree" in err
+        assert "internal" not in err
 
     def test_internal_value_error_exits_1_with_traceback(self, workspace, capsys,
                                                          monkeypatch):
@@ -282,3 +316,112 @@ class TestFitPredictExplain:
     def test_explain_missing_model_exits_2(self, tmp_path, capsys):
         code = run(["explain", "--model", str(tmp_path / "none.model"), "skill=1"])
         assert code == 2
+
+
+def predict_rows(raw, schema, fitted, out):
+    """Prediction lines of one predict run, grouped by student."""
+    assert run(["predict", "--data", str(raw), "--schema", schema,
+                "--model-dir", str(fitted), "--out", str(out)]) == 0
+    by_student: dict = {}
+    for line in out.read_text().splitlines()[1:]:
+        by_student.setdefault(line.split("\t")[0], []).append(line)
+    return by_student
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """A bundle fitted on the CLI log and the predictions it gives that log."""
+    tmp = tmp_path_factory.mktemp("bundle")
+    raw = tmp / "raw.csv"
+    write_raw_csv(CLI_ROWS, str(raw))
+    schema = tmp / "schema.cfg"
+    schema.write_text(SCHEMA_TEXT, encoding="utf-8")
+    fitted = tmp / "fitted"
+    assert run(["fit", "--data", str(raw), "--schema", str(schema),
+                "--out", str(fitted)]) == 0
+    return str(schema), fitted, predict_rows(raw, str(schema), fitted, tmp / "p.tsv")
+
+
+def rows_by_student(rows):
+    out: dict = {}
+    for row in rows:
+        out.setdefault(row[0], []).append(row)
+    return out
+
+
+class TestPredictUsesTheBundle:
+    """A student's predictions depend on the bundle and that student only."""
+
+    def test_unrelated_student_first_changes_nothing_else(self, bundle, tmp_path,
+                                                          capsys):
+        schema, fitted, expected = bundle
+        # the newcomer's skills first appear in the order s2, s_new, s0
+        newcomer = [("new", f"q{i}", ("s2", "s_new", "s0")[i % 3], i % 2)
+                    for i in range(45)]
+        raw = tmp_path / "more.csv"
+        write_raw_csv(newcomer + CLI_ROWS, str(raw))
+        capsys.readouterr()
+        got = predict_rows(raw, schema, fitted, tmp_path / "p.tsv")
+        assert "(15 with a skill outside the fitted vocabulary)" in capsys.readouterr().out
+        assert {s: got[s] for s in expected} == expected
+        assert [ln.split("\t")[2] for ln in got["new"][:3]] == ["s2", "s_new", "s0"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.permutations(range(25)),
+           newcomers=st.lists(st.tuples(
+               st.integers(0, 25),
+               st.lists(st.tuples(st.sampled_from(["s0", "s1", "s2", "s9"]),
+                                  st.integers(0, 40), st.integers(0, 1)),
+                        min_size=1, max_size=45)),
+               max_size=3))
+    def test_inserting_or_reordering_students_changes_nothing_else(
+            self, bundle, order, newcomers):
+        schema, fitted, expected = bundle
+        groups = list(rows_by_student(CLI_ROWS).values())
+        groups = [groups[i] for i in order]
+        for j, (at, attempts) in enumerate(newcomers):
+            groups.insert(at, [(f"x{j}", f"p_{sk}_{n}", sk, c) for sk, n, c in attempts])
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = os.path.join(tmp, "log.csv")
+            write_raw_csv([row for group in groups for row in group], raw)
+            got = predict_rows(raw, schema, fitted, Path(tmp) / "p.tsv")
+        assert {s: got[s] for s in expected} == expected
+
+    def test_predict_log_with_fewer_skills_succeeds(self, bundle, tmp_path):
+        schema, fitted, expected = bundle
+        raw = tmp_path / "two_skills.csv"
+        write_raw_csv([r for r in CLI_ROWS if r[2] != "s0"], str(raw))
+        got = predict_rows(raw, schema, fitted, tmp_path / "p.tsv")
+        assert set(got) == set(expected)
+        # without s0 each student starts on s1, at s1's fitted prior
+        l0 = load_params_table(str(fitted / "bkt_params.tsv"))["s1"].l0
+        for lines in got.values():
+            assert lines[0].split("\t")[2:4] == ["s1", f"{l0:.6f}"]
+
+    def test_loaded_bundle_reproduces_in_sample_rows(self, bundle, tmp_path):
+        schema, fitted, _ = bundle
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(CLI_ROWS, str(raw))
+        data = _load_dataset(str(raw), schema)
+        fitted_rows, = evaluation.build_feature_rows(
+            evaluation.fit_fold_artifacts(data, ExperimentConfig()), 20, data)
+        artifacts, interval_len, _ = _load_bundle(str(fitted))
+        loaded_rows, = evaluation.build_feature_rows(artifacts, interval_len, data)
+        for f in ("skill", "mastery", "profile", "difficulty", "label", "position"):
+            assert np.array_equal(getattr(fitted_rows, f), getattr(loaded_rows, f)), f
+        assert fitted_rows.student == loaded_rows.student
+
+    def test_bkt_params_rows_follow_skill_codes(self, tmp_path):
+        # skills first appear in the order kc_c, kc_a, kc_b, not sorted
+        names = {"s0": "kc_c", "s1": "kc_a", "s2": "kc_b"}
+        raw = tmp_path / "raw.csv"
+        write_raw_csv([(s, p, names[k], c) for s, p, k, c in CLI_ROWS], str(raw))
+        schema = tmp_path / "schema.cfg"
+        schema.write_text(SCHEMA_TEXT, encoding="utf-8")
+        fitted = tmp_path / "fitted"
+        assert run(["fit", "--data", str(raw), "--schema", str(schema),
+                    "--out", str(fitted)]) == 0
+        data = _load_dataset(str(raw), str(schema))
+        table = (fitted / "bkt_params.tsv").read_text().splitlines()[1:]
+        assert [ln.split("\t")[0] for ln in table] == list(data.skill_index)
+        assert list(data.skill_index) == ["kc_c", "kc_a", "kc_b"]

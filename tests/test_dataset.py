@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,17 @@ class TestLoadCsv:
                      "a,p1,s1,1,2009-09-01 09:00:00\n")
         data = load_csv(path, SCHEMA_ORDERED)
         assert [r.problem_id for r in data.by_student["a"]] == ["p1", "p2"]
+
+    @pytest.mark.parametrize("values, bad", [
+        (("12/31/2020", "01/05/2021"), "row 2: order value '12/31/2020'"),
+        (("9", "2020-01-01", "10"), "row 2: order value '9'"),
+    ], ids=["us_dates", "numbers_mixed_with_dates"])
+    def test_ambiguous_order_strings_rejected(self, tmp_path, values, bad):
+        # ranked as strings, 12/31/2020 would follow 01/05/2021 and 10 precede 9
+        path = write(tmp_path, "user,item,kc,outcome,ts\n" + "".join(
+            f"a,p{i},s1,1,{v}\n" for i, v in enumerate(values)))
+        with pytest.raises(DataFormatError, match=re.escape(bad)):
+            load_csv(path, SCHEMA_ORDERED)
 
     def test_scaffold_filter(self, tmp_path):
         schema = ColumnSchema(student="user", problem="item", skill="kc",

@@ -3,7 +3,7 @@ import pytest
 
 from ikt.dataset import split_folds
 from ikt.evaluation import (FEATURE_SETS, ExperimentConfig, SingleClassError,
-                            auc, build_feature_rows, evaluate_feature_sets,
+                            _run_fold, auc, build_feature_rows, evaluate_feature_sets,
                             fit_fold_artifacts, rmse, run_ablation, run_cv)
 
 from oracles import pairwise_auc
@@ -79,17 +79,23 @@ def small_data():
     return to_dataset(rows), params
 
 
+def fold_tables(data, fold, config):
+    train_data = data.restricted_to(fold.train_students)
+    artifacts = fit_fold_artifacts(train_data, config, fold.fold_id)
+    return artifacts, build_feature_rows(artifacts, config.interval_len, train_data,
+                                         data.restricted_to(fold.test_students))
+
+
 class TestFoldPipeline:
     def test_first_attempt_row_uses_l0_and_initial_profile(self, small_data):
         data, _ = small_data
         config = ExperimentConfig(seed=1)
         fold = split_folds(data, k=5, seed=1)[0]
-        artifacts = fit_fold_artifacts(data, fold, config)
-        train, test = build_feature_rows(data, fold, artifacts, config)
-        for table, students in ((train, fold.train_students), (test, fold.test_students)):
+        artifacts, (train, test) = fold_tables(data, fold, config)
+        for table in (train, test):
             first_rows = np.nonzero(table.position == 0)[0]
             for r in first_rows:
-                skill_id = [k for k, v in data.skill_index.items()
+                skill_id = [k for k, v in artifacts.skill_index.items()
                             if v == table.skill[r]][0]
                 assert table.mastery[r] == artifacts.params_for(skill_id).l0
                 assert table.profile[r] == 1
@@ -98,8 +104,7 @@ class TestFoldPipeline:
         data, _ = small_data
         config = ExperimentConfig(seed=1)
         fold = split_folds(data, k=5, seed=1)[0]
-        artifacts = fit_fold_artifacts(data, fold, config)
-        train, test = build_feature_rows(data, fold, artifacts, config)
+        _, (train, test) = fold_tables(data, fold, config)
         n_train = sum(len(data.by_student[s]) for s in fold.train_students)
         n_test = sum(len(data.by_student[s]) for s in fold.test_students)
         assert len(train) == n_train
@@ -116,8 +121,7 @@ class TestFoldPipeline:
         config = ExperimentConfig(seed=1)
         found = 0
         for fold in split_folds(data, k=5, seed=1):
-            artifacts = fit_fold_artifacts(data, fold, config)
-            _, test = build_feature_rows(data, fold, artifacts, config)
+            artifacts, (_, test) = fold_tables(data, fold, config)
             for i, s in enumerate(test.student):
                 rec = data.by_student[s][test.position[i]]
                 if rec.problem_id not in artifacts.difficulty.levels:
@@ -129,13 +133,29 @@ class TestFoldPipeline:
         data, _ = small_data
         config = ExperimentConfig(seed=1)
         fold = split_folds(data, k=5, seed=1)[1]
-        full = fit_fold_artifacts(data, fold, config)
-        reduced = fit_fold_artifacts(data.restricted_to(fold.train_students),
-                                     fold, config)
-        assert full.params_by_skill == reduced.params_by_skill
-        assert full.fallback == reduced.fallback
-        assert np.array_equal(full.clusters.centroids, reduced.clusters.centroids)
-        assert full.difficulty.levels == reduced.difficulty.levels
+        # flip every test-student answer; the fold's artifacts must not move
+        flipped = to_dataset([(r.student_id, r.problem_id, r.skill_id,
+                               1 - r.correct if r.student_id in fold.test_students
+                               else r.correct) for r in data.iter_records()])
+        full = _run_fold(data, fold, config, ["ikt3"]).artifacts
+        altered = _run_fold(flipped, fold, config, ["ikt3"]).artifacts
+        assert full.skill_index == altered.skill_index
+        assert full.params_by_skill == altered.params_by_skill
+        assert full.fallback == altered.fallback
+        assert np.array_equal(full.clusters.centroids, altered.clusters.centroids)
+        assert full.difficulty.levels == altered.difficulty.levels
+
+    def test_skill_outside_vocabulary_gets_fallback(self, small_data):
+        data, _ = small_data
+        config = ExperimentConfig(seed=1)
+        artifacts = fit_fold_artifacts(data, config)
+        rows = [("new", f"q{i}", "s_new" if i % 2 else "s0", i % 3 == 0)
+                for i in range(45)]
+        table, = build_feature_rows(artifacts, config.interval_len, to_dataset(rows))
+        unseen = table.skill == len(artifacts.skill_index)
+        assert unseen.tolist() == [bool(i % 2) for i in range(45)]
+        assert table.mastery[1] == artifacts.fallback.l0
+        assert table.profile[20:].min() >= 2  # the unseen slot adds no dimension
 
 
 class TestRunCv:

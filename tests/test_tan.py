@@ -96,7 +96,7 @@ class TestMdlp:
         labels = (values > 0.5).astype(int)
         disc = fit_discretizer({"mastery": values}, labels)
         bins = disc.transform_column("mastery", values)
-        n_bins = disc.n_bins("mastery")
+        n_bins = len(disc.cutpoints["mastery"]) + 1
         assert bins.min() >= 0 and bins.max() <= n_bins - 1
         assert set(np.unique(bins)) == set(range(n_bins))
 
