@@ -6,6 +6,14 @@ every skill forms a performance vector; k-means over the training
 students' vectors defines the profile clusters. Attempts in the first
 interval carry the reserved profile 1, later intervals the label of the
 nearest centroid (labels 2..K+1).
+
+Each Lloyd round assigns points by a screen: one matrix product gives
+|x|^2 - 2 x.c + |c|^2 for every point and centroid, and a point keeps
+its argmin only when the best two values differ by more than a bound on
+the rounding of that form plus the exact ``((x - c)**2).sum()``. The
+remaining points, near-ties and exact ties, are assigned by the exact
+distances, so every assignment, and thus every centroid, is the one the
+exact distances alone would give (see ``_nearest``).
 """
 
 from __future__ import annotations
@@ -72,11 +80,16 @@ class ClusterModel:
         return self.centroids.shape[1] if self.centroids.ndim == 2 else 0
 
 
+def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact squared Euclidean distances, shape (len(x), len(c))."""
+    return ((x[:, None, :] - c) ** 2).sum(axis=2)
+
+
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(x)
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(x, centroids[:1])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -85,19 +98,60 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = rng.integers(n)
         centroids[i] = x[idx]
-        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(x, centroids[i:i + 1])[:, 0])
     return centroids
+
+
+def _nearest(x: np.ndarray, xt: np.ndarray, xx: np.ndarray,
+             centroids: np.ndarray) -> np.ndarray:
+    """``argmin(_sq_dists(x, centroids), axis=1)``, screened by one GEMM.
+
+    ``xt`` is ``x.T`` in C order and ``xx`` the squared norms of ``x``'s
+    rows. ``g = |x|^2 - 2 x.c + |c|^2`` ranks the centroids of every
+    row; a row whose best two ``g`` differ by more than ``tol`` keeps
+    its ``g`` argmin, and every other row, NaN gaps included, is settled
+    by the exact distances, which also break ties to the lowest index.
+
+    ``tol`` covers the rounding of both forms. With u = eps/2,
+    S = max|x|^2 + max|c|^2 and the true distance D <= 2S, the three dot
+    products in ``g`` are off by at most d*u times |x|^2, 2|x||c| <= S
+    and |c|^2, and its two additions by u*2S each, so |g - D| <=
+    (d + 2)*eps*S. ``((x - c)**2).sum()`` rounds a difference, a square
+    and d - 1 additions of non-negative terms, a relative error of
+    (d + 2)*u, so it is off by at most (d + 2)*eps*S too. A gap above
+    twice the sum of both, 4*(d + 2)*eps*S, puts the exact distance to
+    the ``g`` argmin strictly below that to every other centroid, so the
+    two forms pick the same one; ``tol`` doubles that margin to cover
+    second-order terms.
+    """
+    if len(centroids) == 1:
+        return np.zeros(len(x), dtype=np.intp)
+    cc = (centroids ** 2).sum(axis=1)
+    g = xx - 2.0 * (centroids @ xt) + cc[:, None]
+    labels = g.argmin(axis=0)
+    cols = np.arange(len(x))
+    best = g[labels, cols]
+    g[labels, cols] = np.inf
+    gap = g.min(axis=0) - best
+    tol = 8 * (x.shape[1] + 2) * np.finfo(float).eps * (xx.max() + cc.max())
+    unsure = ~(gap > tol)
+    if unsure.any():
+        labels[unsure] = np.argmin(_sq_dists(x[unsure], centroids), axis=1)
+    return labels
 
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
     k = len(centroids)
+    xt = np.ascontiguousarray(x.T)
+    xx = (x ** 2).sum(axis=1)
     labels = None
     for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
+        new_labels = _nearest(x, xt, xx, centroids)
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
+        # revival reads the distances to this assignment's centroids
+        d2 = _sq_dists(x, centroids) if np.bincount(labels, minlength=k).min() == 0 else None
         for j in range(k):
             mask = labels == j
             if mask.any():
@@ -108,8 +162,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int) -> tuple[np.ndar
                 worst = int(np.argmax(d2[np.arange(len(x)), labels]))
                 centroids[j] = x[worst]
                 labels[worst] = j
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    wcss = float(d2[np.arange(len(x)), np.argmin(d2, axis=1)].sum())
+    wcss = float(_sq_dists(x, centroids).min(axis=1).sum())
     return centroids, wcss
 
 
@@ -146,8 +199,7 @@ def assign_profile(vector: np.ndarray, model: ClusterModel) -> int:
     vector = np.asarray(vector, dtype=float)
     if vector.shape[0] != model.dim:
         raise ValueError(f"vector has dimension {vector.shape[0]}, centroids have {model.dim}")
-    d2 = ((model.centroids - vector) ** 2).sum(axis=1)
-    return INITIAL_PROFILE + 1 + int(np.argmin(d2))
+    return INITIAL_PROFILE + 1 + int(np.argmin(_sq_dists(vector[None, :], model.centroids)))
 
 
 def profile_labels(attempts, model: ClusterModel, skill_count: int,

@@ -317,8 +317,11 @@ def cmd_predict(args) -> int:
     scores = tan.predict_many(model, table.columns(model.features))
     _dump_predictions(args.out, data, table, np.ones(len(table), dtype=bool), scores)
     unseen = int((table.skill == len(artifacts.skill_index)).sum())
+    levels = artifacts.difficulty.levels
+    unrated = sum(rec.problem_id not in levels for rec in data.iter_records())
     sys.stdout.write(f"{len(table)} predictions written to {args.out} "
-                     f"({unseen} with a skill outside the fitted vocabulary)\n")
+                     f"({unseen} with a skill outside the fitted vocabulary) "
+                     f"({unrated} with a problem outside the fitted difficulty table)\n")
     return EXIT_OK
 
 

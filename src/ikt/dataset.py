@@ -164,14 +164,24 @@ class Dataset:
             yield from recs
 
     def restricted_to(self, students) -> "Dataset":
-        """Subset to the given students, keeping the same dense indexes."""
+        """Subset to the given students. The skill and problem indexes keep
+        only what those students attempted, in this dataset's order,
+        renumbered densely."""
         members = set(students)
+        by_student = {s: r for s, r in self.by_student.items() if s in members}
+        records = [r for recs in by_student.values() for r in recs]
+        skills = {r.skill_id for r in records}
+        problems = {r.problem_id for r in records}
         return Dataset(
-            by_student={s: r for s, r in self.by_student.items() if s in members},
-            skill_index=self.skill_index,
-            problem_index=self.problem_index,
+            by_student=by_student,
+            skill_index=_dense(s for s in self.skill_index if s in skills),
+            problem_index=_dense(p for p in self.problem_index if p in problems),
             drops=Counter(self.drops),
         )
+
+
+def _dense(ids) -> dict[str, int]:
+    return {x: i for i, x in enumerate(ids)}
 
 
 def _build_dataset(by_student: dict[str, list[InteractionRecord]], drops: Counter) -> Dataset:

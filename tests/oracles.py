@@ -3,7 +3,8 @@
 Everything here deliberately takes a different computational route from
 the code under test: matrix-form forward passes, exhaustive joint-table
 enumeration, Prufer-sequence spanning-tree enumeration, quadratic
-pairwise AUC.
+pairwise AUC, k-means with every distance taken from the full
+point-by-centroid broadcast.
 """
 
 from __future__ import annotations
@@ -50,6 +51,64 @@ def simulate_bkt(params, n_seq, length, rng):
                 learned = True
         out.append(seq)
     return out
+
+
+def _kmeans_pp_init(x, k, rng):
+    n = len(x)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            idx = rng.choice(n, p=probs)
+        else:
+            idx = rng.integers(n)
+        centroids[i] = x[idx]
+        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+    return centroids
+
+
+def _lloyd(x, centroids, max_iter):
+    k = len(centroids)
+    labels = None
+    for _ in range(max_iter):
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                centroids[j] = x[mask].mean(axis=0)
+            else:
+                # revive an empty cluster with the point farthest from
+                # its assigned centroid (deterministic)
+                worst = int(np.argmax(d2[np.arange(len(x)), labels]))
+                centroids[j] = x[worst]
+                labels[worst] = j
+    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    wcss = float(d2[np.arange(len(x)), np.argmin(d2, axis=1)].sum())
+    return centroids, wcss
+
+
+def kmeans_oracle(vectors, k, seed, restarts=10, max_iter=300):
+    """Centroids of ``ability.train_clusters`` computed with the exact
+    broadcast distance in every assignment round: the same k-means++
+    seeding, rng draws, restarts, mean update and empty-cluster revival.
+    """
+    x = np.asarray(vectors, dtype=float)
+    rng = np.random.default_rng(seed)
+    best_centroids = None
+    best_wcss = np.inf
+    for _ in range(restarts):
+        centroids, wcss = _lloyd(x, _kmeans_pp_init(x, k, rng), max_iter)
+        if wcss < best_wcss:
+            best_wcss = wcss
+            best_centroids = centroids
+    return best_centroids
 
 
 def pairwise_auc(scores, labels):

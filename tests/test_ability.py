@@ -6,6 +6,22 @@ from ikt.ability import (ClusterModel, assign_profile, interval_vectors,
                          train_clusters)
 from ikt.evaluation import ExperimentConfig
 
+from oracles import kmeans_oracle
+
+
+def rates(rng, n, d, max_den=4):
+    """Success rates over few attempts: many vectors and distances tie."""
+    den = rng.integers(1, max_den + 1, (n, d))
+    return rng.integers(0, den + 1) / den
+
+
+ORACLE_CASES = {
+    "uniform": lambda rng: (rng.uniform(0, 1, (200, 6)), 5),
+    "half_step_grid": lambda rng: (rng.integers(0, 3, (150, 4)) / 2, 6),
+    "small_denominator_rates": lambda rng: (rates(rng, 300, 8), 7),
+    "k1": lambda rng: (rng.uniform(0, 1, (40, 3)), 1),
+}
+
 
 class TestSegmentIntervals:
     def test_partial_tail(self):
@@ -92,6 +108,49 @@ class TestTrainClusters:
         a = train_clusters(pts, k=4, seed=7)
         b = train_clusters(pts, k=4, seed=7)
         assert np.array_equal(a.centroids, b.centroids)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_oracle(self, case, seed):
+        x, k = ORACLE_CASES[case](np.random.default_rng(seed))
+        model = train_clusters(x, k=k, seed=seed)
+        assert np.array_equal(model.centroids, kmeans_oracle(x, k, seed))
+
+    def test_matches_oracle_many_skills(self):
+        x = rates(np.random.default_rng(11), 1200, 50, max_den=6)
+        model = train_clusters(x, k=7, seed=3, restarts=3)
+        assert np.array_equal(model.centroids, kmeans_oracle(x, 7, 3, restarts=3))
+
+    def test_matches_oracle_on_tie_heavy_inputs(self):
+        # k above the distinct-point count revives clusters every round
+        # and cycles to max_iter, so max_iter is kept short
+        for seed in range(60):
+            rng = np.random.default_rng(1000 + seed)
+            n, d = int(rng.integers(8, 80)), int(rng.integers(1, 7))
+            distinct = rates(rng, int(rng.integers(2, 12)), d, max_den=3)
+            x = distinct[rng.integers(0, len(distinct), n)]
+            k = int(rng.integers(1, 9))
+            model = train_clusters(x, k=k, seed=seed, restarts=3, max_iter=30)
+            assert np.array_equal(model.centroids, kmeans_oracle(
+                x, k, seed, restarts=3, max_iter=30)), seed
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_cluster_revival_matches_oracle(self, seed):
+        # at most three distinct points for five clusters: k-means++ repeats a
+        # point, so clusters start empty and are revived every round
+        rng = np.random.default_rng(seed)
+        x = rates(rng, 3, 6, max_den=3)[rng.integers(0, 3, 40)]
+        model = train_clusters(x, k=5, seed=seed, restarts=2)
+        assert np.array_equal(model.centroids, kmeans_oracle(x, 5, seed, restarts=2))
+
+    def test_train_clusters_pinned(self):
+        x = np.random.default_rng(5).integers(0, 4, (60, 4)) / 3
+        model = train_clusters(x, k=3, seed=8, restarts=4)
+        assert np.array_equal(model.centroids, np.array([
+            [0.8541666666666665, 0.16666666666666666, 0.3125, 0.6875000000000001],
+            [0.6, 0.7466666666666666, 0.5333333333333333, 0.13333333333333333],
+            [0.1754385964912281, 0.5087719298245614, 0.42105263157894735,
+             0.8245614035087719]]))
 
     def test_too_few_vectors(self):
         with pytest.raises(ValueError):

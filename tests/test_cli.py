@@ -216,6 +216,30 @@ class TestEvaluateCommand:
         assert (out / "artifacts" / "fold0" / "bkt_params.tsv").exists()
         assert (out / "artifacts" / "fold0" / "tan_ikt3.model").exists()
 
+    def test_skill_seen_only_by_test_students_is_not_in_the_fold(self, tmp_path):
+        # one student holds the only attempts on s_private; the fold that
+        # tests that student must fit, and write, the other skills only
+        private = [("priv", f"q{i}", ("s0", "s1", "s2", "s_private")[i % 4], i % 2)
+                   for i in range(20)]
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(CLI_ROWS + private, str(raw))
+        schema = tmp_path / "schema.cfg"
+        schema.write_text(SCHEMA_TEXT, encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("grid_step = 0.25\nkmeans_restarts = 1\n", encoding="utf-8")
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--data", str(raw), "--schema", str(schema),
+                    "--config", str(config), "--out", str(out)]) == 0
+        without = 0
+        for fold in sorted((out / "artifacts").iterdir()):
+            skills = [ln.split("\t")[0] for ln in
+                      (fold / "bkt_params.tsv").read_text().splitlines()[1:]]
+            widths = {len(ln.split("\t")) for ln in
+                      (fold / "centroids.tsv").read_text().splitlines()}
+            assert widths == {len(skills)}, fold.name
+            without += "s_private" not in skills
+        assert without == 1
+
     def test_invalid_config_field_named(self, preprocessed, capsys):
         tmp, data = preprocessed
         bad = tmp / "bad.cfg"
@@ -355,14 +379,17 @@ class TestPredictUsesTheBundle:
     def test_unrelated_student_first_changes_nothing_else(self, bundle, tmp_path,
                                                           capsys):
         schema, fitted, expected = bundle
-        # the newcomer's skills first appear in the order s2, s_new, s0
-        newcomer = [("new", f"q{i}", ("s2", "s_new", "s0")[i % 3], i % 2)
-                    for i in range(45)]
+        # the newcomer's skills first appear in the order s2, s_new, s0;
+        # every fifth problem is a fitted one, the other 36 are new
+        newcomer = [("new", f"p_s0_{i // 5}" if i % 5 == 0 else f"q{i}",
+                     ("s2", "s_new", "s0")[i % 3], i % 2) for i in range(45)]
         raw = tmp_path / "more.csv"
         write_raw_csv(newcomer + CLI_ROWS, str(raw))
         capsys.readouterr()
         got = predict_rows(raw, schema, fitted, tmp_path / "p.tsv")
-        assert "(15 with a skill outside the fitted vocabulary)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(15 with a skill outside the fitted vocabulary)" in out
+        assert "(36 with a problem outside the fitted difficulty table)" in out
         assert {s: got[s] for s in expected} == expected
         assert [ln.split("\t")[2] for ln in got["new"][:3]] == ["s2", "s_new", "s0"]
 

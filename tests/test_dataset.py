@@ -180,6 +180,17 @@ class TestCanonicalRoundTrip:
             assert got == want
 
 
+class TestRestrictedTo:
+    def test_indexes_keep_attempted_ids_in_dataset_order(self):
+        data = to_dataset([("u0", "p0", "x", 1), ("u0", "p1", "a", 0),
+                           ("u1", "p2", "b", 1), ("u1", "p1", "a", 1),
+                           ("u2", "p3", "a", 0)])
+        sub = data.restricted_to({"u1", "u2"})
+        assert list(sub.by_student) == ["u1", "u2"]
+        assert sub.skill_index == {"a": 0, "b": 1}
+        assert sub.problem_index == {"p1": 0, "p2": 1, "p3": 2}
+
+
 class TestSplitFolds:
     def make(self, n):
         return to_dataset([(f"u{i}", f"p{i}", "s0", 1) for i in range(n)])
