@@ -1,5 +1,12 @@
 """Command-line entry point: preprocess, fit, evaluate, predict, explain.
 
+``fit`` writes one bundle, and ``evaluate`` one per fold under
+``artifacts/foldN``: ``bkt_params.tsv``, whose row order is the skill
+coding, ``centroids.tsv``, ``difficulty.tsv``, a ``tan_<feature
+set>.model`` per feature set and ``manifest.kv`` with the configuration.
+``predict`` and ``explain`` read a bundle given as ``--model-dir``;
+``explain`` takes the skill as an id of that bundle.
+
 All outputs are UTF-8 text. Exit codes: 0 success, 2 for input or
 configuration errors, 1 for internal failures, which also print their
 traceback.
@@ -27,6 +34,7 @@ from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+_MODEL_DIR_HELP = "bundle directory: fit's --out or evaluate's artifacts/foldN"
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
@@ -98,33 +106,18 @@ def load_config(path: str | None, args=None) -> tuple[ExperimentConfig, bool]:
     return config, ablation
 
 
-def _sha256(path: str) -> str:
+def _input_entries(path: str) -> dict:
+    """Manifest lines naming an input file and its sha256."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
-    return h.hexdigest()
+    return {"input.data.path": path, "input.data.sha256": h.hexdigest()}
 
 
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def write_manifest(path: str, config: ExperimentConfig, inputs: dict,
-                   artifact_paths: list, extra: dict | None = None) -> None:
-    """Run snapshot: config, input digests, seeds, artifacts, version."""
-    lines = [f"tool_version = {__version__}"]
-    for key, value in sorted(dataclasses.asdict(config).items()):
-        lines.append(f"config.{key} = {value}")
-    for name, p in inputs.items():
-        lines.append(f"input.{name}.path = {p}")
-        lines.append(f"input.{name}.sha256 = {_sha256(p)}")
-    for p in artifact_paths:
-        lines.append(f"artifact = {p}")
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {value}")
-    _write(path, "\n".join(lines) + "\n")
 
 
 def _load_dataset(path: str, schema_path: str | None):
@@ -140,32 +133,44 @@ def _load_dataset(path: str, schema_path: str | None):
         raise InputError(str(exc)) from exc
 
 
-def _write_fold_artifacts(outdir: str, artifacts: FoldArtifacts,
-                          models: dict) -> list:
+def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
+                  artifacts: FoldArtifacts | None = None, models: dict | None = None,
+                  paths=()) -> list:
+    """Write a bundle: ``artifacts`` and ``models`` in the files
+    ``_load_bundle`` reads, then ``manifest.kv`` holding the tool version,
+    ``config``, ``entries`` and one ``artifact`` line per file written or
+    given in ``paths``. Returns those files. Without artifacts it writes
+    the manifest alone, as for ``evaluate``'s run directory.
+    """
     os.makedirs(outdir, exist_ok=True)
-    paths = []
-    p = os.path.join(outdir, "bkt_params.tsv")
-    bkt.save_params_table(artifacts.params_by_skill, p)
-    paths.append(p)
-    p = os.path.join(outdir, "centroids.tsv")
-    ability.save_centroids(artifacts.clusters, p)
-    paths.append(p)
-    p = os.path.join(outdir, "difficulty.tsv")
-    save_difficulty_table(artifacts.difficulty, p)
-    paths.append(p)
-    for fs, model in models.items():
-        p = os.path.join(outdir, f"tan_{fs}.model")
-        tan.save_model(model, p)
-        paths.append(p)
-    return paths
+    written = []
+    if artifacts is not None:
+        for name, save, value in (
+                ("bkt_params.tsv", bkt.save_params_table, artifacts.params_by_skill),
+                ("centroids.tsv", ability.save_centroids, artifacts.clusters),
+                ("difficulty.tsv", save_difficulty_table, artifacts.difficulty)):
+            written.append(os.path.join(outdir, name))
+            save(value, written[-1])
+    for fs, model in (models or {}).items():
+        written.append(os.path.join(outdir, f"tan_{fs}.model"))
+        tan.save_model(model, written[-1])
+    written.extend(paths)
+    lines = [f"tool_version = {__version__}"]
+    lines += [f"config.{key} = {value}"
+              for key, value in sorted(dataclasses.asdict(config).items())]
+    lines += [f"{key} = {value}" for key, value in entries.items()]
+    lines += [f"artifact = {p}" for p in written]
+    _write(os.path.join(outdir, "manifest.kv"), "\n".join(lines) + "\n")
+    return written
 
 
 def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
-    """The artifacts, interval length and classifier that ``fit`` wrote.
+    """The artifacts, interval length and classifier of a bundle, as
+    ``_write_bundle`` writes it for ``fit`` and each ``evaluate`` fold.
 
     The skill vocabulary is the row order of ``bkt_params.tsv``, which
-    ``fit`` writes in skill-code order; ``interval_len`` and the feature
-    set, which names the model file, come from ``manifest.kv``.
+    every bundle holds in skill-code order; ``interval_len`` and the
+    feature set, which names the model file, come from ``manifest.kv``.
     """
     def artifact(name):
         p = os.path.join(model_dir, name)
@@ -192,8 +197,7 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
     if clusters.k and clusters.dim != len(params):
         raise InputError(f"{centroids_path}: centroids have dimension {clusters.dim}, "
                          f"but {bkt_path} lists {len(params)} skills")
-    return (FoldArtifacts(skill_index={skill: i for i, skill in enumerate(params)},
-                          params_by_skill=params, clusters=clusters,
+    return (FoldArtifacts(params_by_skill=params, clusters=clusters,
                           difficulty=difficulty),
             int(interval_len), model)
 
@@ -266,10 +270,14 @@ def cmd_evaluate(args) -> int:
         artifact_paths.append(p)
         sys.stdout.write(render_ablation_text(reports))
 
+    inputs = _input_entries(args.data)
     for output in outputs:
         fold_dir = os.path.join(args.out, "artifacts", f"fold{output.fold_id}")
-        artifact_paths.extend(_write_fold_artifacts(fold_dir, output.artifacts,
-                                                    output.models))
+        train = ",".join(sorted(set(data.by_student) - set(output.test_table.student)))
+        fold_entries = {**inputs, "fold": output.fold_id,
+                        "train_students.sha256": hashlib.sha256(train.encode()).hexdigest()}
+        artifact_paths.extend(_write_bundle(fold_dir, config, fold_entries,
+                                            output.artifacts, output.models))
         if args.dump_predictions:
             for fs in feature_sets:
                 p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold_id}.tsv")
@@ -277,10 +285,10 @@ def cmd_evaluate(args) -> int:
                                   output.scores[fs])
                 artifact_paths.append(p)
 
-    write_manifest(os.path.join(args.out, "manifest.kv"), config,
-                   {"data": args.data}, artifact_paths,
-                   extra={"ablation": ablation,
-                          "fold_digest": reports[feature_sets[0]].fold_digest})
+    _write_bundle(args.out, config,
+                  {**inputs, "ablation": ablation,
+                   "fold_digest": reports[feature_sets[0]].fold_digest},
+                  paths=artifact_paths)
     return EXIT_OK
 
 
@@ -296,16 +304,14 @@ def cmd_fit(args) -> int:
     model = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
 
     os.makedirs(args.out, exist_ok=True)
-    paths = _write_fold_artifacts(args.out, artifacts, {config.feature_set: model})
     profile_path = os.path.join(args.out, "profiles.tsv")
     with open(profile_path, "w", encoding="utf-8") as fh:
         fh.write("student\tinterval\tlabel\n")
         for row in np.nonzero(train.position % config.interval_len == 0)[0]:
             z = train.position[row] // config.interval_len + 1
             fh.write(f"{train.student[row]}\t{z}\t{train.profile[row]}\n")
-    paths.append(profile_path)
-    write_manifest(os.path.join(args.out, "manifest.kv"), config,
-                   {"data": args.data}, paths)
+    _write_bundle(args.out, config, _input_entries(args.data), artifacts,
+                  {config.feature_set: model}, paths=[profile_path])
     sys.stdout.write(f"fitted artifacts written to {args.out}\n")
     return EXIT_OK
 
@@ -326,18 +332,18 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    if not os.path.exists(args.model):
-        raise InputError(f"model file not found: {args.model}")
-    try:
-        model = tan.load_model(args.model)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    artifacts, _, model = _load_bundle(args.model_dir)
+    codes = artifacts.skill_index
     evidence: dict = {}
     for pair in args.evidence:
         if "=" not in pair:
             raise InputError(f"evidence must be name=value, got {pair!r}")
         name, raw = pair.split("=", 1)
         name = name.strip()
+        if name == "skill":
+            # coded as predict codes it: an unknown id gets the unseen code
+            evidence[name] = codes.get(raw.strip(), len(codes))
+            continue
         try:
             evidence[name] = float(raw) if name in model.discretizer.cutpoints else int(raw)
         except ValueError:
@@ -405,14 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score a dataset with fitted artifacts")
     p.add_argument("--data", required=True)
     p.add_argument("--schema")
-    p.add_argument("--model-dir", required=True, help="directory written by fit")
+    p.add_argument("--model-dir", required=True, help=_MODEL_DIR_HELP)
     p.add_argument("--out", required=True, help="predictions tsv path")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("explain", help="per-node contributions for one evidence tuple")
-    p.add_argument("--model", required=True, help="serialized classifier file")
+    p.add_argument("--model-dir", required=True, help=_MODEL_DIR_HELP)
     p.add_argument("evidence", nargs="+", metavar="name=value",
-                   help="evidence values, e.g. skill=3 mastery=0.4 profile=1 difficulty=5")
+                   help="evidence values, e.g. skill=kc_12 mastery=0.4 profile=1 "
+                        "difficulty=5; skill takes a skill id of the bundle")
     p.set_defaults(func=cmd_explain)
     return parser
 

@@ -308,9 +308,6 @@ def preprocess(raw: Dataset) -> Dataset:
         seen_problems: set[str] = set()
         kept: list[InteractionRecord] = []
         for rec in recs:
-            if not rec.skill_id or not rec.problem_id:
-                drops["missing skill"] += 1
-                continue
             # identity excludes the file-position tie-breaker so that
             # byte-identical source rows collapse
             ident = (rec.problem_id, rec.skill_id, rec.correct, rec.order_key[0])

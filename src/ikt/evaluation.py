@@ -31,8 +31,6 @@ __all__ = [
     "fit_fold_artifacts",
     "build_feature_rows",
     "evaluate_feature_sets",
-    "run_cv",
-    "run_ablation",
 ]
 
 FEATURE_SETS = {
@@ -124,17 +122,21 @@ def rmse(scores, labels) -> float:
 
 @dataclass
 class FoldArtifacts:
-    """Everything fitted from one fold's training students, with the skill
-    coding (id -> code) the features were fitted under. ``fallback``, for
-    skills without parameters, is the mean of the fitted ones."""
+    """Everything fitted from one fold's training students.
 
-    skill_index: dict
+    The key order of ``params_by_skill`` is the skill coding (id -> code)
+    the features were fitted under, kept as ``skill_index``; the centroid
+    columns follow it. ``fallback``, for skills without parameters, is
+    the mean of the fitted ones."""
+
     params_by_skill: dict
     clusters: ability.ClusterModel
     difficulty: DifficultyTable
+    skill_index: dict = field(init=False)
     fallback: bkt.BktParams = field(init=False)
 
     def __post_init__(self):
+        self.skill_index = {skill: i for i, skill in enumerate(self.params_by_skill)}
         self.fallback = bkt.mean_params(self.params_by_skill.values())
 
     def params_for(self, skill_id) -> bkt.BktParams:
@@ -168,15 +170,15 @@ def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
                        fold_id: int = 0) -> FoldArtifacts:
     """Fit skill parameters, clusters and difficulty on ``train``, the
     training students' records; their dataset's skill index becomes the
-    artifacts' skill coding.
+    artifacts' skill coding, as the order of ``params_by_skill``.
     """
-    sequences_by_skill: dict = {}
+    sequences_by_skill: dict = {skill: [] for skill in train.skill_index}
     for recs in train.by_student.values():
         per_skill: dict = {}
         for rec in recs:
             per_skill.setdefault(rec.skill_id, []).append(rec.correct)
         for skill, seq in per_skill.items():
-            sequences_by_skill.setdefault(skill, []).append(seq)
+            sequences_by_skill[skill].append(seq)
     params = bkt.fit_all_skills(sequences_by_skill, config.fit_grid())
 
     vectors = []
@@ -194,8 +196,8 @@ def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
         # the initial profile
         clusters = ability.ClusterModel(centroids=np.zeros((0, train.n_skills)))
 
-    return FoldArtifacts(skill_index=train.skill_index, params_by_skill=params,
-                         clusters=clusters, difficulty=build_difficulty_table(train))
+    return FoldArtifacts(params_by_skill=params, clusters=clusters,
+                         difficulty=build_difficulty_table(train))
 
 
 def _feature_table(artifacts: FoldArtifacts, interval_len: int,
@@ -398,18 +400,6 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
             fold_digest=digest,
         )
     return reports, outputs
-
-
-def run_cv(data: Dataset, config: ExperimentConfig) -> MetricReport:
-    """Cross-validated evaluation of one feature set."""
-    reports, _ = evaluate_feature_sets(data, config, [config.feature_set])
-    return reports[config.feature_set]
-
-
-def run_ablation(data: Dataset, config: ExperimentConfig) -> dict:
-    """The three nested feature sets over identical folds and seeds."""
-    reports, _ = evaluate_feature_sets(data, config, list(FEATURE_SETS))
-    return reports
 
 
 def render_ablation_text(reports: dict) -> str:

@@ -498,6 +498,8 @@ def load_model(path: str) -> TanModel:
         elif section.startswith("cpt "):
             cpt_rows[section.split(" ", 1)[1]].append(line.split())
 
+    if class_prior is None or class_prior.shape != (2,):
+        raise ValueError(f"{path}: needs a class_prior line of two probabilities")
     for f in features:
         missing = [sec for sec, table in (("domain", domains), ("tree", parent),
                                           ("cpt", cpt_rows)) if f not in table]
@@ -512,8 +514,11 @@ def load_model(path: str) -> TanModel:
         p = len(domains[p_feat]) if p_feat is not None else 1
         cpt = np.zeros((d, p, 2))
         for vi, pi, p0, p1 in cpt_rows[f]:
-            cpt[int(vi), int(pi), 0] = float(p0)
-            cpt[int(vi), int(pi), 1] = float(p1)
+            vi, pi = int(vi), int(pi)
+            if not (0 <= vi < d and 0 <= pi < p):
+                raise ValueError(f"{path}: [cpt {f}] row {vi} {pi} is outside "
+                                 f"its {d}x{p} domain")
+            cpt[vi, pi] = float(p0), float(p1)
         cpts[f] = cpt
     return TanModel(structure=structure, domains=domains, class_prior=class_prior,
                     cpts=cpts, discretizer=Discretizer(cutpoints=cutpoints), alpha=alpha)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ikt import evaluation
 from ikt.bkt import load_params_table
 from ikt.cli import _load_bundle, _load_dataset, main
+from ikt.dataset import split_folds
 from ikt.evaluation import ExperimentConfig
 
 from synth import mixed_process_rows, write_raw_csv
@@ -175,12 +176,30 @@ class TestInputErrors:
             argv = ["predict", "--data", raw, "--schema", schema,
                     "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]
         else:
-            argv = ["explain", "--model", str(model), "skill=1", "mastery=0.4",
+            argv = ["explain", "--model-dir", str(fitted), "skill=s1", "mastery=0.4",
                     "profile=1", "difficulty=5"]
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "tan_ikt3.model: feature" in err and "tree" in err
         assert "internal" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: re.sub(r"class_prior = .*\n", "", text),
+        lambda text: text.replace("[cpt skill]\n0 0 ", "[cpt skill]\n99 0 "),
+    ], ids=["no_class_prior", "cpt_index_outside_domain"])
+    def test_malformed_model_exits_2(self, workspace, capsys, edit):
+        tmp, raw, schema = workspace
+        fitted = tmp / "fitted"
+        assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 0
+        model = fitted / "tan_ikt3.model"
+        text = model.read_text()
+        assert edit(text) != text
+        model.write_text(edit(text))
+        capsys.readouterr()
+        assert run(["predict", "--data", raw, "--schema", schema,
+                    "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert "tan_ikt3.model: " in err and "internal" not in err
 
     def test_internal_value_error_exits_1_with_traceback(self, workspace, capsys,
                                                          monkeypatch):
@@ -312,8 +331,8 @@ class TestFitPredictExplain:
         assert calls == ["fit_fold_artifacts", "build_feature_rows", "build_feature_rows"]
 
         capsys.readouterr()
-        assert run(["explain", "--model", str(fitted / "tan_ikt3.model"),
-                    "skill=1", "mastery=0.4", "profile=1", "difficulty=5"]) == 0
+        assert run(["explain", "--model-dir", str(fitted),
+                    "skill=s1", "mastery=0.4", "profile=1", "difficulty=5"]) == 0
         out = capsys.readouterr().out
         assert "posterior" in out
         assert out.count("): ") == 4  # one contribution line per evidence node
@@ -324,8 +343,8 @@ class TestFitPredictExplain:
         fitted = tmp / "fitted2"
         assert run(["fit", "--data", data, "--out", str(fitted), "--seed", "3"]) == 0
         capsys.readouterr()
-        assert run(["explain", "--model", str(fitted / "tan_ikt3.model"),
-                    "skill=1", "mastery=0.4", "profile=1", "difficulty=99"]) == 0
+        assert run(["explain", "--model-dir", str(fitted),
+                    "skill=s1", "mastery=0.4", "profile=1", "difficulty=99"]) == 0
         out = capsys.readouterr().out
         assert "outside the model domain" in out
 
@@ -333,13 +352,49 @@ class TestFitPredictExplain:
         tmp, data = preprocessed
         fitted = tmp / "fitted3"
         assert run(["fit", "--data", data, "--out", str(fitted), "--seed", "3"]) == 0
-        code = run(["explain", "--model", str(fitted / "tan_ikt3.model"), "skill=1"])
+        code = run(["explain", "--model-dir", str(fitted), "skill=s1"])
         assert code == 2
         assert "mastery" in capsys.readouterr().err
 
     def test_explain_missing_model_exits_2(self, tmp_path, capsys):
-        code = run(["explain", "--model", str(tmp_path / "none.model"), "skill=1"])
+        code = run(["explain", "--model-dir", str(tmp_path / "none"), "skill=s1"])
         assert code == 2
+
+    def test_explain_directory_without_manifest_exits_2(self, bundle, tmp_path, capsys):
+        _, fitted, _ = bundle
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for name in ("bkt_params.tsv", "centroids.tsv", "difficulty.tsv",
+                     "tan_ikt3.model"):
+            (copy / name).write_bytes((fitted / name).read_bytes())
+        assert run(["explain", "--model-dir", str(copy), "skill=s1", "mastery=0.4",
+                    "profile=1", "difficulty=5"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.kv" in err and "internal" not in err
+
+    def test_explain_unknown_skill_flagged(self, bundle, capsys):
+        # coded as predict codes it: len(vocabulary), outside the skill domain
+        _, fitted, _ = bundle
+        assert run(["explain", "--model-dir", str(fitted), "skill=s_new",
+                    "mastery=0.4", "profile=1", "difficulty=5"]) == 0
+        out = capsys.readouterr().out
+        assert "  skill=3 (class only): +0.000000" in out
+        assert "note: value 3 for skill is outside the model domain" in out
+
+    def test_explain_skill_id_reads_its_code(self, bundle, capsys):
+        # recorded with the former `explain --model tan_ikt3.model skill=1 ...`
+        # on this bundle, whose bkt_params.tsv lists s1 second (code 1)
+        _, fitted, _ = bundle
+        assert run(["explain", "--model-dir", str(fitted), "skill=s1",
+                    "mastery=0.4", "profile=1", "difficulty=5"]) == 0
+        assert capsys.readouterr().out == (
+            "posterior P(correct) = 0.481073\n"
+            "prior log-odds       = +0.057524\n"
+            "  skill=1 (class only): -0.193381\n"
+            "  mastery=0 (profile=1): -0.206581\n"
+            "  profile=1 (difficulty=5): +0.025533\n"
+            "  difficulty=5 (skill=1): +0.241162\n"
+            "sum of contributions = -0.075743 (posterior log-odds -0.075743)\n")
 
 
 def predict_rows(raw, schema, fitted, out):
@@ -438,17 +493,50 @@ class TestPredictUsesTheBundle:
             assert np.array_equal(getattr(fitted_rows, f), getattr(loaded_rows, f)), f
         assert fitted_rows.student == loaded_rows.student
 
-    def test_bkt_params_rows_follow_skill_codes(self, tmp_path):
-        # skills first appear in the order kc_c, kc_a, kc_b, not sorted
-        names = {"s0": "kc_c", "s1": "kc_a", "s2": "kc_b"}
-        raw = tmp_path / "raw.csv"
-        write_raw_csv([(s, p, names[k], c) for s, p, k, c in CLI_ROWS], str(raw))
-        schema = tmp_path / "schema.cfg"
-        schema.write_text(SCHEMA_TEXT, encoding="utf-8")
-        fitted = tmp_path / "fitted"
-        assert run(["fit", "--data", str(raw), "--schema", str(schema),
-                    "--out", str(fitted)]) == 0
-        data = _load_dataset(str(raw), str(schema))
+    def test_bkt_params_rows_follow_skill_codes(self, reordered):
+        # skills first appear in the order kc_b, kc_c, kc_a, not sorted; every
+        # student but the first meets them as kc_c, kc_a, kc_b
+        raw, schema, fitted, out = reordered
+        data = _load_dataset(raw, schema)
         table = (fitted / "bkt_params.tsv").read_text().splitlines()[1:]
         assert [ln.split("\t")[0] for ln in table] == list(data.skill_index)
-        assert list(data.skill_index) == ["kc_c", "kc_a", "kc_b"]
+        assert list(data.skill_index) == ["kc_b", "kc_c", "kc_a"]
+        for fold in split_folds(data, k=5, seed=0):
+            fold_dir = out / "artifacts" / f"fold{fold.fold_id}"
+            codes = list(data.restricted_to(fold.train_students).skill_index)
+            table = (fold_dir / "bkt_params.tsv").read_text().splitlines()[1:]
+            assert [ln.split("\t")[0] for ln in table] == codes, fold_dir.name
+            widths = {len(ln.split("\t")) for ln in
+                      (fold_dir / "centroids.tsv").read_text().splitlines()}
+            assert widths == {len(codes)}, fold_dir.name
+
+    def test_every_fold_directory_is_a_bundle(self, reordered, tmp_path):
+        raw, schema, _, out = reordered
+        for n in range(5):
+            expected = (out / f"predictions_ikt3_fold{n}.tsv").read_text().splitlines()
+            got = predict_rows(raw, schema, out / "artifacts" / f"fold{n}",
+                               tmp_path / f"p{n}.tsv")
+            test_students = {ln.split("\t")[0] for ln in expected[1:]}
+            assert [ln for s in got if s in test_students for ln in got[s]] == expected[1:]
+
+
+@pytest.fixture(scope="module")
+def reordered(tmp_path_factory):
+    """fit and evaluate on the CLI log behind one student who meets the
+    skills in another order than everyone else."""
+    tmp = tmp_path_factory.mktemp("reordered")
+    names = {"s0": "kc_c", "s1": "kc_a", "s2": "kc_b"}
+    first = [("first", f"p_{k}_{i // 3}", k, i // 2 % 2)
+             for i, k in enumerate(["s2", "s0", "s1"] * 15)]
+    raw = tmp / "raw.csv"
+    write_raw_csv([(s, p, names[k], c) for s, p, k, c in first + CLI_ROWS], str(raw))
+    schema = tmp / "schema.cfg"
+    schema.write_text(SCHEMA_TEXT, encoding="utf-8")
+    config = tmp / "run.cfg"
+    config.write_text("grid_step = 0.25\nkmeans_restarts = 1\n", encoding="utf-8")
+    fitted, out = tmp / "fitted", tmp / "eval"
+    assert run(["fit", "--data", str(raw), "--schema", str(schema),
+                "--config", str(config), "--out", str(fitted)]) == 0
+    assert run(["evaluate", "--data", str(raw), "--schema", str(schema),
+                "--config", str(config), "--out", str(out), "--dump-predictions"]) == 0
+    return str(raw), str(schema), fitted, out

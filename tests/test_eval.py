@@ -4,7 +4,7 @@ import pytest
 from ikt.dataset import split_folds
 from ikt.evaluation import (FEATURE_SETS, ExperimentConfig, SingleClassError,
                             _run_fold, auc, build_feature_rows, evaluate_feature_sets,
-                            fit_fold_artifacts, rmse, run_ablation, run_cv)
+                            fit_fold_artifacts, rmse)
 
 from oracles import pairwise_auc
 from synth import (mastery_process_rows, mixed_process_rows, shuffle_labels,
@@ -162,39 +162,40 @@ class TestRunCv:
     def test_reports_are_bit_identical_across_runs(self, small_data):
         data, _ = small_data
         config = ExperimentConfig(seed=4)
-        a = run_cv(data, config)
-        b = run_cv(data, config)
+        a = evaluate_feature_sets(data, config, ["ikt3"])[0]["ikt3"]
+        b = evaluate_feature_sets(data, config, ["ikt3"])[0]["ikt3"]
         assert a.render_kv() == b.render_kv()
         assert a.render_text() == b.render_text()
 
     def test_parallel_workers_match_sequential(self, small_data):
         data, _ = small_data
-        seq = run_cv(data, ExperimentConfig(seed=4, workers=1))
-        par = run_cv(data, ExperimentConfig(seed=4, workers=2))
-        assert seq.render_kv() == par.render_kv()
+        seq, _ = evaluate_feature_sets(data, ExperimentConfig(seed=4, workers=1), ["ikt3"])
+        par, _ = evaluate_feature_sets(data, ExperimentConfig(seed=4, workers=2), ["ikt3"])
+        assert seq["ikt3"].render_kv() == par["ikt3"].render_kv()
 
     def test_mean_is_arithmetic_mean_of_folds(self, small_data):
         data, _ = small_data
-        report = run_cv(data, ExperimentConfig(seed=4))
+        report = evaluate_feature_sets(data, ExperimentConfig(seed=4), ["ikt3"])[0]["ikt3"]
         assert report.mean_auc == pytest.approx(np.mean(report.fold_auc), abs=1e-15)
         assert report.mean_rmse == pytest.approx(np.mean(report.fold_rmse), abs=1e-15)
 
     def test_skip_first_interval_reduces_scored_rows(self, small_data):
         data, _ = small_data
-        full = run_cv(data, ExperimentConfig(seed=4))
-        skipped = run_cv(data, ExperimentConfig(seed=4, skip_first_interval=True))
-        assert skipped.n_total < full.n_total
+        full, _ = evaluate_feature_sets(data, ExperimentConfig(seed=4), ["ikt3"])
+        skipped, _ = evaluate_feature_sets(
+            data, ExperimentConfig(seed=4, skip_first_interval=True), ["ikt3"])
+        assert skipped["ikt3"].n_total < full["ikt3"].n_total
 
     def test_invalid_config_rejected(self, small_data):
         data, _ = small_data
         with pytest.raises(ValueError, match="clusters"):
-            run_cv(data, ExperimentConfig(clusters=0))
+            evaluate_feature_sets(data, ExperimentConfig(clusters=0), ["ikt3"])
 
 
 class TestAblation:
     def test_folds_shared_across_variants(self, small_data):
         data, _ = small_data
-        reports = run_ablation(data, ExperimentConfig(seed=5))
+        reports, _ = evaluate_feature_sets(data, ExperimentConfig(seed=5), FEATURE_SETS)
         digests = {r.fold_digest for r in reports.values()}
         assert len(digests) == 1
         ns = {tuple(r.fold_n) for r in reports.values()}
@@ -203,7 +204,7 @@ class TestAblation:
     def test_feature_ordering_on_difficulty_driven_data(self):
         data = to_dataset(mixed_process_rows(n_students=60, n_skills=5,
                                              attempts=100, seed=4))
-        reports = run_ablation(data, ExperimentConfig(seed=3))
+        reports, _ = evaluate_feature_sets(data, ExperimentConfig(seed=3), FEATURE_SETS)
         auc1 = reports["ikt1"].mean_auc
         auc2 = reports["ikt2"].mean_auc
         auc3 = reports["ikt3"].mean_auc
@@ -213,21 +214,22 @@ class TestAblation:
     def test_single_run_matches_ablation_member(self, small_data):
         data, _ = small_data
         config = ExperimentConfig(seed=6, feature_set="ikt2")
-        alone = run_cv(data, config)
-        together = run_ablation(data, config)["ikt2"]
-        assert alone.render_kv() == together.render_kv()
+        alone, _ = evaluate_feature_sets(data, config, ["ikt2"])
+        together, _ = evaluate_feature_sets(data, config, FEATURE_SETS)
+        assert alone["ikt2"].render_kv() == together["ikt2"].render_kv()
 
 
 class TestPipelineSanity:
     def test_mastery_process_beats_chance(self):
         rows, _ = mastery_process_rows(n_students=50, n_skills=5, attempts=100,
                                        seed=11)
-        report = run_cv(to_dataset(rows), ExperimentConfig(feature_set="ikt1", seed=3))
-        assert report.mean_auc > 0.65
+        reports, _ = evaluate_feature_sets(to_dataset(rows), ExperimentConfig(seed=3),
+                                           ["ikt1"])
+        assert reports["ikt1"].mean_auc > 0.65
 
     def test_shuffled_labels_near_chance(self):
         rows, _ = mastery_process_rows(n_students=50, n_skills=5, attempts=100,
                                        seed=11)
         shuffled = to_dataset(shuffle_labels(rows, seed=2))
-        report = run_cv(shuffled, ExperimentConfig(feature_set="ikt1", seed=3))
-        assert 0.47 <= report.mean_auc <= 0.53
+        reports, _ = evaluate_feature_sets(shuffled, ExperimentConfig(seed=3), ["ikt1"])
+        assert 0.47 <= reports["ikt1"].mean_auc <= 0.53
