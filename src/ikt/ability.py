@@ -36,33 +36,33 @@ __all__ = [
 INITIAL_PROFILE = 1
 
 
-def _boundary_vectors(attempts, skill_count: int, interval_len: int):
-    """Walk one student's attempts and yield (n, vector) each time n, the
-    number of attempts seen, completes an interval. ``vector`` is the
-    cumulative success rate per skill over those n attempts; 0.5 where a
-    skill was never attempted. The skill code ``skill_count`` (a skill
-    outside the fitted vocabulary) is counted in a slot no vector reads.
+def _boundary_vectors(skill, correct, skill_count: int, interval_len: int) -> np.ndarray:
+    """Row z is the success rate per skill over the first
+    (z + 1) * ``interval_len`` attempts, 0.5 where a skill was never
+    attempted: counts per interval, accumulated over intervals. The
+    skill code ``skill_count`` (a skill outside the fitted vocabulary) is
+    counted in a slot no vector reads.
     """
-    correct = np.zeros(skill_count + 1)
-    total = np.zeros(skill_count + 1)
-    for i, (skill, outcome) in enumerate(attempts):
-        total[skill] += 1
-        correct[skill] += outcome
-        if (i + 1) % interval_len == 0:
-            vec = np.full(skill_count, 0.5)
-            attempted = total[:-1] > 0
-            vec[attempted] = correct[:-1][attempted] / total[:-1][attempted]
-            yield i + 1, vec
+    intervals = len(skill) // interval_len
+    n = intervals * interval_len
+    slot = np.arange(n) // interval_len * (skill_count + 1) + skill[:n]
+    total, right = (np.bincount(slot, weights=w, minlength=intervals * (skill_count + 1))
+                    .reshape(intervals, skill_count + 1).cumsum(axis=0)[:, :-1]
+                    for w in (None, correct[:n]))
+    vectors = np.full(total.shape, 0.5)
+    np.divide(right, total, out=vectors, where=total > 0)
+    return vectors
 
 
-def interval_vectors(attempts, skill_count: int, interval_len: int = 20) -> list[np.ndarray]:
-    """One cumulative vector per completed interval boundary.
+def interval_vectors(skill, correct, skill_count: int,
+                     interval_len: int = 20) -> np.ndarray:
+    """One cumulative vector per completed interval boundary, one row each.
 
-    ``attempts`` is a chronological list of (skill_dense_index, correct)
-    pairs for a single student. A student with fewer attempts than one
-    full interval contributes nothing.
+    ``skill`` and ``correct`` are one student's chronological skill codes
+    and 0/1 outcomes. A student with fewer attempts than one full
+    interval contributes nothing.
     """
-    return [vec for _, vec in _boundary_vectors(attempts, skill_count, interval_len)]
+    return _boundary_vectors(skill, correct, skill_count, interval_len)
 
 
 @dataclass(frozen=True)
@@ -202,19 +202,18 @@ def assign_profile(vector: np.ndarray, model: ClusterModel) -> int:
     return INITIAL_PROFILE + 1 + int(np.argmin(_sq_dists(vector[None, :], model.centroids)))
 
 
-def profile_labels(attempts, model: ClusterModel, skill_count: int,
+def profile_labels(skill, correct, model: ClusterModel, skill_count: int,
                    interval_len: int = 20) -> np.ndarray:
-    """Per-attempt profile label for one student.
+    """Per-attempt profile label for one student, from the same arrays as
+    ``interval_vectors``.
 
     The label for interval z is computed from attempts in intervals
     1..z-1 only, so it is fixed before any attempt of interval z is
     observed.
     """
-    labels = np.full(len(attempts), INITIAL_PROFILE, dtype=int)
-    for start, vec in _boundary_vectors(attempts, skill_count, interval_len):
-        if start < len(labels):  # a boundary at the end starts no interval
-            labels[start:start + interval_len] = assign_profile(vec, model)
-    return labels
+    vectors = _boundary_vectors(skill, correct, skill_count, interval_len)
+    labels = [INITIAL_PROFILE] + [assign_profile(v, model) for v in vectors]
+    return np.repeat(np.array(labels, dtype=int), interval_len)[:len(skill)]
 
 
 def save_centroids(model: ClusterModel, path: str) -> None:

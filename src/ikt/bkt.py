@@ -1,4 +1,4 @@
-"""Two-state skill-mastery tracing and brute-force parameter fitting.
+"""Two-state skill-mastery model and brute-force parameter fitting.
 
 Each skill is modelled independently: a hidden learned/unlearned state
 with a one-way learning transition, plus guess and slip noise on the
@@ -19,7 +19,6 @@ __all__ = [
     "BktParams",
     "FitGrid",
     "NoSkillDataError",
-    "MasteryTracker",
     "fit_skill",
     "fit_all_skills",
     "mean_params",
@@ -40,46 +39,6 @@ class BktParams:
     t: float
     g: float
     s: float
-
-
-class MasteryTracker:
-    """Streaming belief state for one student on one skill.
-
-    Carries the unlearned mass alongside the prior instead of deriving
-    it as ``1 - prior``; in long runs of correct answers the prior
-    saturates toward 1 and the subtraction would destroy the precision
-    of the small complement that later wrong answers depend on. The
-    updates are still exactly the posterior-then-advance recurrence.
-    """
-
-    __slots__ = ("params", "prior", "coprior")
-
-    def __init__(self, params: BktParams):
-        self.params = params
-        self.prior = params.l0
-        self.coprior = 1.0 - params.l0
-
-    def update(self, obs: int) -> None:
-        """Condition on one response, then take one learning step.
-
-        A response with probability zero under the model carries no
-        usable evidence, so the belief enters the step unchanged.
-        """
-        p = self.params
-        if obs:
-            num = self.prior * (1.0 - p.s)
-            alt = self.coprior * p.g
-        else:
-            num = self.prior * p.s
-            alt = self.coprior * (1.0 - p.g)
-        den = num + alt
-        if den == 0.0:
-            post, copost = self.prior, self.coprior
-        else:
-            post = num / den
-            copost = alt / den
-        self.prior = post + copost * p.t
-        self.coprior = copost * (1.0 - p.t)
 
 
 @dataclass(frozen=True)

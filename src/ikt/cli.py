@@ -39,20 +39,7 @@ _MODEL_DIR_HELP = "bundle directory: fit's --out or evaluate's artifacts/foldN"
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
-_CONFIG_TYPES = {
-    "feature_set": str,
-    "folds": int,
-    "seed": int,
-    "interval_len": int,
-    "clusters": int,
-    "kmeans_restarts": int,
-    "grid_step": float,
-    "guess_cap": float,
-    "slip_cap": float,
-    "alpha": float,
-    "skip_first_interval": bool,
-    "workers": int,
-}
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
 
 
 class InputError(Exception):
@@ -203,23 +190,26 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
 
 
 def _dump_predictions(path: str, data, table, keep, scores) -> None:
-    cols = ["student", "position", "skill", "mastery", "profile", "difficulty",
-            "probability", "label"]
+    """One line per kept row of ``table``, the feature rows of ``data``."""
+    skill_ids = np.array(list(data.skill_index), dtype=object)
+    rows = np.flatnonzero(keep)
+    chunk = 4096
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(cols) + "\n")
-        idx = np.nonzero(keep)[0]
-        for row, score in zip(idx, scores):
-            student, position = table.student[row], int(table.position[row])
-            fh.write("\t".join([
-                student,
-                str(position),
-                data.by_student[student][position].skill_id,
-                f"{table.mastery[row]:.6f}",
-                str(int(table.profile[row])),
-                str(int(table.difficulty[row])),
-                f"{score:.6f}",
-                str(int(table.label[row])),
-            ]) + "\n")
+        fh.write("student\tposition\tskill\tmastery\tprofile\tdifficulty\t"
+                 "probability\tlabel\n")
+        for lo in range(0, rows.size, chunk):
+            at = rows[lo:lo + chunk]
+            columns = (
+                [table.student[r] for r in at.tolist()],
+                map(str, table.position[at].tolist()),
+                skill_ids[data.skill[at]].tolist(),
+                [f"{v:.6f}" for v in table.mastery[at].tolist()],
+                map(str, table.profile[at].tolist()),
+                map(str, table.difficulty[at].tolist()),
+                [f"{v:.6f}" for v in scores[lo:lo + chunk].tolist()],
+                map(str, table.label[at].tolist()),
+            )
+            fh.writelines("\t".join(line) + "\n" for line in zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +269,10 @@ def cmd_evaluate(args) -> int:
         artifact_paths.extend(_write_bundle(fold_dir, config, fold_entries,
                                             output.artifacts, output.models))
         if args.dump_predictions:
+            test_data = data.restricted_to(output.test_table.student)
             for fs in feature_sets:
                 p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold_id}.tsv")
-                _dump_predictions(p, data, output.test_table, output.keep,
+                _dump_predictions(p, test_data, output.test_table, output.keep,
                                   output.scores[fs])
                 artifact_paths.append(p)
 
@@ -324,7 +315,8 @@ def cmd_predict(args) -> int:
     _dump_predictions(args.out, data, table, np.ones(len(table), dtype=bool), scores)
     unseen = int((table.skill == len(artifacts.skill_index)).sum())
     levels = artifacts.difficulty.levels
-    unrated = sum(rec.problem_id not in levels for rec in data.iter_records())
+    rated = np.array([p in levels for p in data.problem_index], dtype=bool)
+    unrated = int(np.count_nonzero(~rated[data.problem]))
     sys.stdout.write(f"{len(table)} predictions written to {args.out} "
                      f"({unseen} with a skill outside the fitted vocabulary) "
                      f"({unrated} with a problem outside the fitted difficulty table)\n")

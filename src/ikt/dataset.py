@@ -4,6 +4,11 @@ Raw logs arrive as delimited text with a header row; a small key-value
 schema file names the relevant columns so the same loader covers every
 dataset layout. Cleaning keeps one attempt per (student, problem), drops
 rows with missing fields and tallies every drop by reason.
+
+A ``Dataset`` holds the log as columns: one integer array per field,
+one entry per attempt, with skills and problems coded by dense indexes.
+This module alone knows the row format; every other layer reads the
+columns.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ __all__ = [
     "SchemaError",
     "DataFormatError",
     "ColumnSchema",
-    "InteractionRecord",
     "Dataset",
     "FoldSplit",
     "load_schema",
@@ -121,35 +125,28 @@ def load_schema(path: str) -> ColumnSchema:
     )
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    """One graded attempt. ``order_key`` is (timestamp-or-row, row) so the
-    ordering within a student is strict even when timestamps tie."""
-
-    student_id: str
-    problem_id: str
-    skill_id: str
-    correct: int
-    order_key: tuple[float, int]
-
-
 @dataclass
 class Dataset:
-    """Cleaned interaction log plus dense id indexes.
-
-    ``by_student`` preserves first-appearance order of students and keeps
-    each student's records sorted by ``order_key``. The structure is not
-    mutated after construction and is safe to share across threads.
+    """Cleaned interaction log, one array entry per attempt: ``skill`` and
+    ``problem`` codes into the dense indexes, the 0/1 ``correct`` and
+    the ``order`` key. Rows are grouped by student, chronological within
+    each; ``by_student`` maps each student id, in first-appearance
+    order, to its slice of rows. Not mutated after construction, so safe
+    to share across threads.
     """
 
-    by_student: dict[str, list[InteractionRecord]]
+    skill: np.ndarray
+    problem: np.ndarray
+    correct: np.ndarray
+    order: np.ndarray
+    by_student: dict[str, slice]
     skill_index: dict[str, int]
     problem_index: dict[str, int]
     drops: Counter = field(default_factory=Counter)
 
     @property
     def n_records(self) -> int:
-        return sum(len(r) for r in self.by_student.values())
+        return self.skill.size
 
     @property
     def n_skills(self) -> int:
@@ -159,42 +156,58 @@ class Dataset:
     def n_problems(self) -> int:
         return len(self.problem_index)
 
-    def iter_records(self):
-        for recs in self.by_student.values():
-            yield from recs
+    def row_student(self) -> np.ndarray:
+        """Each row's student, as its position in ``by_student``."""
+        lengths = [rows.stop - rows.start for rows in self.by_student.values()]
+        return np.repeat(np.arange(len(lengths)), lengths)
 
     def restricted_to(self, students) -> "Dataset":
         """Subset to the given students. The skill and problem indexes keep
         only what those students attempted, in this dataset's order,
         renumbered densely."""
         members = set(students)
-        by_student = {s: r for s, r in self.by_student.items() if s in members}
-        records = [r for recs in by_student.values() for r in recs]
-        skills = {r.skill_id for r in records}
-        problems = {r.problem_id for r in records}
-        return Dataset(
-            by_student=by_student,
-            skill_index=_dense(s for s in self.skill_index if s in skills),
-            problem_index=_dense(p for p in self.problem_index if p in problems),
-            drops=Counter(self.drops),
-        )
+        lengths = {s: r.stop - r.start for s, r in self.by_student.items() if s in members}
+        keep = np.zeros(self.n_records, dtype=bool)
+        for student in lengths:
+            keep[self.by_student[student]] = True
+        skill, skill_index = _recode(self.skill[keep], self.skill_index, in_index_order=True)
+        problem, problem_index = _recode(self.problem[keep], self.problem_index,
+                                         in_index_order=True)
+        return Dataset(skill, problem, self.correct[keep], self.order[keep],
+                       _slices(lengths), skill_index, problem_index, Counter(self.drops))
 
 
-def _dense(ids) -> dict[str, int]:
-    return {x: i for i, x in enumerate(ids)}
+def _slices(lengths: dict) -> dict[str, slice]:
+    """Consecutive row slices of the given lengths, in the same keys."""
+    stops = np.cumsum(list(lengths.values()), dtype=int).tolist()
+    return {s: slice(stop - n, stop) for (s, n), stop in zip(lengths.items(), stops)}
 
 
-def _build_dataset(by_student: dict[str, list[InteractionRecord]], drops: Counter) -> Dataset:
-    skill_index: dict[str, int] = {}
-    problem_index: dict[str, int] = {}
-    for recs in by_student.values():
-        for rec in recs:
-            if rec.skill_id not in skill_index:
-                skill_index[rec.skill_id] = len(skill_index)
-            if rec.problem_id not in problem_index:
-                problem_index[rec.problem_id] = len(problem_index)
-    return Dataset(by_student=by_student, skill_index=skill_index,
-                   problem_index=problem_index, drops=drops)
+def _recode(codes: np.ndarray, index: dict, in_index_order: bool = False):
+    """``codes`` renumbered 0, 1, ... over the codes they hold, in order of
+    first appearance or, with ``in_index_order``, of ``index``; returned
+    with the index that names the new codes."""
+    used, first = np.unique(codes, return_index=True)
+    if not in_index_order:
+        used = used[np.argsort(first)]
+    remap = np.zeros(len(index), dtype=np.intp)
+    remap[used] = np.arange(used.size)
+    names = list(index)
+    return remap[codes], {names[c]: i for i, c in enumerate(used.tolist())}
+
+
+def _later_repeats(keys) -> np.ndarray:
+    """Mask of the rows equal on every key column to an earlier row."""
+    n = keys[0].size
+    order = np.lexsort((np.arange(n),) + tuple(keys))
+    same = np.ones(n, dtype=bool)
+    for key in keys:
+        key = key[order]
+        same[1:] &= key[1:] == key[:-1]
+    same[:1] = False
+    repeat = np.empty(n, dtype=bool)
+    repeat[order] = same
+    return repeat
 
 
 def _parse_correct(value: str, row: int) -> int:
@@ -207,122 +220,113 @@ def _parse_correct(value: str, row: int) -> int:
     return int(num)
 
 
+_MISSING = ("missing student", "missing skill", "missing problem", "missing correctness",
+            "missing order")
+
+
 def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     """Read a delimited log into a Dataset, tallying dropped rows.
 
-    Rows missing any mapped field are dropped (never silently: see
-    ``Dataset.drops``). A non-empty correctness cell that is not 0/1
-    raises ``DataFormatError`` because it signals a mis-mapped column;
-    so does a byte that is not valid UTF-8, which is never replaced.
+    Rows missing any mapped field, the order included, are dropped
+    (never silently: see ``Dataset.drops``). A non-empty correctness
+    cell that is not 0/1 raises ``DataFormatError`` because it signals a
+    mis-mapped column; so does a byte that is not valid UTF-8, which is
+    never replaced. Students keep their order of first appearance, and
+    each student's rows are sorted by (order key, file row), or by file
+    row when the schema maps no order column.
     """
-    rows: list[tuple[str, str, str, int, str, int]] = []
+    needed = [schema.student, schema.problem, schema.skill, schema.correct]
+    needed += [c for c in (schema.order, schema.scaffold_column) if c]
+    students: dict[str, int] = {}
+    skills: dict[str, int] = {}
+    problems: dict[str, int] = {}
+    student, skill, problem, correct, order, file_row = [], [], [], [], [], []
     drops: Counter = Counter()
+    keep_flag = schema.scaffold_keep if schema.scaffold_column is not None else None
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=schema.delimiter)
-            if reader.fieldnames is None:
-                return _build_dataset({}, drops)
-            header = set(reader.fieldnames)
-            needed = [schema.student, schema.problem, schema.skill, schema.correct]
-            if schema.order:
-                needed.append(schema.order)
-            if schema.scaffold_column:
-                needed.append(schema.scaffold_column)
-            missing = [c for c in needed if c not in header]
+            reader = csv.reader(fh, delimiter=schema.delimiter)
+            header = next(reader, needed)  # an empty file is an empty log
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in needed if c not in position]
             if missing:
-                raise SchemaError(f"{path}: mapped column(s) not in header: {', '.join(missing)}")
-
-            for row_idx, row in enumerate(reader):
-                student = (row.get(schema.student) or "").strip()
-                problem = (row.get(schema.problem) or "").strip()
-                skill = (row.get(schema.skill) or "").strip()
-                correct_raw = (row.get(schema.correct) or "").strip()
-                if not student:
-                    drops["missing student"] += 1
+                raise SchemaError(f"{path}: mapped column(s) not in header: "
+                                  f"{', '.join(missing)}")
+            # in _MISSING order, the order column only when mapped
+            at = [position[c] for c in (schema.student, schema.skill, schema.problem,
+                                        schema.correct)]
+            at += [position[schema.order]] if schema.order else []
+            flag_at = position.get(schema.scaffold_column)
+            # blank lines are skipped and not counted, as csv.DictReader does
+            for row_idx, row in enumerate(filter(None, reader)):
+                row += [""] * (len(header) - len(row))
+                cells = [row[i].strip() for i in at]
+                if not all(cells):
+                    drops[_MISSING[cells.index("")]] += 1
                     continue
-                if not skill:
-                    drops["missing skill"] += 1
+                if keep_flag is not None and keep_flag != (
+                        row[flag_at].strip() if flag_at is not None else ""):
+                    drops["scaffolding"] += 1
                     continue
-                if not problem:
-                    drops["missing problem"] += 1
-                    continue
-                if not correct_raw:
-                    drops["missing correctness"] += 1
-                    continue
-                if schema.scaffold_column is not None:
-                    flag = (row.get(schema.scaffold_column) or "").strip()
-                    if schema.scaffold_keep is not None and flag != schema.scaffold_keep:
-                        drops["scaffolding"] += 1
-                        continue
-                correct = _parse_correct(correct_raw, row_idx + 2)
-                order_raw = (row.get(schema.order) or "").strip() if schema.order else ""
-                rows.append((student, problem, skill, correct, order_raw, row_idx))
+                correct.append(_parse_correct(cells[3], row_idx + 2))
+                student.append(students.setdefault(cells[0], len(students)))
+                skill.append(skills.setdefault(cells[1], len(skills)))
+                problem.append(problems.setdefault(cells[2], len(problems)))
+                if schema.order:
+                    order.append(cells[4])
+                file_row.append(row_idx)
     except UnicodeDecodeError:
         raise DataFormatError(f"{path}: byte {_undecodable_offset(path)} is not "
                               "valid UTF-8") from None
 
-    # The order column may hold numbers or timestamp strings; strings are
-    # ranked lexicographically, which is chronological only for ISO
-    # timestamps, so every string must start YYYY-MM-DD. Empty or absent
-    # order values fall back to file row position.
-    order_vals = [r[4] for r in rows]
-    numeric = True
-    for v in order_vals:
-        if v:
-            try:
-                float(v)
-            except ValueError:
-                numeric = False
-                break
-    if numeric:
-        keys = [float(v) if v else float(idx) for v, idx in zip(order_vals, (r[5] for r in rows))]
-    else:
-        for v, row in zip(order_vals, rows):
-            if v and not _ISO_DATE.match(v):
-                raise DataFormatError(f"{path}: row {row[5] + 2}: order value {v!r} is "
+    # order cells hold numbers, or strings ranked lexicographically, which
+    # is chronological only for ISO timestamps, so each must start YYYY-MM-DD
+    try:
+        keys = np.array([float(v) for v in order] if schema.order else file_row, dtype=float)
+    except ValueError:
+        for v, row in zip(order, file_row):
+            if not _ISO_DATE.match(v):
+                raise DataFormatError(f"{path}: row {row + 2}: order value {v!r} is "
                                       "not a number or a YYYY-MM-DD timestamp, so it "
-                                      "cannot be ranked unambiguously")
-        rank = {v: float(i) for i, v in enumerate(sorted(set(filter(None, order_vals))))}
-        keys = [rank[v] if v else float(idx) for v, idx in zip(order_vals, (r[5] for r in rows))]
-
-    by_student: dict[str, list[InteractionRecord]] = {}
-    for (student, problem, skill, correct, _, row_idx), key in zip(rows, keys):
-        rec = InteractionRecord(student, problem, skill, correct, (key, row_idx))
-        by_student.setdefault(student, []).append(rec)
-    for recs in by_student.values():
-        recs.sort(key=lambda r: r.order_key)
-    return _build_dataset(by_student, drops)
+                                      "cannot be ranked unambiguously") from None
+        rank = {v: float(i) for i, v in enumerate(sorted(set(order)))}
+        keys = np.array([rank[v] for v in order], dtype=float)
+    student = np.array(student, dtype=np.intp)
+    rows = np.lexsort((np.array(file_row, dtype=np.intp), keys, student))
+    skill, skill_index = _recode(np.array(skill, dtype=np.intp)[rows], skills)
+    problem, problem_index = _recode(np.array(problem, dtype=np.intp)[rows], problems)
+    lengths = np.bincount(student, minlength=len(students)).tolist()
+    return Dataset(skill, problem, np.array(correct, dtype=np.intp)[rows], keys[rows],
+                   _slices(dict(zip(students, lengths))), skill_index, problem_index, drops)
 
 
 def preprocess(raw: Dataset) -> Dataset:
     """Keep only each student's first attempt per problem.
 
     Exact duplicate rows collapse first (tallied separately), then any
-    later attempt on an already-seen problem is dropped. Record order
-    within a student is preserved; dense indexes are rebuilt.
+    later attempt on an already-seen problem is dropped. Row order
+    within a student is preserved; dense indexes are rebuilt by first
+    appearance over the kept rows.
     """
+    student = raw.row_student()
+    # the identity leaves out the file-position tie-breaker so that
+    # byte-identical source rows collapse; a dropped repeat keeps its
+    # identity, so its copies count as duplicates
+    duplicate = _later_repeats((raw.order, raw.correct, raw.skill, raw.problem, student))
+    kept = ~duplicate
+    repeat = _later_repeats((raw.problem[kept], student[kept]))
+    kept[kept] = ~repeat
     drops = Counter(raw.drops)
-    by_student: dict[str, list[InteractionRecord]] = {}
-    for student, recs in raw.by_student.items():
-        seen_rows: set[tuple] = set()
-        seen_problems: set[str] = set()
-        kept: list[InteractionRecord] = []
-        for rec in recs:
-            # identity excludes the file-position tie-breaker so that
-            # byte-identical source rows collapse
-            ident = (rec.problem_id, rec.skill_id, rec.correct, rec.order_key[0])
-            if ident in seen_rows:
-                drops["duplicate row"] += 1
-                continue
-            seen_rows.add(ident)
-            if rec.problem_id in seen_problems:
-                drops["repeat attempt"] += 1
-                continue
-            seen_problems.add(rec.problem_id)
-            kept.append(rec)
-        if kept:
-            by_student[student] = kept
-    return _build_dataset(by_student, drops)
+    for reason, mask in (("duplicate row", duplicate), ("repeat attempt", repeat)):
+        if mask.any():
+            drops[reason] += int(mask.sum())
+    # a student's first row is never dropped, so every student stays
+    lengths = np.bincount(student[kept], minlength=len(raw.by_student)).tolist()
+    skill, skill_index = _recode(raw.skill[kept], raw.skill_index)
+    problem, problem_index = _recode(raw.problem[kept], raw.problem_index)
+    return Dataset(skill, problem, raw.correct[kept], raw.order[kept],
+                   _slices(dict(zip(raw.by_student, lengths))), skill_index,
+                   problem_index, drops)
 
 
 @dataclass(frozen=True)
@@ -379,12 +383,14 @@ def render_drop_report(drops: Counter, n_records: int, n_students: int,
 
 def save_canonical(data: Dataset, path: str) -> None:
     """Write a cleaned dataset in the canonical comma-separated layout."""
+    skills, problems = list(data.skill_index), list(data.problem_index)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "problem_id", "skill_id", "correct", "order"])
-        order = 0
-        for recs in data.by_student.values():
-            for rec in recs:
-                writer.writerow([rec.student_id, rec.problem_id, rec.skill_id,
-                                 rec.correct, order])
-                order += 1
+        for student, rows in data.by_student.items():
+            writer.writerows(zip(
+                [student] * (rows.stop - rows.start),
+                [problems[c] for c in data.problem[rows].tolist()],
+                [skills[c] for c in data.skill[rows].tolist()],
+                data.correct[rows].tolist(),
+                range(rows.start, rows.stop)))

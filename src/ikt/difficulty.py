@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["DifficultyTable", "build_difficulty_table", "save_difficulty_table",
            "load_difficulty_table", "DEFAULT_LEVEL", "MIN_STUDENTS"]
 
@@ -29,17 +31,17 @@ def build_difficulty_table(train_data) -> DifficultyTable:
     """Difficulty per problem from the training students' first attempts.
 
     ``train_data`` is a Dataset (already reduced to first attempts, so
-    each (student, problem) appears once); integer arithmetic keeps the
-    floor exact.
+    each (student, problem) appears once). Problems are tabled in order
+    of first appearance in its rows; integer arithmetic keeps the floor
+    exact.
     """
-    outcomes: dict = {}
-    for rec in train_data.iter_records():
-        outcomes.setdefault(rec.problem_id, []).append(rec.correct)
-    levels = {}
-    for problem, obs in outcomes.items():
-        if len(obs) >= MIN_STUDENTS:
-            levels[problem] = (10 * sum(obs)) // len(obs)
-    return DifficultyTable(levels=levels)
+    attempts = np.bincount(train_data.problem)
+    right = np.bincount(train_data.problem, weights=train_data.correct)
+    distinct, first = np.unique(train_data.problem, return_index=True)
+    names = list(train_data.problem_index)
+    return DifficultyTable(levels={
+        names[c]: 10 * int(right[c]) // int(attempts[c])
+        for c in distinct[np.argsort(first)].tolist() if attempts[c] >= MIN_STUDENTS})
 
 
 def save_difficulty_table(table: DifficultyTable, path: str) -> None:

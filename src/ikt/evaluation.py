@@ -139,9 +139,6 @@ class FoldArtifacts:
         self.skill_index = {skill: i for i, skill in enumerate(self.params_by_skill)}
         self.fallback = bkt.mean_params(self.params_by_skill.values())
 
-    def params_for(self, skill_id) -> bkt.BktParams:
-        return self.params_by_skill.get(skill_id, self.fallback)
-
 
 @dataclass
 class FeatureTable:
@@ -166,26 +163,32 @@ def _kmeans_seed(seed: int, fold_id: int) -> int:
     return seed * 1_000_003 + fold_id + 1
 
 
+def _sequences(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in runs, one per (skill, student) pair in that order and
+    chronological within, and the start of each run."""
+    key = data.skill * len(data.by_student) + data.row_student()
+    rows = np.argsort(key, kind="stable")
+    return rows, np.flatnonzero(np.diff(key[rows], prepend=-1))
+
+
 def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
                        fold_id: int = 0) -> FoldArtifacts:
     """Fit skill parameters, clusters and difficulty on ``train``, the
-    training students' records; their dataset's skill index becomes the
+    training students' rows; their dataset's skill index becomes the
     artifacts' skill coding, as the order of ``params_by_skill``.
     """
+    rows, starts = _sequences(train)
     sequences_by_skill: dict = {skill: [] for skill in train.skill_index}
-    for recs in train.by_student.values():
-        per_skill: dict = {}
-        for rec in recs:
-            per_skill.setdefault(rec.skill_id, []).append(rec.correct)
-        for skill, seq in per_skill.items():
-            sequences_by_skill[skill].append(seq)
+    names = list(train.skill_index)
+    for code, seq in zip(train.skill[rows[starts]].tolist(),
+                         np.split(train.correct[rows], starts[1:])):
+        sequences_by_skill[names[code]].append(seq.tolist())
     params = bkt.fit_all_skills(sequences_by_skill, config.fit_grid())
 
-    vectors = []
-    for recs in train.by_student.values():
-        attempts = [(train.skill_index[r.skill_id], r.correct) for r in recs]
-        vectors.extend(ability.interval_vectors(attempts, train.n_skills,
-                                                config.interval_len))
+    vectors = np.concatenate([
+        ability.interval_vectors(train.skill[r], train.correct[r], train.n_skills,
+                                 config.interval_len)
+        for r in train.by_student.values()])
     k_eff = min(config.clusters, len(vectors))
     if k_eff >= 1:
         clusters = ability.train_clusters(vectors, k=k_eff,
@@ -200,51 +203,84 @@ def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
                          difficulty=build_difficulty_table(train))
 
 
+def _mastery(params: list, data: Dataset) -> np.ndarray:
+    """Tracing prior before every attempt, ``params[c]`` tracing the
+    dataset's skill code c: the two-state update, operation for
+    operation, run for all (skill, student) sequences at once, one step
+    per attempt index. Numbered longest first, the sequences still
+    running at step k are a prefix of the state, and the rows of step k
+    one block once rows are sorted by (step, sequence). The unlearned
+    mass is carried, not taken as ``1 - prior``, which would lose the
+    small complement of a saturated prior; a response the model deems
+    impossible leaves the belief to the learning step unchanged.
+    """
+    order, starts = _sequences(data)
+    lengths = np.diff(starts, append=order.size)
+    start = np.repeat(starts, lengths)
+    step = np.arange(order.size) - start
+    rows = order[np.lexsort((start, -np.repeat(lengths, lengths), step))]
+
+    skill = data.skill[rows]
+    l0, t, g, s = (np.array([getattr(p, f) for p in params], dtype=float)[skill]
+                   for f in ("l0", "t", "g", "s"))
+    right = data.correct[rows] == 1
+    hit = np.where(right, 1.0 - s, s)
+    miss = np.where(right, g, 1.0 - g)
+    prior = l0[:starts.size].copy()
+    coprior = 1.0 - prior
+    mastery = np.empty(order.size)
+    lo = 0
+    for m in np.bincount(step).tolist():
+        hi = lo + m
+        p, c = prior[:m], coprior[:m]
+        mastery[rows[lo:hi]] = p
+        num = p * hit[lo:hi]
+        alt = c * miss[lo:hi]
+        den = num + alt
+        zero = den == 0.0
+        if zero.any():
+            num[zero], alt[zero], den[zero] = p[zero], c[zero], 1.0
+        copost = alt / den
+        prior[:m] = num / den + copost * t[lo:hi]
+        coprior[:m] = copost * (1.0 - t[lo:hi])
+        lo = hi
+    return mastery
+
+
 def _feature_table(artifacts: FoldArtifacts, interval_len: int,
                    data: Dataset) -> FeatureTable:
     codes = artifacts.skill_index
     unseen = len(codes)
-    skill_col, mastery_col, profile_col, difficulty_col = [], [], [], []
-    label_col, student_col, position_col = [], [], []
-    for s, recs in data.by_student.items():
-        attempts = [(codes.get(r.skill_id, unseen), r.correct) for r in recs]
-        skill_col.extend(code for code, _ in attempts)
-        profiles = ability.profile_labels(attempts, artifacts.clusters, unseen,
-                                          interval_len)
-        trackers: dict = {}
-        for i, rec in enumerate(recs):
-            tracker = trackers.get(rec.skill_id)
-            if tracker is None:
-                tracker = bkt.MasteryTracker(artifacts.params_for(rec.skill_id))
-                trackers[rec.skill_id] = tracker
-            mastery_col.append(tracker.prior)
-            profile_col.append(profiles[i])
-            difficulty_col.append(artifacts.difficulty.lookup(rec.problem_id))
-            label_col.append(rec.correct)
-            student_col.append(s)
-            position_col.append(i)
-            tracker.update(rec.correct)
-    return FeatureTable(
-        skill=np.array(skill_col, dtype=int),
-        mastery=np.array(mastery_col, dtype=float),
-        profile=np.array(profile_col, dtype=int),
-        difficulty=np.array(difficulty_col, dtype=int),
-        label=np.array(label_col, dtype=int),
-        student=student_col,
-        position=np.array(position_col, dtype=int),
-    )
+    skill = np.array([codes.get(s, unseen) for s in data.skill_index], dtype=int)[data.skill]
+    difficulty = np.array([artifacts.difficulty.lookup(p) for p in data.problem_index],
+                          dtype=int)[data.problem]
+    profile = np.empty(data.n_records, dtype=int)
+    position = np.empty(data.n_records, dtype=int)
+    student: list = []
+    for s, rows in data.by_student.items():
+        profile[rows] = ability.profile_labels(skill[rows], data.correct[rows],
+                                               artifacts.clusters, unseen, interval_len)
+        position[rows] = np.arange(rows.stop - rows.start)
+        student.extend([s] * (rows.stop - rows.start))
+    params = [artifacts.params_by_skill.get(s, artifacts.fallback) for s in data.skill_index]
+    return FeatureTable(skill=skill, mastery=_mastery(params, data), profile=profile,
+                        difficulty=difficulty, label=data.correct, student=student,
+                        position=position)
 
 
 def build_feature_rows(artifacts: FoldArtifacts, interval_len: int,
                        *datasets: Dataset) -> tuple[FeatureTable, ...]:
-    """One evidence row per interaction, one table per dataset.
+    """One evidence row per interaction, one table per dataset, in the
+    dataset's row order.
 
     Skills are coded by ``artifacts.skill_index``; a skill outside it
     gets the code ``len(skill_index)``, which no fitted classifier
     domain holds, the fallback BKT parameters and no ability dimension.
-    Mastery is the tracing prior available before the attempt; the
-    profile is the student's current-interval label; difficulty comes
-    from the fitted table (5 when unseen there).
+    Mastery is the tracing prior available before the attempt, traced
+    per skill of the dataset's own coding, so two skills outside the
+    vocabulary keep separate traces; the profile is the student's
+    current-interval label; difficulty comes from the fitted table (5
+    when unseen there).
     """
     return tuple(_feature_table(artifacts, interval_len, data) for data in datasets)
 
@@ -368,8 +404,9 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
     folds = split_folds(data, k=config.folds, seed=config.seed)
     digest = _fold_digest(folds)
     for fold in folds:
-        if len({r.correct for s in fold.test_students
-                for r in data.by_student[s][_warmup_len(config):]}) < 2:
+        scored = [data.correct[data.by_student[s]][_warmup_len(config):]
+                  for s in fold.test_students]
+        if np.unique(np.concatenate(scored)).size < 2:
             raise SingleClassError(f"fold {fold.fold_id}: the scored test labels hold "
                                    "fewer than two classes, so AUC is undefined; "
                                    "use fewer folds")

@@ -466,7 +466,7 @@ def load_model(path: str) -> TanModel:
     parent: dict = {}
     cpt_rows: dict = {}
     section = None
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -477,26 +477,30 @@ def load_model(path: str) -> TanModel:
                 # zero-cutpoint features still count as continuous
                 cutpoints[section.split(" ", 1)[1]] = ()
             continue
-        if section is None:
-            key, _, value = line.partition(" = ")
-            if key == "alpha":
-                alpha = float(value)
-            elif key == "class_prior":
-                class_prior = np.array([float(v) for v in value.split()])
-            elif key == "features":
-                features = value.split()
-            continue
-        if section.startswith("cutpoints "):
-            name = section.split(" ", 1)[1]
-            cutpoints[name] = tuple(float(v) for v in line.split()) if line.strip() else ()
-        elif section.startswith("domain "):
-            name = section.split(" ", 1)[1]
-            domains[name] = np.array([int(v) for v in line.split()], dtype=int)
-        elif section == "tree":
-            f, p = line.split()
-            parent[f] = None if p == "-" else p
-        elif section.startswith("cpt "):
-            cpt_rows[section.split(" ", 1)[1]].append(line.split())
+        try:
+            if section is None:
+                key, _, value = line.partition(" = ")
+                if key == "alpha":
+                    alpha = float(value)
+                elif key == "class_prior":
+                    class_prior = np.array([float(v) for v in value.split()])
+                elif key == "features":
+                    features = value.split()
+            elif section.startswith("cutpoints "):
+                name = section.split(" ", 1)[1]
+                cutpoints[name] = tuple(float(v) for v in line.split())
+            elif section.startswith("domain "):
+                name = section.split(" ", 1)[1]
+                domains[name] = np.array([int(v) for v in line.split()], dtype=int)
+            elif section == "tree":
+                f, p = line.split()
+                parent[f] = None if p == "-" else p
+            elif section.startswith("cpt "):
+                vi, pi, p0, p1 = line.split()
+                cpt_rows[section.split(" ", 1)[1]].append(
+                    (int(vi), int(pi), float(p0), float(p1)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
 
     if class_prior is None or class_prior.shape != (2,):
         raise ValueError(f"{path}: needs a class_prior line of two probabilities")
@@ -514,11 +518,10 @@ def load_model(path: str) -> TanModel:
         p = len(domains[p_feat]) if p_feat is not None else 1
         cpt = np.zeros((d, p, 2))
         for vi, pi, p0, p1 in cpt_rows[f]:
-            vi, pi = int(vi), int(pi)
             if not (0 <= vi < d and 0 <= pi < p):
                 raise ValueError(f"{path}: [cpt {f}] row {vi} {pi} is outside "
                                  f"its {d}x{p} domain")
-            cpt[vi, pi] = float(p0), float(p1)
+            cpt[vi, pi] = p0, p1
         cpts[f] = cpt
     return TanModel(structure=structure, domains=domains, class_prior=class_prior,
                     cpts=cpts, discretizer=Discretizer(cutpoints=cutpoints), alpha=alpha)

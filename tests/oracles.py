@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here deliberately takes a different computational route from
-the code under test: matrix-form forward passes, exhaustive joint-table
-enumeration, Prufer-sequence spanning-tree enumeration, quadratic
-pairwise AUC, k-means with every distance taken from the full
-point-by-centroid broadcast.
+the code under test: matrix-form forward passes, a streaming per-attempt
+mastery tracker and feature replay, exhaustive joint-table enumeration,
+Prufer-sequence spanning-tree enumeration, quadratic pairwise AUC,
+k-means with every distance taken from the full point-by-centroid
+broadcast.
 """
 
 from __future__ import annotations
@@ -36,6 +37,93 @@ def forward_oracle(params, seq):
         dist = trans @ post
         alpha = emit[r] * alpha if i == 0 else emit[r] * (trans @ alpha)
     return np.array(trace), math.log(alpha.sum())
+
+
+class MasteryTracker:
+    """Streaming belief state for one student on one skill.
+
+    Carries the unlearned mass alongside the prior instead of deriving
+    it as ``1 - prior``; in long runs of correct answers the prior
+    saturates toward 1 and the subtraction would destroy the precision
+    of the small complement that later wrong answers depend on. The
+    updates are still exactly the posterior-then-advance recurrence.
+    """
+
+    __slots__ = ("params", "prior", "coprior")
+
+    def __init__(self, params):
+        self.params = params
+        self.prior = params.l0
+        self.coprior = 1.0 - params.l0
+
+    def update(self, obs: int) -> None:
+        """Condition on one response, then take one learning step.
+
+        A response with probability zero under the model carries no
+        usable evidence, so the belief enters the step unchanged.
+        """
+        p = self.params
+        if obs:
+            num = self.prior * (1.0 - p.s)
+            alt = self.coprior * p.g
+        else:
+            num = self.prior * p.s
+            alt = self.coprior * (1.0 - p.g)
+        den = num + alt
+        if den == 0.0:
+            post, copost = self.prior, self.coprior
+        else:
+            post = num / den
+            copost = alt / den
+        self.prior = post + copost * p.t
+        self.coprior = copost * (1.0 - p.t)
+
+
+def feature_rows_oracle(artifacts, interval_len, data):
+    """The feature columns of ``evaluation.build_feature_rows`` for one
+    dataset, replayed one attempt at a time.
+
+    Each student keeps one ``MasteryTracker`` per skill id of the log,
+    running success counts per artifact skill code and the current
+    profile, which changes when an interval completes: 2 plus the index
+    of the centroid nearest the cumulative rate vector, ties to the
+    lowest. Returns a dict of lists keyed by ``FeatureTable`` field.
+    """
+    skill_ids, problem_ids = list(data.skill_index), list(data.problem_index)
+    codes = artifacts.skill_index
+    unseen = len(codes)
+    centroids = artifacts.clusters.centroids
+    out = {k: [] for k in ("skill", "mastery", "profile", "difficulty", "label",
+                           "student", "position")}
+    for student, rows in data.by_student.items():
+        trackers = {}
+        right = np.zeros(unseen + 1)
+        total = np.zeros(unseen + 1)
+        profile = 1
+        for position, row in enumerate(range(rows.start, rows.stop)):
+            skill = skill_ids[data.skill[row]]
+            code = codes.get(skill, unseen)
+            correct = int(data.correct[row])
+            if skill not in trackers:
+                trackers[skill] = MasteryTracker(
+                    artifacts.params_by_skill.get(skill, artifacts.fallback))
+            out["skill"].append(code)
+            out["mastery"].append(trackers[skill].prior)
+            out["profile"].append(profile)
+            out["difficulty"].append(artifacts.difficulty.levels.get(
+                problem_ids[data.problem[row]], artifacts.difficulty.default_level))
+            out["label"].append(correct)
+            out["student"].append(student)
+            out["position"].append(position)
+            trackers[skill].update(correct)
+            total[code] += 1
+            right[code] += correct
+            if (position + 1) % interval_len == 0 and len(centroids):
+                vec = np.full(unseen, 0.5)
+                seen = total[:unseen] > 0
+                vec[seen] = right[:unseen][seen] / total[:unseen][seen]
+                profile = 2 + int(np.argmin(((centroids - vec) ** 2).sum(axis=1)))
+    return out
 
 
 def simulate_bkt(params, n_seq, length, rng):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ikt.dataset import Dataset, InteractionRecord
+from ikt.dataset import Dataset
 from ikt.bkt import BktParams
 
 ROW_FIELDS = ("student_id", "problem_id", "skill_id", "correct")
@@ -22,20 +22,37 @@ def to_dataset(rows) -> Dataset:
     """Build a Dataset from (student, problem, skill, correct) tuples.
 
     Rows are assumed already clean: one attempt per (student, problem),
-    in chronological order.
+    in chronological order; a row's order key is its position in
+    ``rows``. Skills and problems are coded by first appearance in
+    ``rows``, students grouped in first-appearance order.
     """
-    by_student: dict = {}
+    students: dict = {}
     skill_index: dict = {}
     problem_index: dict = {}
-    for i, (student, problem, skill, correct) in enumerate(rows):
-        rec = InteractionRecord(student, problem, skill, int(correct), (float(i), i))
-        by_student.setdefault(student, []).append(rec)
-        if skill not in skill_index:
-            skill_index[skill] = len(skill_index)
-        if problem not in problem_index:
-            problem_index[problem] = len(problem_index)
-    return Dataset(by_student=by_student, skill_index=skill_index,
-                   problem_index=problem_index)
+    for i, (student, problem, skill, _) in enumerate(rows):
+        students.setdefault(student, []).append(i)
+        skill_index.setdefault(skill, len(skill_index))
+        problem_index.setdefault(problem, len(problem_index))
+    order = np.array([i for group in students.values() for i in group], dtype=np.intp)
+    skill = np.array([skill_index[r[2]] for r in rows], dtype=np.intp)
+    problem = np.array([problem_index[r[1]] for r in rows], dtype=np.intp)
+    correct = np.array([int(r[3]) for r in rows], dtype=np.intp)
+    by_student, start = {}, 0
+    for student, group in students.items():
+        by_student[student] = slice(start, start + len(group))
+        start += len(group)
+    return Dataset(skill=skill[order], problem=problem[order], correct=correct[order],
+                   order=order.astype(float), by_student=by_student,
+                   skill_index=skill_index, problem_index=problem_index)
+
+
+def records(data: Dataset):
+    """(student, problem, skill, correct) tuples of a Dataset, row by row."""
+    skills, problems = list(data.skill_index), list(data.problem_index)
+    return [(student, problems[data.problem[i]], skills[data.skill[i]],
+             int(data.correct[i]))
+            for student, rows in data.by_student.items()
+            for i in range(rows.start, rows.stop)]
 
 
 def write_raw_csv(rows, path, with_order: bool = True) -> None:

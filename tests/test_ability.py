@@ -9,6 +9,12 @@ from ikt.evaluation import ExperimentConfig
 from oracles import kmeans_oracle
 
 
+def cols(attempts):
+    """(skill, correct) pairs as the two arrays the ability functions take."""
+    attempts = np.array(attempts, dtype=int).reshape(-1, 2)
+    return attempts[:, 0], attempts[:, 1]
+
+
 def rates(rng, n, d, max_den=4):
     """Success rates over few attempts: many vectors and distances tie."""
     den = rng.integers(1, max_den + 1, (n, d))
@@ -28,21 +34,21 @@ class TestSegmentIntervals:
         # 45 attempts: intervals [0, 20), [20, 40) and a partial [40, 45)
         model = ClusterModel(centroids=np.array([[0.0], [1.0]]))
         attempts = [(0, 1)] * 20 + [(0, 0)] * 20 + [(0, 1)] * 5
-        labels = profile_labels(attempts, model, skill_count=1, interval_len=20)
+        labels = profile_labels(*cols(attempts), model, skill_count=1, interval_len=20)
         assert len(labels) == 45
         assert labels.tolist() == [1] * 20 + [3] * 20 + [2] * 5
-        assert len(interval_vectors(attempts, 1, 20)) == 2
+        assert len(interval_vectors(*cols(attempts), 1, 20)) == 2
 
     def test_exactly_one_interval(self):
         model = ClusterModel(centroids=np.array([[0.0], [1.0]]))
         attempts = [(0, 1)] * 20
-        assert len(interval_vectors(attempts, 1, 20)) == 1
-        assert set(profile_labels(attempts, model, 1, 20)) == {1}
+        assert len(interval_vectors(*cols(attempts), 1, 20)) == 1
+        assert set(profile_labels(*cols(attempts), model, 1, 20)) == {1}
 
     def test_below_threshold(self):
         model = ClusterModel(centroids=np.array([[0.0], [1.0]]))
-        assert interval_vectors([(0, 1)] * 7, 1, 20) == []
-        assert profile_labels([(0, 1)] * 7, model, 1, 20).tolist() == [1] * 7
+        assert len(interval_vectors(*cols([(0, 1)] * 7), 1, 20)) == 0
+        assert profile_labels(*cols([(0, 1)] * 7), model, 1, 20).tolist() == [1] * 7
 
     def test_bad_length(self):
         errors = ExperimentConfig(interval_len=0).validate()
@@ -52,21 +58,21 @@ class TestSegmentIntervals:
 class TestPerformanceVector:
     def test_success_ratio(self):
         history = [(1, 1), (1, 1), (1, 1), (1, 0)]
-        (vec,) = interval_vectors(history, skill_count=3, interval_len=4)
+        (vec,) = interval_vectors(*cols(history), skill_count=3, interval_len=4)
         assert vec[1] == pytest.approx(0.75)
 
     def test_unattempted_default(self):
-        (vec,) = interval_vectors([(0, 1)], skill_count=3, interval_len=1)
+        (vec,) = interval_vectors(*cols([(0, 1)]), skill_count=3, interval_len=1)
         assert vec.tolist() == [1.0, 0.5, 0.5]
 
     def test_empty_history(self):
         model = ClusterModel(centroids=np.array([[0.5, 0.5, 0.5]]))
-        assert interval_vectors([], skill_count=3) == []
-        assert profile_labels([], model, skill_count=3).size == 0
+        assert interval_vectors(*cols([]), skill_count=3).shape == (0, 3)
+        assert profile_labels(*cols([]), model, skill_count=3).size == 0
 
     def test_prefix_monotone_on_untouched_skills(self):
         attempts = [(0, 1)] * 20 + [(1, 0)] * 20
-        v1, v2 = interval_vectors(attempts, 3, 20)
+        v1, v2 = interval_vectors(*cols(attempts), 3, 20)
         assert v2[0] == v1[0]
         assert v2[2] == v1[2] == 0.5
 
@@ -74,15 +80,15 @@ class TestPerformanceVector:
 class TestIntervalVectors:
     def test_one_vector_per_completed_interval(self):
         attempts = [(0, 1)] * 45
-        vectors = interval_vectors(attempts, skill_count=2, interval_len=20)
+        vectors = interval_vectors(*cols(attempts), skill_count=2, interval_len=20)
         assert len(vectors) == 2
 
     def test_short_history_contributes_nothing(self):
-        assert interval_vectors([(0, 1)] * 19, 2, 20) == []
+        assert interval_vectors(*cols([(0, 1)] * 19), 2, 20).shape == (0, 2)
 
     def test_vectors_are_cumulative(self):
         attempts = [(0, 1)] * 20 + [(0, 0)] * 20
-        v1, v2 = interval_vectors(attempts, skill_count=1, interval_len=20)
+        v1, v2 = interval_vectors(*cols(attempts), skill_count=1, interval_len=20)
         assert v1[0] == pytest.approx(1.0)
         assert v2[0] == pytest.approx(0.5)  # 20 of 40 correct overall
 
@@ -165,7 +171,8 @@ class TestAssignProfile:
     def test_first_interval_reserved_label(self):
         # every centroid label is >= 2, yet the first interval's attempts
         # carry the reserved label 1
-        labels = profile_labels([(1, 1)] * 25, self.model, skill_count=2, interval_len=20)
+        labels = profile_labels(*cols([(1, 1)] * 25), self.model, skill_count=2,
+                                interval_len=20)
         assert labels[:20].tolist() == [1] * 20
         assert labels[20] == assign_profile(np.array([0.5, 1.0]), self.model) >= 2
 
@@ -199,7 +206,7 @@ class TestProfileLabels:
     def test_first_interval_all_ones_and_boundary_updates(self):
         model = ClusterModel(centroids=np.array([[0.9, 0.5], [0.1, 0.5]]))
         attempts = [(0, 1)] * 20 + [(0, 0)] * 20 + [(0, 0)] * 5
-        labels = profile_labels(attempts, model, skill_count=2, interval_len=20)
+        labels = profile_labels(*cols(attempts), model, skill_count=2, interval_len=20)
         assert set(labels[:20]) == {1}
         # after interval 1 the success rate is 1.0 -> nearest centroid 0 -> label 2
         assert set(labels[20:40]) == {2}
@@ -208,14 +215,15 @@ class TestProfileLabels:
 
     def test_short_history_keeps_initial_profile(self):
         model = ClusterModel(centroids=np.array([[0.9, 0.5]]))
-        labels = profile_labels([(0, 1)] * 7, model, skill_count=2, interval_len=20)
+        labels = profile_labels(*cols([(0, 1)] * 7), model, skill_count=2,
+                                interval_len=20)
         assert set(labels) == {1}
 
     def test_labels_within_range(self):
         rng = np.random.default_rng(5)
         model = ClusterModel(centroids=rng.uniform(0, 1, (7, 3)))
         attempts = [(int(rng.integers(3)), int(rng.integers(2))) for _ in range(130)]
-        labels = profile_labels(attempts, model, skill_count=3, interval_len=20)
+        labels = profile_labels(*cols(attempts), model, skill_count=3, interval_len=20)
         assert set(labels) <= set(range(1, 9))
 
 

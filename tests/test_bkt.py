@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from ikt.bkt import (BktParams, FitGrid, MasteryTracker, NoSkillDataError,
-                     fit_all_skills, fit_skill, grid_log_likelihoods,
-                     load_params_table, mean_params, save_params_table)
+from ikt.bkt import (BktParams, FitGrid, NoSkillDataError, fit_all_skills, fit_skill,
+                     grid_log_likelihoods, load_params_table, mean_params,
+                     save_params_table)
 
-from oracles import forward_oracle, simulate_bkt
+from oracles import MasteryTracker, forward_oracle, simulate_bkt
 from synth import mastery_process_rows
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import tempfile
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ikt import evaluation
 from ikt.bkt import load_params_table
-from ikt.cli import _load_bundle, _load_dataset, main
+from ikt.cli import _load_bundle, _load_dataset, load_config, main
 from ikt.dataset import split_folds
 from ikt.evaluation import ExperimentConfig
 
@@ -183,11 +184,18 @@ class TestInputErrors:
         assert "tan_ikt3.model: feature" in err and "tree" in err
         assert "internal" not in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda text: re.sub(r"class_prior = .*\n", "", text),
-        lambda text: text.replace("[cpt skill]\n0 0 ", "[cpt skill]\n99 0 "),
-    ], ids=["no_class_prior", "cpt_index_outside_domain"])
-    def test_malformed_model_exits_2(self, workspace, capsys, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: re.sub(r"class_prior = .*\n", "", text),
+         "tan_ikt3.model: needs a class_prior line"),
+        (lambda text: text.replace("[cpt skill]\n0 0 ", "[cpt skill]\n99 0 "),
+         "tan_ikt3.model: [cpt skill] row 99 0 is outside"),
+        (lambda text: re.sub(r"class_prior = (\S+) .*\n", r"class_prior = \1 x\n", text),
+         "tan_ikt3.model:3: could not convert string to float: 'x'"),
+        (lambda text: re.sub(r"(\[cpt skill\]\n\S+ \S+ \S+) \S+\n", r"\1\n", text),
+         "tan_ikt3.model:{cpt_row}: not enough values to unpack"),
+    ], ids=["no_class_prior", "cpt_index_outside_domain", "class_prior_not_numeric",
+            "cpt_row_with_three_fields"])
+    def test_malformed_model_exits_2(self, workspace, capsys, edit, message):
         tmp, raw, schema = workspace
         fitted = tmp / "fitted"
         assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 0
@@ -199,7 +207,8 @@ class TestInputErrors:
         assert run(["predict", "--data", raw, "--schema", schema,
                     "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
         err = capsys.readouterr().err
-        assert "tan_ikt3.model: " in err and "internal" not in err
+        cpt_row = text.splitlines().index("[cpt skill]") + 2
+        assert message.format(cpt_row=cpt_row) in err and "internal" not in err
 
     def test_internal_value_error_exits_1_with_traceback(self, workspace, capsys,
                                                          monkeypatch):
@@ -267,6 +276,20 @@ class TestEvaluateCommand:
                     "--out", str(tmp / "x")])
         assert code == 2
         assert "clusters" in capsys.readouterr().err
+
+    def test_every_config_field_can_be_set_from_a_file(self, tmp_path):
+        values = {"feature_set": "ikt1", "folds": 3, "seed": 7, "interval_len": 9,
+                  "clusters": 4, "kmeans_restarts": 2, "grid_step": 0.1,
+                  "guess_cap": 0.2, "slip_cap": 0.25, "alpha": 0.5,
+                  "skip_first_interval": True, "workers": 2}
+        assert list(values) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()),
+                        encoding="utf-8")
+        config, ablation = load_config(str(path))
+        assert dataclasses.asdict(config) == values and ablation is False
+        assert all(v != f.default for v, f in zip(values.values(),
+                                                  dataclasses.fields(ExperimentConfig)))
 
     def test_unknown_config_key_named(self, preprocessed, capsys):
         tmp, data = preprocessed

@@ -7,7 +7,7 @@ from ikt.dataset import (CANONICAL_SCHEMA, ColumnSchema, DataFormatError,
                          SchemaError, load_csv, load_schema, preprocess,
                          save_canonical, split_folds)
 
-from synth import mastery_process_rows, to_dataset
+from synth import mastery_process_rows, records, to_dataset
 
 SCHEMA = ColumnSchema(student="user", problem="item", skill="kc", correct="outcome")
 SCHEMA_ORDERED = ColumnSchema(student="user", problem="item", skill="kc",
@@ -18,6 +18,11 @@ def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def problem_ids(data, student):
+    names = list(data.problem_index)
+    return [names[c] for c in data.problem[data.by_student[student]]]
 
 
 class TestLoadCsv:
@@ -62,13 +67,18 @@ class TestLoadCsv:
     def test_float_binary_accepted(self, tmp_path):
         path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,1.0\na,p2,s1,0.0\n")
         data = load_csv(path, SCHEMA)
-        assert [r.correct for r in data.by_student["a"]] == [1, 0]
+        assert data.correct[data.by_student["a"]].tolist() == [1, 0]
 
     def test_order_column_respected(self, tmp_path):
         # rows arrive out of chronological order
-        path = write(tmp_path, "user,item,kc,outcome,ts\na,p2,s1,0,20\na,p1,s1,1,10\n")
+        path = write(tmp_path, "user,item,kc,outcome,ts\nb,p3,s3,1,5\n"
+                               "a,p2,s2,0,20\na,p1,s1,1,10\n")
         data = load_csv(path, SCHEMA_ORDERED)
-        assert [r.problem_id for r in data.by_student["a"]] == ["p1", "p2"]
+        assert list(data.by_student) == ["b", "a"]
+        assert problem_ids(data, "a") == ["p1", "p2"]
+        # codes follow first appearance in the grouped, sorted rows
+        assert data.skill_index == {"s3": 0, "s1": 1, "s2": 2}
+        assert data.problem_index == {"p3": 0, "p1": 1, "p2": 2}
 
     def test_timestamp_strings_sort_lexicographically(self, tmp_path):
         path = write(tmp_path,
@@ -76,7 +86,20 @@ class TestLoadCsv:
                      "a,p2,s1,0,2009-09-02 10:00:00\n"
                      "a,p1,s1,1,2009-09-01 09:00:00\n")
         data = load_csv(path, SCHEMA_ORDERED)
-        assert [r.problem_id for r in data.by_student["a"]] == ["p1", "p2"]
+        assert problem_ids(data, "a") == ["p1", "p2"]
+
+    @pytest.mark.parametrize("stamps", [
+        ("1600000300", "1600000100", "", "1600000200"),
+        ("2020-01-04", "2020-01-02", "", "2020-01-03"),
+    ], ids=["numbers", "iso_dates"])
+    def test_blank_order_cell_dropped_with_tally(self, tmp_path, stamps):
+        # a blank key once became the row index (2.0 or rank-space 2.0)
+        # and sorted among, or before, the real keys
+        path = write(tmp_path, "user,item,kc,outcome,ts\n" + "".join(
+            f"a,p{i},s1,1,{v}\n" for i, v in enumerate(stamps)))
+        data = load_csv(path, SCHEMA_ORDERED)
+        assert data.drops == {"missing order": 1}
+        assert problem_ids(data, "a") == ["p1", "p3", "p0"]
 
     @pytest.mark.parametrize("values, bad", [
         (("12/31/2020", "01/05/2021"), "row 2: order value '12/31/2020'"),
@@ -125,9 +148,7 @@ class TestPreprocess:
         # wrong then right on the same problem: the first (wrong) stays
         path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,0\na,p1,s1,1\n")
         data = preprocess(load_csv(path, SCHEMA))
-        recs = data.by_student["a"]
-        assert len(recs) == 1
-        assert recs[0].correct == 0
+        assert data.correct[data.by_student["a"]].tolist() == [0]
         assert data.drops["repeat attempt"] == 1
 
     def test_exact_duplicates_collapse(self, tmp_path):
@@ -135,6 +156,15 @@ class TestPreprocess:
         data = preprocess(load_csv(path, SCHEMA_ORDERED))
         assert data.n_records == 1
         assert data.drops["duplicate row"] == 1
+
+    def test_duplicate_of_a_dropped_repeat_is_a_duplicate(self, tmp_path):
+        # the repeat at ts 6 still records its identity, so its copy is
+        # tallied as a duplicate, not as a second repeat
+        path = write(tmp_path, "user,item,kc,outcome,ts\na,p1,s1,1,5\n"
+                               "a,p1,s1,0,6\na,p1,s1,0,6\na,p2,s2,1,7\n")
+        data = preprocess(load_csv(path, SCHEMA_ORDERED))
+        assert problem_ids(data, "a") == ["p1", "p2"]
+        assert data.drops == {"repeat attempt": 1, "duplicate row": 1}
 
     def test_pairs_unique_and_order_preserved(self):
         rng = np.random.default_rng(0)
@@ -144,14 +174,13 @@ class TestPreprocess:
                          f"s{rng.integers(3)}", int(rng.integers(2))))
         raw = to_dataset(rows)
         data = preprocess(raw)
-        for student, recs in data.by_student.items():
-            problems = [r.problem_id for r in recs]
+        for student, rows in data.by_student.items():
+            problems = problem_ids(data, student)
             assert len(problems) == len(set(problems))
-            keys = [r.order_key for r in recs]
+            keys = data.order[rows].tolist()
             assert keys == sorted(keys)
             # kept records appear in their original relative order
-            raw_keys = [r.order_key for r in raw.by_student[student]]
-            it = iter(raw_keys)
+            it = iter(raw.order[raw.by_student[student]].tolist())
             assert all(k in it for k in keys)
 
     def test_dense_indices_contiguous(self, tmp_path):
@@ -174,10 +203,7 @@ class TestCanonicalRoundTrip:
         save_canonical(data, str(out))
         again = preprocess(load_csv(str(out), CANONICAL_SCHEMA))
         assert again.n_records == data.n_records
-        for s in data.by_student:
-            got = [(r.problem_id, r.skill_id, r.correct) for r in again.by_student[s]]
-            want = [(r.problem_id, r.skill_id, r.correct) for r in data.by_student[s]]
-            assert got == want
+        assert records(again) == records(data)
 
 
 class TestRestrictedTo:

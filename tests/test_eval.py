@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ikt.ability import ClusterModel
+from ikt.bkt import BktParams
 from ikt.dataset import split_folds
-from ikt.evaluation import (FEATURE_SETS, ExperimentConfig, SingleClassError,
-                            _run_fold, auc, build_feature_rows, evaluate_feature_sets,
-                            fit_fold_artifacts, rmse)
+from ikt.difficulty import DifficultyTable
+from ikt.evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
+                            SingleClassError, _run_fold, auc, build_feature_rows,
+                            evaluate_feature_sets, fit_fold_artifacts, rmse)
 
-from oracles import pairwise_auc
-from synth import (mastery_process_rows, mixed_process_rows, shuffle_labels,
+from oracles import feature_rows_oracle, pairwise_auc
+from synth import (mastery_process_rows, mixed_process_rows, records, shuffle_labels,
                    to_dataset)
 
 
@@ -97,7 +101,7 @@ class TestFoldPipeline:
             for r in first_rows:
                 skill_id = [k for k, v in artifacts.skill_index.items()
                             if v == table.skill[r]][0]
-                assert table.mastery[r] == artifacts.params_for(skill_id).l0
+                assert table.mastery[r] == artifacts.params_by_skill[skill_id].l0
                 assert table.profile[r] == 1
 
     def test_row_count_matches_interactions(self, small_data):
@@ -105,8 +109,10 @@ class TestFoldPipeline:
         config = ExperimentConfig(seed=1)
         fold = split_folds(data, k=5, seed=1)[0]
         _, (train, test) = fold_tables(data, fold, config)
-        n_train = sum(len(data.by_student[s]) for s in fold.train_students)
-        n_test = sum(len(data.by_student[s]) for s in fold.test_students)
+        n_train = sum(data.by_student[s].stop - data.by_student[s].start
+                      for s in fold.train_students)
+        n_test = sum(data.by_student[s].stop - data.by_student[s].start
+                     for s in fold.test_students)
         assert len(train) == n_train
         assert len(test) == n_test
 
@@ -118,13 +124,14 @@ class TestFoldPipeline:
             rows.append(("u000", f"rare_{extra}", "s0", extra % 2))
             rows.append(("u001", f"rare_{extra}", "s0", 1))
         data = to_dataset(rows)
+        names = list(data.problem_index)
         config = ExperimentConfig(seed=1)
         found = 0
         for fold in split_folds(data, k=5, seed=1):
             artifacts, (_, test) = fold_tables(data, fold, config)
             for i, s in enumerate(test.student):
-                rec = data.by_student[s][test.position[i]]
-                if rec.problem_id not in artifacts.difficulty.levels:
+                problem = names[data.problem[data.by_student[s]][test.position[i]]]
+                if problem not in artifacts.difficulty.levels:
                     found += 1
                     assert test.difficulty[i] == 5
         assert found > 0
@@ -134,9 +141,8 @@ class TestFoldPipeline:
         config = ExperimentConfig(seed=1)
         fold = split_folds(data, k=5, seed=1)[1]
         # flip every test-student answer; the fold's artifacts must not move
-        flipped = to_dataset([(r.student_id, r.problem_id, r.skill_id,
-                               1 - r.correct if r.student_id in fold.test_students
-                               else r.correct) for r in data.iter_records()])
+        flipped = to_dataset([(s, p, k, 1 - c if s in fold.test_students else c)
+                              for s, p, k, c in records(data)])
         full = _run_fold(data, fold, config, ["ikt3"]).artifacts
         altered = _run_fold(flipped, fold, config, ["ikt3"]).artifacts
         assert full.skill_index == altered.skill_index
@@ -156,6 +162,46 @@ class TestFoldPipeline:
         assert unseen.tolist() == [bool(i % 2) for i in range(45)]
         assert table.mastery[1] == artifacts.fallback.l0
         assert table.profile[20:].min() >= 2  # the unseen slot adds no dimension
+
+
+# 0 and 1 make responses the model deems impossible (zero evidence)
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def artifacts_and_log(draw):
+    """Artifacts over skills k0..k3 and problems q0..q5, and a log that
+    also holds skills k4, k5 and problems q6, q7 outside them."""
+    vocabulary = draw(st.permutations([f"k{i}" for i in range(4)]))
+    vocabulary = vocabulary[:draw(st.integers(0, 4))]
+    params = {k: BktParams(*(draw(PROBABILITY) for _ in range(4))) for k in vocabulary}
+    centroids = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=len(vocabulary),
+                                       max_size=len(vocabulary)), max_size=3))
+    levels = draw(st.dictionaries(st.sampled_from([f"q{i}" for i in range(6)]),
+                                  st.integers(0, 10)))
+    artifacts = FoldArtifacts(
+        params_by_skill=params,
+        clusters=ClusterModel(centroids=np.array(centroids).reshape(len(centroids),
+                                                                    len(vocabulary))),
+        difficulty=DifficultyTable(levels=levels))
+    attempts = st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers(0, 1))
+    students = draw(st.lists(st.lists(attempts, min_size=1, max_size=30),
+                             min_size=1, max_size=5))
+    rows = [(f"u{u}", f"q{q}", f"k{k}", c)
+            for u, log in enumerate(students) for q, k, c in log]
+    return artifacts, draw(st.integers(1, 6)), to_dataset(rows)
+
+
+class TestFeatureRowsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=artifacts_and_log())
+    def test_columns_equal_the_per_attempt_replay(self, case):
+        artifacts, interval_len, data = case
+        table, = build_feature_rows(artifacts, interval_len, data)
+        want = feature_rows_oracle(artifacts, interval_len, data)
+        for name, column in want.items():
+            got = getattr(table, name)
+            assert (got if name == "student" else got.tolist()) == column, name
 
 
 class TestRunCv:
