@@ -6,11 +6,14 @@ binary responses. Fitting maximizes response log-likelihood over a full
 parameter grid; guess and slip are capped to avoid the well-known
 degenerate optima. The grid's forward passes run together, one array
 entry per (parameter combination, response pattern); each carries the
-three live entries of its upper-triangular running product.
+three live entries of its upper-triangular running product, advanced a
+segment of steps at a time by a product built directly, its off-diagonal
+entry by one matrix product over the steps at which learning can happen.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,14 +79,38 @@ def _dedup_sequences(sequences) -> tuple[list[tuple[int, ...]], np.ndarray]:
     Sorting makes the fit exactly invariant to input order; grouping
     identical patterns avoids recomputing their likelihood.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for seq in sequences:
-        pat = tuple(int(r) for r in seq)
-        if not pat:
-            continue
-        counts[pat] = counts.get(pat, 0) + 1
+    counts = Counter(tuple(map(int, seq)) for seq in sequences)
+    counts.pop((), None)
     patterns = sorted(counts)
     return patterns, np.array([counts[p] for p in patterns], dtype=float)
+
+
+def _segment_len(*values: np.ndarray) -> int:
+    """Steps per segment of the grid forward pass: the largest K with
+    ``f_min**(2K) >= DBL_MIN / eps``.
+
+    Every entry of a segment's product is a sum of terms, each a product
+    of at most 2K grid factors. ``A`` multiplies K learned emissions. ``C``
+    multiplies K unlearned emissions and K factors (1 - t). A term of
+    ``B`` in which learning happens at segment step j (1-based) multiplies
+    t, j - 1 factors (1 - t), j - 1 unlearned and K - j + 1 learned
+    emissions: K + j <= 2K factors. Each factor is one of t, 1 - t, g,
+    1 - g, s, 1 - s, so each is at least f_min, the smallest of these over
+    the grid; a grid whose values all lie in (0, 1) (``ExperimentConfig``
+    rejects any other) has f_min > 0, and f_min = ``step`` on the default
+    grid. So every term is at least ``f_min**(2K) >= 2**-970``: 2**52
+    above the smallest normal double, which keeps it normal even after
+    scaling by a state entry as small as eps relative to the entries'
+    unit sum. No term underflows or rounds as a subnormal, whatever the
+    responses: K = floor(970 ln 2 / (2 ln(1/f_min))), 112 on the default
+    grid, and a grid with f_min >= 2**-485 has K >= 1.
+    """
+    values = np.concatenate(values)
+    f_min = min(values.min(), 1.0 - values.max())
+    if not f_min > 0.0:
+        raise ValueError("every t, g and s grid value must lie in (0, 1)")
+    tiny = np.finfo(float)
+    return max(1, int(np.log(tiny.tiny / tiny.eps) / (2.0 * np.log(f_min))))
 
 
 def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
@@ -94,67 +121,105 @@ def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
     diag(P(r|learned), P(r|unlearned)) for the first response and
     M(r) = E(r) @ A for each later one, with transition A = [[1, t],
     [0, 1-t]] (columns = source state). All are upper triangular, so the
-    running product [[a, b], [0, c]] is carried as three arrays and a
-    step [[ma, mb], [0, mc]] updates them elementwise: a' = ma*a,
-    b' = ma*b + mb*c, c' = mc*c, rescaled to unit sum with the log scale
-    kept. The final likelihood is linear in the initial state
-    distribution, so the whole l0 axis costs a single extra broadcast.
+    running product [[a, b], [0, c]] is carried as three arrays, one
+    entry per (combination, pattern).
+
+    Steps are taken in segments of K (``_segment_len``). A segment's
+    product [[A, B], [0, C]] is built directly: A is the product of its
+    learned emissions and depends on s only; C, the product of its
+    unlearned emissions times (1-t)^k, on (t, g) only; and B sums over the
+    step j at which learning happens, t (1-t)^(j-1) pre_g[j-1] suf_s[j]
+    with pre the prefix products of unlearned and suf the suffix products
+    of learned emissions, which is one matrix product of a (|t|, K) table
+    of t (1-t)^(j-1) with a (K, |g| |s| n) array. The first segment's
+    first step is E(r): no learning at it and one factor (1-t) fewer. The
+    segment updates the running product as one step would (a' = A a,
+    b' = A b + B c, c' = C c), rescaled to unit sum with the log scale
+    kept. Patterns are taken 256 at a time, sorted longest first, so a
+    segment touches only the prefix of patterns still running; a pattern
+    ending inside a segment takes unit emissions past its end, with its
+    learning terms there masked out and its own power of (1-t) in C.
+
+    The final likelihood a l0 + (b + c)(1 - l0) is linear in the initial
+    state distribution, so the l0 axis is taken one value at a time on a
+    (combination, pattern) block and reduced over the pattern weights by
+    one matrix-vector product.
     """
     patterns, weights = _dedup_sequences(sequences)
     if not patterns:
         raise NoSkillDataError("no non-empty response sequences")
 
-    l0 = grid.l0_values
-    tv, gv, sv = np.meshgrid(grid.t_values, grid.g_values, grid.s_values, indexing="ij")
-    t = tv.ravel()[:, None]
-    g = gv.ravel()[:, None]
-    s = sv.ravel()[:, None]
-    n_combo = t.size
-    # (ma, mb, mc) of E(r) and of M(r), for a correct and for a wrong response
-    e_steps = ((1.0 - s, np.zeros_like(s), g), (s, np.zeros_like(s), 1.0 - g))
-    m_steps = ((1.0 - s, (1.0 - s) * t, g * (1.0 - t)),
-               (s, s * t, (1.0 - g) * (1.0 - t)))
+    l0, tv, gv, sv = grid.l0_values, grid.t_values, grid.g_values, grid.s_values
+    shape = (tv.size, gv.size, sv.size)
+    n_combo = tv.size * gv.size * sv.size
+    k_max = _segment_len(tv, gv, sv)
+    stay = (1.0 - tv)[:, None] ** np.arange(k_max + 1)  # (1-t)^i
+    learn = tv[:, None] * stay[:, :k_max]  # t (1-t)^(j-1) at segment step j
+    # the first segment starts with E(r): no learning, one (1-t) fewer
+    learn_first = np.concatenate([np.zeros((tv.size, 1)), learn[:, :-1]], axis=1)
+    # emissions by response code: 0 wrong, 1 correct, 2 past the pattern's end
+    emit_learned = np.stack([sv, 1.0 - sv, np.ones_like(sv)])
+    emit_unlearned = np.stack([1.0 - gv, gv, np.ones_like(gv)])
 
     total = np.zeros((l0.size, n_combo))
     chunk = 256
     for start in range(0, len(patterns), chunk):
         pats = patterns[start:start + chunk]
-        w = weights[start:start + chunk]
+        order = sorted(range(len(pats)), key=lambda i: -len(pats[i]))  # longest first
+        pats = [pats[i] for i in order]
+        w = weights[start:start + chunk][order]
         n = len(pats)
-        max_len = max(len(p) for p in pats)
-        resp = np.zeros((n, max_len), dtype=bool)
-        valid = np.zeros((n, max_len), dtype=bool)
+        lengths = np.array([len(p) for p in pats])
+        longest = len(pats[0])
+        code = np.full((longest, n), 2, dtype=np.intp)
         for i, p in enumerate(pats):
-            resp[i, :len(p)] = p
-            valid[i, :len(p)] = True
+            code[:len(p), i] = p
 
-        a, b, c = np.ones((n_combo, n)), np.zeros((n_combo, n)), np.ones((n_combo, n))
-        logscale = np.zeros((n_combo, n))
-        for pos_t in range(max_len):
-            correct, wrong = m_steps if pos_t else e_steps
-            ma, mb, mc = (np.where(resp[:, pos_t], x, y) for x, y in zip(correct, wrong))
-            v = valid[:, pos_t]
-            padded = not v.all()
-            if padded:  # finished patterns take the identity step
-                ma, mb, mc = np.where(v, ma, 1.0), np.where(v, mb, 0.0), np.where(v, mc, 1.0)
-            b *= ma
-            b += mb * c
-            a *= ma
-            c *= mc
-            z = a + b + c
-            if padded:
-                z = np.where(v, z, 1.0)
-            a /= z
-            b /= z
-            c /= z
-            logscale += np.log(z)
+        a, b, c = np.ones(shape + (n,)), np.zeros(shape + (n,)), np.ones(shape + (n,))
+        logscale = np.zeros(shape + (n,))
+        for begin in range(0, longest, k_max):
+            live = int(np.count_nonzero(lengths > begin))  # patterns still running
+            k = min(k_max, longest - begin)
+            taken = np.minimum(lengths[:live] - begin, k)  # steps each takes here
+            first = int(begin == 0)
+            seg = code[begin:begin + k, :live]
+            el = emit_learned[seg].transpose(0, 2, 1)  # (k, |s|, live)
+            eu = emit_unlearned[seg].transpose(0, 2, 1)  # (k, |g|, live)
+            pre = np.ones((k + 1,) + eu.shape[1:])
+            np.cumprod(eu, axis=0, out=pre[1:])
+            suf = np.cumprod(el[::-1], axis=0)[::-1]
+            suf_live = suf * (np.arange(k)[:, None] < taken)[:, None, :]  # none past the end
+            paths = (pre[:k, :, None, :] * suf_live[:, None]).reshape(k, -1)
+            # the segment's product [[seg_a, seg_b], [0, seg_c]]
+            seg_a = suf[0]
+            seg_b = ((learn_first if first else learn)[:, :k] @ paths).reshape(shape + (live,))
+            seg_c = (stay[:, taken - first][:, None, None, :]
+                     * pre[taken, :, np.arange(live)].T[:, None, :])
 
-        lw = l0[:, None, None]
-        ll = np.log(a[None] * lw + (b + c)[None] * (1.0 - lw))
-        total += ((ll + logscale[None]) * w).sum(axis=-1)
+            av, bv, cv, lv = (x[..., :live] for x in (a, b, c, logscale))
+            bv *= seg_a
+            seg_b *= cv
+            bv += seg_b
+            av *= seg_a
+            cv *= seg_c
+            z = av + bv
+            z += cv
+            av /= z
+            bv /= z
+            cv /= z
+            lv += np.log(z)
 
-    return total.reshape(l0.size, grid.t_values.size,
-                         grid.g_values.size, grid.s_values.size)
+        a, bc, ll = (x.reshape(n_combo, n) for x in (a, b, c))
+        bc += ll  # b + c
+        a -= bc  # so that a l0 + (b + c)(1 - l0) = b + c + l0 (a - b - c)
+        total += logscale.reshape(n_combo, n) @ w
+        for i, p in enumerate(l0):
+            np.multiply(a, p, out=ll)
+            ll += bc
+            np.log(ll, out=ll)
+            total[i] += ll @ w
+
+    return total.reshape((l0.size,) + shape)
 
 
 def fit_skill(sequences, grid: FitGrid | None = None) -> BktParams:

@@ -228,7 +228,8 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     """Read a delimited log into a Dataset, tallying dropped rows.
 
     Rows missing any mapped field, the order included, are dropped
-    (never silently: see ``Dataset.drops``). A non-empty correctness
+    (never silently: see ``Dataset.drops``), as are rows whose order cell
+    is a non-finite number such as ``nan`` or ``inf``. A non-empty correctness
     cell that is not 0/1 raises ``DataFormatError`` because it signals a
     mis-mapped column; so does a byte that is not valid UTF-8, which is
     never replaced. Students keep their order of first appearance, and
@@ -291,12 +292,21 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
                                       "cannot be ranked unambiguously") from None
         rank = {v: float(i) for i, v in enumerate(sorted(set(order)))}
         keys = np.array([rank[v] for v in order], dtype=float)
-    student = np.array(student, dtype=np.intp)
-    rows = np.lexsort((np.array(file_row, dtype=np.intp), keys, student))
-    skill, skill_index = _recode(np.array(skill, dtype=np.intp)[rows], skills)
-    problem, problem_index = _recode(np.array(problem, dtype=np.intp)[rows], problems)
+    student, skill, problem, correct, file_row = (
+        np.array(x, dtype=np.intp) for x in (student, skill, problem, correct, file_row))
+    finite = np.isfinite(keys)
+    if not finite.all():
+        # nan or inf cannot be ranked in time, so such a row is dropped as a
+        # blank order cell is, and its student counts only if other rows stay
+        drops["non-finite order"] += int(np.count_nonzero(~finite))
+        student, skill, problem, correct, file_row, keys = (
+            x[finite] for x in (student, skill, problem, correct, file_row, keys))
+        student, students = _recode(student, students)
+    rows = np.lexsort((file_row, keys, student))
+    skill, skill_index = _recode(skill[rows], skills)
+    problem, problem_index = _recode(problem[rows], problems)
     lengths = np.bincount(student, minlength=len(students)).tolist()
-    return Dataset(skill, problem, np.array(correct, dtype=np.intp)[rows], keys[rows],
+    return Dataset(skill, problem, correct[rows], keys[rows],
                    _slices(dict(zip(students, lengths))), skill_index, problem_index, drops)
 
 

@@ -76,6 +76,15 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 errors.append(f"{name}: must be in (0, 1), got {v}")
+        if 0.0 < self.grid_step < 0.5:
+            grid = self.fit_grid()
+            for name, values in (("guess_cap", grid.g_values), ("slip_cap", grid.s_values)):
+                # the grid rounds the cap to a multiple of the step, which
+                # may reach 1 (a degenerate emission) or leave no value
+                top = float(values.max(initial=0.0))
+                if 0.0 < getattr(self, name) < 1.0 and not 0.0 < top < 1.0:
+                    errors.append(f"{name}: at grid_step {self.grid_step} the largest "
+                                  f"grid value is {top}, which must be in (0, 1)")
         if self.alpha < 0:
             errors.append(f"alpha: must be >= 0, got {self.alpha}")
         if self.workers < 1:

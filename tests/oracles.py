@@ -22,13 +22,16 @@ from ikt.tan import Discretizer, TanModel, TanStructure
 def forward_oracle(params, seq):
     """2-state forward pass in vector/matrix form.
 
-    Returns (per-step prior trace, total log-likelihood).
+    Returns (per-step prior trace, total log-likelihood). ``alpha`` is
+    rescaled to unit sum after every step and the log of each step's
+    normaliser summed, so long sequences do not underflow.
     """
     trans = np.array([[1.0, params.t], [0.0, 1.0 - params.t]])
     emit = {1: np.array([1.0 - params.s, params.g]),
             0: np.array([params.s, 1.0 - params.g])}
     dist = np.array([params.l0, 1.0 - params.l0])
     alpha = dist.copy()
+    log_likelihood = 0.0
     trace = []
     for i, r in enumerate(seq):
         trace.append(dist[0])
@@ -36,7 +39,10 @@ def forward_oracle(params, seq):
         post = obs / obs.sum()
         dist = trans @ post
         alpha = emit[r] * alpha if i == 0 else emit[r] * (trans @ alpha)
-    return np.array(trace), math.log(alpha.sum())
+        norm = alpha.sum()
+        alpha = alpha / norm
+        log_likelihood += math.log(norm)
+    return np.array(trace), log_likelihood
 
 
 class MasteryTracker:

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ikt.bkt import (BktParams, FitGrid, NoSkillDataError, fit_all_skills, fit_skill,
-                     grid_log_likelihoods, load_params_table, mean_params,
+from ikt.bkt import (BktParams, FitGrid, NoSkillDataError, _segment_len, fit_all_skills,
+                     fit_skill, grid_log_likelihoods, load_params_table, mean_params,
                      save_params_table)
 
 from oracles import MasteryTracker, forward_oracle, simulate_bkt
@@ -32,6 +32,25 @@ def trace(params, responses):
 def grid_point(grid, idx):
     return BktParams(float(grid.l0_values[idx[0]]), float(grid.t_values[idx[1]]),
                      float(grid.g_values[idx[2]]), float(grid.s_values[idx[3]]))
+
+
+def segment_len(grid):
+    return _segment_len(grid.t_values, grid.g_values, grid.s_values)
+
+
+def assert_matches_oracle(grid, seqs, rng, n_random=4, corner_stride=1):
+    """Grid totals at the grid's corners (every ``corner_stride``-th) and
+    at random points equal the summed ``forward_oracle`` log-likelihoods."""
+    total = grid_log_likelihoods(seqs, grid)
+    corners = list(itertools.product(*[(0, n - 1) for n in total.shape]))
+    randoms = [tuple(int(rng.integers(n)) for n in total.shape) for _ in range(n_random)]
+    for idx in corners[::corner_stride] + randoms:
+        want = sum(forward_oracle(grid_point(grid, idx), s)[1] for s in seqs)
+        assert total[idx] == pytest.approx(want, abs=1e-9), idx
+
+
+# the default grid, and one whose smallest factor (0.1) gives another segment length
+GRIDS = [FitGrid(), FitGrid(step=0.1, guess_cap=0.2, slip_cap=0.25)]
 
 
 class TestPosterior:
@@ -153,6 +172,50 @@ class TestSequenceLogLikelihood:
         for idx in corners + randoms:
             want = sum(forward_oracle(grid_point(grid, idx), s)[1] for s in seqs)
             assert total[idx] == pytest.approx(want, abs=1e-9)
+
+
+    def test_matches_forward_oracle_on_long_patterns(self):
+        # several segments each; unscaled, the likelihood of 1000 steps
+        # would underflow
+        rng = np.random.default_rng(9)
+        seqs = [list(rng.integers(0, 2, 1000)), list(rng.integers(0, 2, 700))]
+        assert_matches_oracle(FitGrid(), seqs, rng)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["default", "step_0.1"])
+    def test_matches_forward_oracle_at_segment_boundaries(self, grid):
+        # one chunk whose patterns end just before, at and just after a
+        # segment boundary, and one step into the third segment
+        k = segment_len(grid)
+        rng = np.random.default_rng(10)
+        seqs = [list(rng.integers(0, 2, n)) for n in (k - 1, k, k + 1, 2 * k + 1)]
+        assert_matches_oracle(grid, seqs, rng)
+
+    def test_matches_forward_oracle_over_mixed_lengths_and_segments(self):
+        # two chunks of patterns that run out at different steps of
+        # different segments
+        rng = np.random.default_rng(11)
+        k = segment_len(FitGrid())
+        seqs = [list(rng.integers(0, 2, rng.integers(1, 2 * k + 20))) for _ in range(270)]
+        seqs += seqs[:10]
+        assert len({tuple(s) for s in seqs}) > 256
+        assert_matches_oracle(FitGrid(), seqs, rng, n_random=2, corner_stride=5)
+
+
+class TestSegmentLen:
+    @pytest.mark.parametrize("grid", GRIDS, ids=["default", "step_0.1"])
+    def test_largest_length_whose_terms_stay_normal(self, grid):
+        values = np.concatenate([grid.t_values, grid.g_values, grid.s_values])
+        f_min = min(values.min(), 1.0 - values.max())
+        floor = np.finfo(float).tiny / np.finfo(float).eps
+        k = segment_len(grid)
+        assert f_min ** (2 * k) >= floor > f_min ** (2 * k + 2)
+
+    def test_depends_on_the_grid(self):
+        assert [segment_len(grid) for grid in GRIDS] == [112, 145]
+
+    def test_grid_reaching_one_rejected(self):
+        with pytest.raises(ValueError, match="grid value"):
+            grid_log_likelihoods([[1, 0]], FitGrid(guess_cap=0.99))
 
 
 class TestMasteryTracker:

@@ -277,6 +277,20 @@ class TestEvaluateCommand:
         assert code == 2
         assert "clusters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["guess_cap = 0.99", "slip_cap = 0.01"])
+    def test_cap_whose_grid_leaves_the_unit_interval_exits_2(self, preprocessed, capsys,
+                                                              line):
+        # at grid_step 0.05 the grid rounds 0.99 up to 1.0, where emissions
+        # degenerate, and 0.01 down to no value at all
+        tmp, data = preprocessed
+        bad = tmp / "cap.cfg"
+        bad.write_text(line + "\n", encoding="utf-8")
+        code = run(["evaluate", "--data", data, "--config", str(bad),
+                    "--out", str(tmp / "x")])
+        assert code == 2
+        assert line.split()[0] + ": at grid_step 0.05" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
     def test_every_config_field_can_be_set_from_a_file(self, tmp_path):
         values = {"feature_set": "ikt1", "folds": 3, "seed": 7, "interval_len": 9,
                   "clusters": 4, "kmeans_restarts": 2, "grid_step": 0.1,

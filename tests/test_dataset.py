@@ -101,6 +101,24 @@ class TestLoadCsv:
         assert data.drops == {"missing order": 1}
         assert problem_ids(data, "a") == ["p1", "p3", "p0"]
 
+    def test_non_finite_order_cells_dropped_with_tally(self, tmp_path):
+        # float() reads nan and inf, which have no place in time; nan once
+        # left the rows unsorted around it
+        path = write(tmp_path, "user,item,kc,outcome,ts\n" + "".join(
+            f"a,p{i},s1,1,{v}\n" for i, v in enumerate(("5", "nan", "3", "inf"))))
+        data = load_csv(path, SCHEMA_ORDERED)
+        assert data.drops == {"non-finite order": 2}
+        assert problem_ids(data, "a") == ["p2", "p0"]
+        assert data.order.tolist() == [3.0, 5.0]
+
+    def test_student_with_only_non_finite_order_cells_is_gone(self, tmp_path):
+        path = write(tmp_path, "user,item,kc,outcome,ts\n"
+                     "b,p9,s9,0,-inf\na,p1,s1,1,2\nb,p8,s9,1,1e999\nc,p1,s1,0,1\n")
+        data = load_csv(path, SCHEMA_ORDERED)
+        assert data.drops == {"non-finite order": 2}
+        assert list(data.by_student) == ["a", "c"]
+        assert data.skill_index == {"s1": 0} and data.problem_index == {"p1": 0}
+
     @pytest.mark.parametrize("values, bad", [
         (("12/31/2020", "01/05/2021"), "row 2: order value '12/31/2020'"),
         (("9", "2020-01-01", "10"), "row 2: order value '9'"),
