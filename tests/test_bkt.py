@@ -173,7 +173,6 @@ class TestSequenceLogLikelihood:
             want = sum(forward_oracle(grid_point(grid, idx), s)[1] for s in seqs)
             assert total[idx] == pytest.approx(want, abs=1e-9)
 
-
     def test_matches_forward_oracle_on_long_patterns(self):
         # several segments each; unscaled, the likelihood of 1000 steps
         # would underflow

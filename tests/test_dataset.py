@@ -102,8 +102,7 @@ class TestLoadCsv:
         assert problem_ids(data, "a") == ["p1", "p3", "p0"]
 
     def test_non_finite_order_cells_dropped_with_tally(self, tmp_path):
-        # float() reads nan and inf, which have no place in time; nan once
-        # left the rows unsorted around it
+        # float() reads nan and inf, which have no place in time
         path = write(tmp_path, "user,item,kc,outcome,ts\n" + "".join(
             f"a,p{i},s1,1,{v}\n" for i, v in enumerate(("5", "nan", "3", "inf"))))
         data = load_csv(path, SCHEMA_ORDERED)
