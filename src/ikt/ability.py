@@ -13,7 +13,7 @@ its argmin only when the best two values differ by more than a bound on
 the rounding of that form plus the exact ``((x - c)**2).sum()``. The
 remaining points, near-ties and exact ties, are assigned by the exact
 distances, so every assignment, and thus every centroid, is the one the
-exact distances alone would give (see ``_nearest``).
+exact distances alone would give (see ``_screen``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "INITIAL_PROFILE",
     "interval_vectors",
     "train_clusters",
-    "assign_profile",
     "profile_labels",
     "save_centroids",
     "load_centroids",
@@ -89,7 +88,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     n = len(x)
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
-    d2 = _sq_dists(x, centroids[:1])[:, 0]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -98,19 +97,19 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = rng.integers(n)
         centroids[i] = x[idx]
-        d2 = np.minimum(d2, _sq_dists(x, centroids[i:i + 1])[:, 0])
+        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
     return centroids
 
 
-def _nearest(x: np.ndarray, xt: np.ndarray, xx: np.ndarray,
-             centroids: np.ndarray) -> np.ndarray:
-    """``argmin(_sq_dists(x, centroids), axis=1)``, screened by one GEMM.
+def _screen(x: np.ndarray, k: int):
+    """``nearest(centroids)``: ``argmin(_sq_dists(x, centroids), axis=1)``
+    for any k centroids, screened by one GEMM.
 
-    ``xt`` is ``x.T`` in C order and ``xx`` the squared norms of ``x``'s
-    rows. ``g = |x|^2 - 2 x.c + |c|^2`` ranks the centroids of every
-    row; a row whose best two ``g`` differ by more than ``tol`` keeps
-    its ``g`` argmin, and every other row, NaN gaps included, is settled
-    by the exact distances, which also break ties to the lowest index.
+    ``g = |x|^2 - 2 x.c + |c|^2`` ranks the centroids of every row, in a
+    (k, n) buffer kept across rounds; a row whose best two ``g`` differ
+    by more than ``tol`` keeps its ``g`` argmin, and every other row, NaN
+    gaps included, is settled by the exact distances, which also break
+    ties to the lowest index.
 
     ``tol`` covers the rounding of both forms. With u = eps/2,
     S = max|x|^2 + max|c|^2 and the true distance D <= 2S, the three dot
@@ -124,45 +123,107 @@ def _nearest(x: np.ndarray, xt: np.ndarray, xx: np.ndarray,
     two forms pick the same one; ``tol`` doubles that margin to cover
     second-order terms.
     """
-    if len(centroids) == 1:
-        return np.zeros(len(x), dtype=np.intp)
-    cc = (centroids ** 2).sum(axis=1)
-    g = xx - 2.0 * (centroids @ xt) + cc[:, None]
-    labels = g.argmin(axis=0)
-    cols = np.arange(len(x))
-    best = g[labels, cols]
-    g[labels, cols] = np.inf
-    gap = g.min(axis=0) - best
-    tol = 8 * (x.shape[1] + 2) * np.finfo(float).eps * (xx.max() + cc.max())
-    unsure = ~(gap > tol)
-    if unsure.any():
-        labels[unsure] = np.argmin(_sq_dists(x[unsure], centroids), axis=1)
-    return labels
-
-
-def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
-    k = len(centroids)
+    n, d = x.shape
+    if k == 1:
+        return lambda centroids: np.zeros(n, dtype=np.intp)
     xt = np.ascontiguousarray(x.T)
     xx = (x ** 2).sum(axis=1)
+    xx_max = xx.max()
+    scale = 8 * (d + 2) * np.finfo(float).eps
+    cols = np.arange(n)
+    buffer = np.empty((k, n))
+
+    def nearest(centroids: np.ndarray) -> np.ndarray:
+        cc = (centroids ** 2).sum(axis=1)
+        g = np.dot(centroids, xt, out=buffer)
+        g *= -2.0
+        g += xx
+        g += cc[:, None]
+        labels = g.argmin(axis=0)
+        best = g.min(axis=0)
+        g[labels, cols] = np.inf
+        gap = g.min(axis=0) - best
+        unsure = ~(gap > scale * (xx_max + cc.max()))
+        if unsure.any():
+            labels[unsure] = np.argmin(_sq_dists(x[unsure], centroids), axis=1)
+        return labels
+
+    return nearest
+
+
+def _revive(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+            counts: np.ndarray) -> tuple[np.ndarray, list]:
+    """Revive every empty cluster, in cluster order, with the point
+    farthest from its assigned centroid (deterministic); returns the
+    labels of the rows each mean sums and the (cluster, point) revivals.
+
+    Means are taken in cluster order too, so a moved point stays in the
+    sum of an old cluster of lower index; one taken from a higher-index
+    cluster leaves its rows (the sentinel label ``k``) and its count.
+    ``labels`` and ``counts`` are updated in place.
+    """
+    k = len(centroids)
+    members = labels.copy()
+    d2 = _sq_dists(x, centroids)
+    far = d2[np.arange(len(x)), labels]
+    revived = []
+    for j in range(k):
+        if counts[j]:
+            continue
+        worst = int(np.argmax(far))
+        old = labels[worst]
+        if old > j:
+            counts[old] -= 1
+            members[worst] = k
+        labels[worst] = j
+        far[worst] = d2[worst, j]
+        revived.append((j, worst))
+    return members, revived
+
+
+def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int,
+           nearest) -> tuple[np.ndarray, float]:
+    """Lloyd rounds from ``centroids`` (updated in place), assigning by
+    ``nearest`` (``_screen(x, k)``), and the within-cluster sum of
+    squares of the result.
+
+    A cluster's mean must sum its rows in row order, as
+    ``x[labels == j].mean(axis=0)`` does: the rows are gathered once in
+    a stable sort of the labels, and ``np.add.reduce`` over a cluster's
+    contiguous block of that gather is the same reduction over the same
+    rows. Float addition is not associative, so ``np.add.reduceat`` or a
+    one-hot matrix product, which sum in other orders, would move
+    centroids by an ulp and could change every later assignment.
+
+    The loop ends when an assignment equals the last one, so the final
+    labels are the certified nearest labels of the final centroids and
+    the WCSS needs only each point's distance to its own centroid. If
+    ``max_iter`` runs out first, one more assignment certifies them.
+    """
+    k = len(centroids)
     labels = None
     for _ in range(max_iter):
-        new_labels = _nearest(x, xt, xx, centroids)
+        new_labels = nearest(centroids)
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
-        # revival reads the distances to this assignment's centroids
-        d2 = _sq_dists(x, centroids) if np.bincount(labels, minlength=k).min() == 0 else None
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centroids[j] = x[mask].mean(axis=0)
-            else:
-                # revive an empty cluster with the point farthest from
-                # its assigned centroid (deterministic)
-                worst = int(np.argmax(d2[np.arange(len(x)), labels]))
-                centroids[j] = x[worst]
-                labels[worst] = j
-    wcss = float(_sq_dists(x, centroids).min(axis=1).sum())
+        counts = np.bincount(labels, minlength=k)
+        members, revived = labels, []
+        if counts.min() == 0:
+            members, revived = _revive(x, centroids, labels, counts)
+        # the smallest label type sorts by radix, several times faster
+        order = np.argsort(members.astype(np.min_scalar_type(k)), kind="stable")
+        rows = x.take(order, axis=0)
+        end = 0
+        for j, size in enumerate(counts.tolist()):
+            start, end = end, end + size
+            if size:
+                centroids[j] = np.add.reduce(rows[start:end], axis=0) / size
+        for j, worst in revived:
+            centroids[j] = x[worst]
+    else:
+        labels = nearest(centroids)
+    wcss = float(((x - centroids[labels]) ** 2).sum(axis=1).sum())
     return centroids, wcss
 
 
@@ -179,27 +240,15 @@ def train_clusters(vectors, k: int = 7, seed: int = 0, restarts: int = 10,
     if len(x) < k:
         raise ValueError(f"need at least {k} vectors to form {k} clusters, have {len(x)}")
     rng = np.random.default_rng(seed)
+    nearest = _screen(x, k)
     best_centroids = None
     best_wcss = np.inf
     for _ in range(restarts):
-        centroids, wcss = _lloyd(x, _kmeans_pp_init(x, k, rng), max_iter)
+        centroids, wcss = _lloyd(x, _kmeans_pp_init(x, k, rng), max_iter, nearest)
         if wcss < best_wcss:
             best_wcss = wcss
             best_centroids = centroids
     return ClusterModel(centroids=best_centroids)
-
-
-def assign_profile(vector: np.ndarray, model: ClusterModel) -> int:
-    """Profile label for one completed-interval vector: 2 + the index of
-    the nearest centroid (squared Euclidean, ties to the lowest index), so
-    with the reserved first-interval label 1 there are K+1 labels.
-    """
-    if model.k == 0:
-        return INITIAL_PROFILE
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape[0] != model.dim:
-        raise ValueError(f"vector has dimension {vector.shape[0]}, centroids have {model.dim}")
-    return INITIAL_PROFILE + 1 + int(np.argmin(_sq_dists(vector[None, :], model.centroids)))
 
 
 def profile_labels(skill, correct, model: ClusterModel, skill_count: int,
@@ -207,13 +256,23 @@ def profile_labels(skill, correct, model: ClusterModel, skill_count: int,
     """Per-attempt profile label for one student, from the same arrays as
     ``interval_vectors``.
 
-    The label for interval z is computed from attempts in intervals
-    1..z-1 only, so it is fixed before any attempt of interval z is
-    observed.
+    Attempts in the first interval carry the reserved label 1; the label
+    for interval z > 1 is 2 + the index of the centroid nearest (squared
+    Euclidean, ties to the lowest index) the vector of intervals
+    1..z-1, so it is fixed before any attempt of interval z is observed
+    and there are K+1 labels. Without centroids every attempt keeps the
+    label 1; centroids whose dimension is not ``skill_count`` raise
+    ``ValueError``.
     """
+    if model.k == 0:
+        return np.full(len(skill), INITIAL_PROFILE, dtype=int)
+    if skill_count != model.dim:
+        raise ValueError(f"vectors have dimension {skill_count}, centroids have {model.dim}")
     vectors = _boundary_vectors(skill, correct, skill_count, interval_len)
-    labels = [INITIAL_PROFILE] + [assign_profile(v, model) for v in vectors]
-    return np.repeat(np.array(labels, dtype=int), interval_len)[:len(skill)]
+    labels = np.empty(len(vectors) + 1, dtype=int)
+    labels[0] = INITIAL_PROFILE
+    labels[1:] = INITIAL_PROFILE + 1 + _sq_dists(vectors, model.centroids).argmin(axis=1)
+    return np.repeat(labels, interval_len)[:len(skill)]
 
 
 def save_centroids(model: ClusterModel, path: str) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,10 @@ class BktParams:
 
 @dataclass(frozen=True)
 class FitGrid:
-    """Search grid: every parameter in {step, 2*step, ...} up to its cap."""
+    """Search grid: every parameter in {step, 2*step, ...} up to its cap.
+
+    Each axis is built once per instance and kept as a read-only array.
+    """
 
     step: float = 0.05
     guess_cap: float = 0.30
@@ -54,21 +58,23 @@ class FitGrid:
 
     def _values(self, cap: float) -> np.ndarray:
         n = int(round(cap / self.step))
-        return np.round(np.arange(1, n + 1) * self.step, 10)
+        values = np.round(np.arange(1, n + 1) * self.step, 10)
+        values.setflags(write=False)
+        return values
 
-    @property
+    @cached_property
     def l0_values(self) -> np.ndarray:
         return self._values(1.0 - self.step)
 
-    @property
+    @cached_property
     def t_values(self) -> np.ndarray:
         return self._values(1.0 - self.step)
 
-    @property
+    @cached_property
     def g_values(self) -> np.ndarray:
         return self._values(self.guess_cap)
 
-    @property
+    @cached_property
     def s_values(self) -> np.ndarray:
         return self._values(self.slip_cap)
 

@@ -189,9 +189,10 @@ def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
     rows, starts = _sequences(train)
     sequences_by_skill: dict = {skill: [] for skill in train.skill_index}
     names = list(train.skill_index)
-    for code, seq in zip(train.skill[rows[starts]].tolist(),
-                         np.split(train.correct[rows], starts[1:])):
-        sequences_by_skill[names[code]].append(seq.tolist())
+    correct = train.correct[rows].tolist()
+    bounds = starts.tolist() + [len(correct)]
+    for code, lo, hi in zip(train.skill[rows[starts]].tolist(), bounds, bounds[1:]):
+        sequences_by_skill[names[code]].append(correct[lo:hi])
     params = bkt.fit_all_skills(sequences_by_skill, config.fit_grid())
 
     vectors = np.concatenate([

@@ -5,7 +5,7 @@ the code under test: matrix-form forward passes, a streaming per-attempt
 mastery tracker and feature replay, exhaustive joint-table enumeration,
 Prufer-sequence spanning-tree enumeration, quadratic pairwise AUC,
 k-means with every distance taken from the full point-by-centroid
-broadcast.
+broadcast, profile labels from per-vector exact sums.
 """
 
 from __future__ import annotations
@@ -186,6 +186,21 @@ def _lloyd(x, centroids, max_iter):
     d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     wcss = float(d2[np.arange(len(x)), np.argmin(d2, axis=1)].sum())
     return centroids, wcss
+
+
+def assign_profile(vector, model):
+    """Profile label of one completed-interval vector: 2 + the index of
+    the nearest centroid, each squared distance a correctly rounded
+    ``math.fsum`` over Python floats, ties to the lowest index; the
+    reserved label 1 without centroids."""
+    if model.k == 0:
+        return 1
+    vector = [float(v) for v in vector]
+    if len(vector) != model.dim:
+        raise ValueError(f"vector has dimension {len(vector)}, centroids have {model.dim}")
+    dists = [math.fsum((v - c) * (v - c) for v, c in zip(vector, row))
+             for row in model.centroids.tolist()]
+    return 2 + min(range(len(dists)), key=dists.__getitem__)
 
 
 def kmeans_oracle(vectors, k, seed, restarts=10, max_iter=300):

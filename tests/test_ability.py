@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ikt.ability import (ClusterModel, assign_profile, interval_vectors,
-                         load_centroids, profile_labels, save_centroids,
-                         train_clusters)
+from ikt.ability import (ClusterModel, interval_vectors, load_centroids,
+                         profile_labels, save_centroids, train_clusters)
 from ikt.evaluation import ExperimentConfig
 
-from oracles import kmeans_oracle
+from oracles import assign_profile, kmeans_oracle
 
 
 def cols(attempts):
@@ -19,6 +18,25 @@ def rates(rng, n, d, max_den=4):
     """Success rates over few attempts: many vectors and distances tie."""
     den = rng.integers(1, max_den + 1, (n, d))
     return rng.integers(0, den + 1) / den
+
+
+def oracle_labels(skill, correct, model, skill_count, interval_len):
+    """``profile_labels`` replayed one attempt at a time: each boundary's
+    rate vector counted from the prefix, its label from
+    ``oracles.assign_profile``."""
+    labels, profile = [], 1
+    for end in range(1, len(skill) + 1):
+        labels.append(profile)
+        if end % interval_len == 0:
+            vector = [correct[:end][skill[:end] == s].mean() if (skill[:end] == s).any()
+                      else 0.5 for s in range(skill_count)]
+            profile = assign_profile(vector, model)
+    return labels
+
+
+def random_history(rng, skill_count, max_len=130):
+    n = int(rng.integers(0, max_len))
+    return rng.integers(0, skill_count, n), rng.integers(0, 2, n)
 
 
 ORACLE_CASES = {
@@ -149,6 +167,28 @@ class TestTrainClusters:
         model = train_clusters(x, k=5, seed=seed, restarts=2)
         assert np.array_equal(model.centroids, kmeans_oracle(x, 5, seed, restarts=2))
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_oracle_when_max_iter_runs_out(self, case, max_iter, seed):
+        # the last round's labels belong to the centroids before its
+        # update, so the inertia needs one more assignment
+        x, k = ORACLE_CASES[case](np.random.default_rng(seed))
+        model = train_clusters(x, k=k, seed=seed, max_iter=max_iter)
+        assert np.array_equal(model.centroids, kmeans_oracle(x, k, seed, max_iter=max_iter))
+
+    def test_revival_from_higher_index_cluster_matches_oracle(self):
+        # k-means++ seeds [1/3, 0, 0]; the mean of ten copies of 1/3 rounds
+        # above 1/3, so in round 3 the revived centroid 2 (exactly 1/3)
+        # takes every 1/3 and leaves cluster 0 empty. Its revival takes
+        # row 0 from cluster 1 (every distance is 0, so the first row),
+        # which is not averaged yet and must lose that row.
+        x = np.array([0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1])[:, None] / 3
+        for max_iter in (3, 300):
+            model = train_clusters(x, k=3, seed=0, restarts=1, max_iter=max_iter)
+            assert np.array_equal(model.centroids, kmeans_oracle(
+                x, 3, 0, restarts=1, max_iter=max_iter))
+
     def test_train_clusters_pinned(self):
         x = np.random.default_rng(5).integers(0, 4, (60, 4)) / 3
         model = train_clusters(x, k=3, seed=8, restarts=4)
@@ -174,32 +214,43 @@ class TestAssignProfile:
         labels = profile_labels(*cols([(1, 1)] * 25), self.model, skill_count=2,
                                 interval_len=20)
         assert labels[:20].tolist() == [1] * 20
-        assert labels[20] == assign_profile(np.array([0.5, 1.0]), self.model) >= 2
+        assert labels[20] == assign_profile([0.5, 1.0], self.model) >= 2
 
     def test_exact_centroid_offset_mapping(self):
-        # centroid at 0-based row 2 carries label 4: 1 is reserved, so the
-        # K cluster labels start at 2
-        assert assign_profile(np.array([0.0, 1.0]), self.model) == 4
+        # the vector [0, 1] is centroid row 2, which carries label 4: 1 is
+        # reserved, so the K cluster labels start at 2
+        labels = profile_labels(*cols([(0, 0), (1, 1), (0, 1)]), self.model, 2, 2)
+        assert labels.tolist() == [1, 1, 4]
 
     def test_tie_breaks_to_lowest_index(self):
-        assert assign_profile(np.array([0.5, 0.0]), self.model) == 2
+        # [0.5, 0] is as near [0, 0] (label 2) as [1, 0] (label 3)
+        labels = profile_labels(*cols([(0, 1), (0, 0), (1, 0), (1, 1)]), self.model, 2, 3)
+        assert labels.tolist() == [1, 1, 1, 2]
 
     def test_labels_cover_expected_range(self):
         rng = np.random.default_rng(3)
-        labels = {assign_profile(rng.uniform(-1, 2, 2), self.model) for _ in range(200)}
-        assert labels <= set(range(2, 6))
+        for _ in range(50):
+            labels = profile_labels(*random_history(rng, 2), self.model, 2, 5)
+            assert set(labels[:5]) <= {1}
+            assert set(labels[5:]) <= set(range(2, 6))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            assign_profile(np.array([1.0, 2.0, 3.0]), self.model)
+            profile_labels(*cols([(0, 1)] * 40), self.model, skill_count=3)
+        # a (z, 1) block would broadcast against the (K, 2) centroids
+        with pytest.raises(ValueError):
+            profile_labels(*cols([(0, 1)] * 40), self.model, skill_count=1)
 
     def test_minimizes_squared_distance(self):
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            v = rng.uniform(-1, 2, 2)
-            label = assign_profile(v, self.model)
-            d2 = ((self.model.centroids - v) ** 2).sum(axis=1)
-            assert d2[label - 2] == d2.min()
+        for _ in range(50):
+            skill, correct = random_history(rng, 2)
+            labels = profile_labels(skill, correct, self.model, 2, 4)
+            vectors = interval_vectors(skill, correct, 2, 4)
+            # the last vector labels no attempt when the history ends on a boundary
+            for z, v in enumerate(vectors[:(len(skill) - 1) // 4], 1):
+                d2 = ((self.model.centroids - v) ** 2).sum(axis=1)
+                assert d2[labels[4 * z] - 2] == d2.min()
 
 
 class TestProfileLabels:
@@ -225,6 +276,50 @@ class TestProfileLabels:
         attempts = [(int(rng.integers(3)), int(rng.integers(2))) for _ in range(130)]
         labels = profile_labels(*cols(attempts), model, skill_count=3, interval_len=20)
         assert set(labels) <= set(range(1, 9))
+
+
+class TestProfileLabelsOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_centroids(self, seed):
+        rng = np.random.default_rng(seed)
+        skill_count, k = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        model = ClusterModel(centroids=rng.uniform(0, 1, (k, skill_count)))
+        for _ in range(10):
+            skill, correct = random_history(rng, skill_count)
+            interval_len = int(rng.integers(1, 21))
+            assert profile_labels(skill, correct, model, skill_count,
+                                  interval_len).tolist() == oracle_labels(
+                skill, correct, model, skill_count, interval_len)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tie_heavy_centroids(self, seed):
+        # quarter-step centroids with repeated rows against rates of few
+        # attempts: many exact ties, all of which must go to the lowest
+        # index. Two skills keep each distance one rounded addition, so
+        # a tie in exact arithmetic is a tie in both sums.
+        rng = np.random.default_rng(100 + seed)
+        rows = rng.integers(0, 5, (int(rng.integers(2, 5)), 2)) / 4
+        model = ClusterModel(centroids=rows[rng.integers(0, len(rows), 6)])
+        for _ in range(10):
+            skill, correct = random_history(rng, 2, max_len=40)
+            interval_len = int(rng.integers(1, 5))
+            assert profile_labels(skill, correct, model, 2,
+                                  interval_len).tolist() == oracle_labels(
+                skill, correct, model, 2, interval_len)
+
+    def test_duplicate_centroids_resolve_to_lowest_index(self):
+        model = ClusterModel(centroids=np.array([[1.0, 1.0], [0.0, 0.0],
+                                                 [0.0, 0.0], [1.0, 1.0]]))
+        near_zero = profile_labels(*cols([(0, 0), (1, 0), (0, 0)]), model, 2, 2)
+        near_one = profile_labels(*cols([(0, 1), (1, 1), (0, 1)]), model, 2, 2)
+        assert near_zero.tolist() == [1, 1, 3]
+        assert near_one.tolist() == [1, 1, 2]
+
+    def test_no_centroids_keeps_initial_profile(self):
+        # an empty centroids.tsv loads as a (0,) array of dimension 0
+        model = ClusterModel(centroids=np.zeros(0))
+        labels = profile_labels(*cols([(0, 1)] * 45), model, skill_count=3)
+        assert labels.tolist() == [1] * 45
 
 
 class TestCentroidIO:

@@ -237,6 +237,16 @@ class TestFitSkill:
         assert len(grid.g_values) == 6
         assert grid.g_values[-1] == pytest.approx(0.30)
 
+    def test_grid_axes_built_once_and_read_only(self):
+        grid = FitGrid(step=0.1, guess_cap=0.2, slip_cap=0.25)
+        for name in ("l0_values", "t_values", "g_values", "s_values"):
+            values = getattr(grid, name)
+            assert getattr(grid, name) is values
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.5
+        assert grid == FitGrid(step=0.1, guess_cap=0.2, slip_cap=0.25)
+
     def test_grid_likelihood_matches_sequential(self):
         rng = np.random.default_rng(4)
         grid = FitGrid()
