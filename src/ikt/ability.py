@@ -106,7 +106,7 @@ def _screen(x: np.ndarray, k: int):
     for any k centroids, screened by one GEMM.
 
     ``g = |x|^2 - 2 x.c + |c|^2`` ranks the centroids of every row, in a
-    (k, n) buffer kept across rounds; a row whose best two ``g`` differ
+    (k, n) buffer kept across rounds and restarts; a row whose best two ``g`` differ
     by more than ``tol`` keeps its ``g`` argmin, and every other row, NaN
     gaps included, is settled by the exact distances, which also break
     ties to the lowest index.
@@ -143,7 +143,8 @@ def _screen(x: np.ndarray, k: int):
         best = g.min(axis=0)
         g[labels, cols] = np.inf
         gap = g.min(axis=0) - best
-        unsure = ~(gap > scale * (xx_max + cc.max()))
+        tol = scale * (xx_max + cc.max())
+        unsure = ~(gap > tol)
         if unsure.any():
             labels[unsure] = np.argmin(_sq_dists(x[unsure], centroids), axis=1)
         return labels
