@@ -7,6 +7,9 @@ students' vectors defines the profile clusters. Attempts in the first
 interval carry the reserved profile 1, later intervals the label of the
 nearest centroid (labels 2..K+1).
 
+``interval_vectors`` and ``profile_labels`` take all students at once:
+their rows end to end and each one's row count, the ``Dataset`` layout.
+
 Each Lloyd round assigns points by a screen: one matrix product gives
 |x|^2 - 2 x.c + |c|^2 for every point and centroid, and a point keeps
 its argmin only when the best two values differ by more than a bound on
@@ -35,33 +38,37 @@ __all__ = [
 INITIAL_PROFILE = 1
 
 
-def _boundary_vectors(skill, correct, skill_count: int, interval_len: int) -> np.ndarray:
-    """Row z is the success rate per skill over the first
-    (z + 1) * ``interval_len`` attempts, 0.5 where a skill was never
-    attempted: counts per interval, accumulated over intervals. The
-    skill code ``skill_count`` (a skill outside the fitted vocabulary) is
-    counted in a slot no vector reads.
+def interval_vectors(skill, correct, lengths, skill_count: int,
+                     interval_len: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """One vector per completed interval, and per attempt the row of the
+    vector its profile reads (-1 in its student's first interval).
+
+    A student's vector z is their success rate per skill over their
+    first (z + 1) * ``interval_len`` attempts, 0.5 where a skill was
+    never attempted. One bincount counts every (vector, skill) slot, and
+    one running sum down all vectors accumulates them: each student's
+    first vector, less the previous student's totals, restarts it, and
+    every sum is exact, as counts are whole numbers. The skill code
+    ``skill_count`` (outside the fitted vocabulary) fills a slot no
+    vector reads.
     """
-    intervals = len(skill) // interval_len
-    n = intervals * interval_len
-    slot = np.arange(n) // interval_len * (skill_count + 1) + skill[:n]
-    total, right = (np.bincount(slot, weights=w, minlength=intervals * (skill_count + 1))
-                    .reshape(intervals, skill_count + 1).cumsum(axis=0)[:, :-1]
-                    for w in (None, correct[:n]))
-    vectors = np.full(total.shape, 0.5)
-    np.divide(right, total, out=vectors, where=total > 0)
-    return vectors
-
-
-def interval_vectors(skill, correct, skill_count: int,
-                     interval_len: int = 20) -> np.ndarray:
-    """One cumulative vector per completed interval boundary, one row each.
-
-    ``skill`` and ``correct`` are one student's chronological skill codes
-    and 0/1 outcomes. A student with fewer attempts than one full
-    interval contributes nothing.
-    """
-    return _boundary_vectors(skill, correct, skill_count, interval_len)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    intervals = lengths // interval_len
+    first = np.cumsum(intervals) - intervals  # each student's first vector
+    n, width = int(intervals.sum()), skill_count + 1
+    # each attempt's interval within its student, and the vector it counts in
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    z = (np.arange(len(skill)) - start) // interval_len
+    vector = np.repeat(first, lengths) + z
+    complete = z < np.repeat(intervals, lengths)
+    slot = vector[complete] * width + skill[complete]
+    counts = np.stack([np.bincount(slot, weights=w, minlength=n * width)
+                       for w in (None, correct[complete])]).reshape(2, n, width)
+    starts = first[intervals > 0]
+    counts[:, starts[1:]] -= np.add.reduceat(counts, starts, axis=1)[:, :-1]
+    total, right = np.cumsum(counts, axis=1, out=counts)[..., :-1]
+    vectors = np.divide(right, total, out=np.full(total.shape, 0.5), where=total > 0)
+    return vectors, np.where(z > 0, vector - 1, -1)
 
 
 @dataclass(frozen=True)
@@ -91,12 +98,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     d2 = ((x - centroids[0]) ** 2).sum(axis=1)
     for i in range(1, k):
         total = d2.sum()
-        if total > 0:
-            probs = d2 / total
-            idx = rng.choice(n, p=probs)
-        else:
-            idx = rng.integers(n)
-        centroids[i] = x[idx]
+        centroids[i] = x[rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)]
         d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
     return centroids
 
@@ -235,31 +237,27 @@ def train_clusters(vectors, k: int = 7, seed: int = 0, restarts: int = 10,
     Iteration stops when assignments stabilize or after ``max_iter``
     rounds. Fully deterministic for a given seed.
     """
-    x = np.asarray(vectors, dtype=float)
-    if x.ndim != 2:
-        x = np.atleast_2d(x)
+    x = np.atleast_2d(np.asarray(vectors, dtype=float))
     if len(x) < k:
         raise ValueError(f"need at least {k} vectors to form {k} clusters, have {len(x)}")
     rng = np.random.default_rng(seed)
     nearest = _screen(x, k)
-    best_centroids = None
-    best_wcss = np.inf
+    best_centroids, best_wcss = None, np.inf
     for _ in range(restarts):
         centroids, wcss = _lloyd(x, _kmeans_pp_init(x, k, rng), max_iter, nearest)
         if wcss < best_wcss:
-            best_wcss = wcss
-            best_centroids = centroids
+            best_centroids, best_wcss = centroids, wcss
     return ClusterModel(centroids=best_centroids)
 
 
-def profile_labels(skill, correct, model: ClusterModel, skill_count: int,
+def profile_labels(skill, correct, lengths, model: ClusterModel, skill_count: int,
                    interval_len: int = 20) -> np.ndarray:
-    """Per-attempt profile label for one student, from the same arrays as
-    ``interval_vectors``.
+    """Per-attempt profile label for every student, from the same arrays
+    as ``interval_vectors``.
 
-    Attempts in the first interval carry the reserved label 1; the label
-    for interval z > 1 is 2 + the index of the centroid nearest (squared
-    Euclidean, ties to the lowest index) the vector of intervals
+    Attempts in a student's first interval carry the reserved label 1;
+    the label for interval z > 1 is 2 + the index of the centroid nearest
+    (squared Euclidean, ties to the lowest index) the vector of intervals
     1..z-1, so it is fixed before any attempt of interval z is observed
     and there are K+1 labels. Without centroids every attempt keeps the
     label 1; centroids whose dimension is not ``skill_count`` raise
@@ -269,11 +267,12 @@ def profile_labels(skill, correct, model: ClusterModel, skill_count: int,
         return np.full(len(skill), INITIAL_PROFILE, dtype=int)
     if skill_count != model.dim:
         raise ValueError(f"vectors have dimension {skill_count}, centroids have {model.dim}")
-    vectors = _boundary_vectors(skill, correct, skill_count, interval_len)
-    labels = np.empty(len(vectors) + 1, dtype=int)
-    labels[0] = INITIAL_PROFILE
-    labels[1:] = INITIAL_PROFILE + 1 + _sq_dists(vectors, model.centroids).argmin(axis=1)
-    return np.repeat(labels, interval_len)[:len(skill)]
+    vectors, index = interval_vectors(skill, correct, lengths, skill_count, interval_len)
+    # index -1 reads the extra last label
+    labels = np.full(len(vectors) + 1, INITIAL_PROFILE, dtype=int)
+    if len(vectors):
+        labels[:-1] += 1 + _screen(vectors, model.k)(model.centroids)
+    return labels[index]
 
 
 def save_centroids(model: ClusterModel, path: str) -> None:

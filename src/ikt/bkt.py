@@ -236,14 +236,9 @@ def fit_skill(sequences, grid: FitGrid | None = None) -> BktParams:
     """
     grid = grid or FitGrid()
     total = grid_log_likelihoods(sequences, grid)
-    flat = int(np.argmax(total))
-    i, j, k, m = np.unravel_index(flat, total.shape)
-    return BktParams(
-        float(grid.l0_values[i]),
-        float(grid.t_values[j]),
-        float(grid.g_values[k]),
-        float(grid.s_values[m]),
-    )
+    best = np.unravel_index(int(np.argmax(total)), total.shape)
+    axes = (grid.l0_values, grid.t_values, grid.g_values, grid.s_values)
+    return BktParams(*(float(values[i]) for values, i in zip(axes, best)))
 
 
 def fit_all_skills(sequences_by_skill: dict, grid: FitGrid | None = None) -> dict:
@@ -264,15 +259,13 @@ def mean_params(params_list) -> BktParams:
     if not params_list:
         return BktParams(0.5, 0.1, 0.2, 0.1)
     arr = np.array([[p.l0, p.t, p.g, p.s] for p in params_list])
-    m = arr.mean(axis=0)
-    return BktParams(float(m[0]), float(m[1]), float(m[2]), float(m[3]))
+    return BktParams(*map(float, arr.mean(axis=0)))
 
 
 def save_params_table(params_by_skill: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("skill_id\tl0\tt\tg\ts\n")
-        for skill in params_by_skill:
-            p = params_by_skill[skill]
+        for skill, p in params_by_skill.items():
             fh.write(f"{skill}\t{p.l0:.6f}\t{p.t:.6f}\t{p.g:.6f}\t{p.s:.6f}\n")
 
 

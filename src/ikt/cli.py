@@ -3,9 +3,9 @@
 ``fit`` writes one bundle, and ``evaluate`` one per fold under
 ``artifacts/foldN``: ``bkt_params.tsv``, whose row order is the skill
 coding, ``centroids.tsv``, ``difficulty.tsv``, a ``tan_<feature
-set>.model`` per feature set and ``manifest.kv`` with the configuration.
-``predict`` and ``explain`` read a bundle given as ``--model-dir``;
-``explain`` takes the skill as an id of that bundle.
+set>.model`` per feature set and ``manifest.kv`` with the bundle format
+and the configuration. ``predict`` and ``explain`` read a bundle given
+as ``--model-dir``; ``explain`` takes the skill as an id of that bundle.
 
 All outputs are UTF-8 text. Exit codes: 0 success, 2 for input or
 configuration errors, 1 for internal failures, which also print their
@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 _MODEL_DIR_HELP = "bundle directory: fit's --out or evaluate's artifacts/foldN"
+_BUNDLE_FORMAT = "1"
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
@@ -125,9 +126,10 @@ def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
                   paths=()) -> list:
     """Write a bundle: ``artifacts`` and ``models`` in the files
     ``_load_bundle`` reads, then ``manifest.kv`` holding the tool version,
-    ``config``, ``entries`` and one ``artifact`` line per file written or
-    given in ``paths``. Returns those files. Without artifacts it writes
-    the manifest alone, as for ``evaluate``'s run directory.
+    the bundle format, ``config``, ``entries`` and one ``artifact`` line
+    per file written or given in ``paths``. Returns those files. Without
+    artifacts it writes the manifest alone, as for ``evaluate``'s run
+    directory.
     """
     os.makedirs(outdir, exist_ok=True)
     written = []
@@ -142,7 +144,7 @@ def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
         written.append(os.path.join(outdir, f"tan_{fs}.model"))
         tan.save_model(model, written[-1])
     written.extend(paths)
-    lines = [f"tool_version = {__version__}"]
+    lines = [f"tool_version = {__version__}", f"bundle_format = {_BUNDLE_FORMAT}"]
     lines += [f"config.{key} = {value}"
               for key, value in sorted(dataclasses.asdict(config).items())]
     lines += [f"{key} = {value}" for key, value in entries.items()]
@@ -158,6 +160,7 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
     The skill vocabulary is the row order of ``bkt_params.tsv``, which
     every bundle holds in skill-code order; ``interval_len`` and the
     feature set, which names the model file, come from ``manifest.kv``.
+    A manifest without ``bundle_format`` predates the key: format 1.
     """
     def artifact(name):
         p = os.path.join(model_dir, name)
@@ -169,6 +172,8 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
     centroids_path = artifact("centroids.tsv")
     try:
         entries = _parse_keyvalue(manifest)
+        if entries.get("bundle_format", _BUNDLE_FORMAT) != _BUNDLE_FORMAT:
+            raise InputError(f"{manifest}: unknown bundle_format {entries['bundle_format']!r}")
         feature_set = entries.get("config.feature_set")
         interval_len = entries.get("config.interval_len", "")
         if not (feature_set in FEATURE_SETS and interval_len.isdecimal()
@@ -192,6 +197,7 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
 def _dump_predictions(path: str, data, table, keep, scores) -> None:
     """One line per kept row of ``table``, the feature rows of ``data``."""
     skill_ids = np.array(list(data.skill_index), dtype=object)
+    student_ids = np.array(list(data.by_student), dtype=object)[data.row_student()]
     rows = np.flatnonzero(keep)
     chunk = 4096
     with open(path, "w", encoding="utf-8") as fh:
@@ -200,7 +206,7 @@ def _dump_predictions(path: str, data, table, keep, scores) -> None:
         for lo in range(0, rows.size, chunk):
             at = rows[lo:lo + chunk]
             columns = (
-                [table.student[r] for r in at.tolist()],
+                student_ids[at].tolist(),
                 map(str, table.position[at].tolist()),
                 skill_ids[data.skill[at]].tolist(),
                 [f"{v:.6f}" for v in table.mastery[at].tolist()],
@@ -262,16 +268,16 @@ def cmd_evaluate(args) -> int:
 
     inputs = _input_entries(args.data)
     for output in outputs:
-        fold_dir = os.path.join(args.out, "artifacts", f"fold{output.fold_id}")
-        train = ",".join(sorted(set(data.by_student) - set(output.test_table.student)))
-        fold_entries = {**inputs, "fold": output.fold_id,
+        fold_dir = os.path.join(args.out, "artifacts", f"fold{output.fold.fold_id}")
+        train = ",".join(sorted(output.fold.train_students))
+        fold_entries = {**inputs, "fold": output.fold.fold_id,
                         "train_students.sha256": hashlib.sha256(train.encode()).hexdigest()}
         artifact_paths.extend(_write_bundle(fold_dir, config, fold_entries,
                                             output.artifacts, output.models))
         if args.dump_predictions:
-            test_data = data.restricted_to(output.test_table.student)
+            test_data = data.restricted_to(output.fold.test_students)
             for fs in feature_sets:
-                p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold_id}.tsv")
+                p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold.fold_id}.tsv")
                 _dump_predictions(p, test_data, output.test_table, output.keep,
                                   output.scores[fs])
                 artifact_paths.append(p)
@@ -296,11 +302,12 @@ def cmd_fit(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     profile_path = os.path.join(args.out, "profiles.tsv")
+    students, row_student = list(data.by_student), data.row_student()
     with open(profile_path, "w", encoding="utf-8") as fh:
         fh.write("student\tinterval\tlabel\n")
         for row in np.nonzero(train.position % config.interval_len == 0)[0]:
             z = train.position[row] // config.interval_len + 1
-            fh.write(f"{train.student[row]}\t{z}\t{train.profile[row]}\n")
+            fh.write(f"{students[row_student[row]]}\t{z}\t{train.profile[row]}\n")
     _write_bundle(args.out, config, _input_entries(args.data), artifacts,
                   {config.feature_set: model}, paths=[profile_path])
     sys.stdout.write(f"fitted artifacts written to {args.out}\n")

@@ -156,20 +156,29 @@ class Dataset:
     def n_problems(self) -> int:
         return len(self.problem_index)
 
+    def row_counts(self) -> np.ndarray:
+        """Each student's number of rows, in ``by_student`` order."""
+        return np.array([rows.stop - rows.start for rows in self.by_student.values()],
+                        dtype=np.intp)
+
     def row_student(self) -> np.ndarray:
         """Each row's student, as its position in ``by_student``."""
-        lengths = [rows.stop - rows.start for rows in self.by_student.values()]
-        return np.repeat(np.arange(len(lengths)), lengths)
+        return np.repeat(np.arange(len(self.by_student)), self.row_counts())
+
+    def row_position(self) -> np.ndarray:
+        """Each row's attempt index within its student."""
+        counts = self.row_counts()
+        return np.arange(self.n_records) - np.repeat(np.cumsum(counts) - counts, counts)
 
     def restricted_to(self, students) -> "Dataset":
         """Subset to the given students. The skill and problem indexes keep
         only what those students attempted, in this dataset's order,
         renumbered densely."""
         members = set(students)
-        lengths = {s: r.stop - r.start for s, r in self.by_student.items() if s in members}
-        keep = np.zeros(self.n_records, dtype=bool)
-        for student in lengths:
-            keep[self.by_student[student]] = True
+        counts = dict(zip(self.by_student, self.row_counts().tolist()))
+        lengths = {s: n for s, n in counts.items() if s in members}
+        chosen = np.array([s in members for s in counts], dtype=bool)
+        keep = np.repeat(chosen, list(counts.values()))
         skill, skill_index = _recode(self.skill[keep], self.skill_index, in_index_order=True)
         problem, problem_index = _recode(self.problem[keep], self.problem_index,
                                          in_index_order=True)
@@ -393,14 +402,13 @@ def render_drop_report(drops: Counter, n_records: int, n_students: int,
 
 def save_canonical(data: Dataset, path: str) -> None:
     """Write a cleaned dataset in the canonical comma-separated layout."""
-    skills, problems = list(data.skill_index), list(data.problem_index)
+    students, skills, problems = (list(index) for index in (
+        data.by_student, data.skill_index, data.problem_index))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "problem_id", "skill_id", "correct", "order"])
-        for student, rows in data.by_student.items():
-            writer.writerows(zip(
-                [student] * (rows.stop - rows.start),
-                [problems[c] for c in data.problem[rows].tolist()],
-                [skills[c] for c in data.skill[rows].tolist()],
-                data.correct[rows].tolist(),
-                range(rows.start, rows.stop)))
+        writer.writerows(zip(
+            [students[s] for s in data.row_student().tolist()],
+            [problems[c] for c in data.problem.tolist()],
+            [skills[c] for c in data.skill.tolist()],
+            data.correct.tolist(), range(data.n_records)))

@@ -151,14 +151,14 @@ class FoldArtifacts:
 
 @dataclass
 class FeatureTable:
-    """Columnar feature rows for one dataset; one row per interaction."""
+    """Columnar feature rows for one dataset, one per interaction in its
+    row order: ``Dataset.row_student`` names a row's student."""
 
     skill: np.ndarray
     mastery: np.ndarray
     profile: np.ndarray
     difficulty: np.ndarray
     label: np.ndarray
-    student: list
     position: np.ndarray
 
     def __len__(self) -> int:
@@ -195,10 +195,8 @@ def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
         sequences_by_skill[names[code]].append(correct[lo:hi])
     params = bkt.fit_all_skills(sequences_by_skill, config.fit_grid())
 
-    vectors = np.concatenate([
-        ability.interval_vectors(train.skill[r], train.correct[r], train.n_skills,
-                                 config.interval_len)
-        for r in train.by_student.values()])
+    vectors, _ = ability.interval_vectors(train.skill, train.correct, train.row_counts(),
+                                          train.n_skills, config.interval_len)
     k_eff = min(config.clusters, len(vectors))
     if k_eff >= 1:
         clusters = ability.train_clusters(vectors, k=k_eff,
@@ -264,18 +262,12 @@ def _feature_table(artifacts: FoldArtifacts, interval_len: int,
     skill = np.array([codes.get(s, unseen) for s in data.skill_index], dtype=int)[data.skill]
     difficulty = np.array([artifacts.difficulty.lookup(p) for p in data.problem_index],
                           dtype=int)[data.problem]
-    profile = np.empty(data.n_records, dtype=int)
-    position = np.empty(data.n_records, dtype=int)
-    student: list = []
-    for s, rows in data.by_student.items():
-        profile[rows] = ability.profile_labels(skill[rows], data.correct[rows],
-                                               artifacts.clusters, unseen, interval_len)
-        position[rows] = np.arange(rows.stop - rows.start)
-        student.extend([s] * (rows.stop - rows.start))
+    profile = ability.profile_labels(skill, data.correct, data.row_counts(),
+                                     artifacts.clusters, unseen, interval_len)
     params = [artifacts.params_by_skill.get(s, artifacts.fallback) for s in data.skill_index]
     return FeatureTable(skill=skill, mastery=_mastery(params, data), profile=profile,
-                        difficulty=difficulty, label=data.correct, student=student,
-                        position=position)
+                        difficulty=difficulty, label=data.correct,
+                        position=data.row_position())
 
 
 def build_feature_rows(artifacts: FoldArtifacts, interval_len: int,
@@ -302,7 +294,7 @@ def _warmup_len(config: ExperimentConfig) -> int:
 
 @dataclass
 class FoldOutput:
-    fold_id: int
+    fold: FoldSplit
     artifacts: FoldArtifacts
     models: dict
     scores: dict
@@ -386,14 +378,12 @@ def _run_fold(data: Dataset, fold: FoldSplit, config: ExperimentConfig,
     train, test = build_feature_rows(artifacts, config.interval_len, train_data,
                                      data.restricted_to(fold.test_students))
     keep = test.position >= _warmup_len(config)
-    models = {}
-    scores = {}
+    models, scores = {}, {}
     for fs in feature_sets:
         feats = FEATURE_SETS[fs]
-        model = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
-        models[fs] = model
-        scores[fs] = tan.predict_many(model, {f: getattr(test, f)[keep] for f in feats})
-    return FoldOutput(fold_id=fold.fold_id, artifacts=artifacts, models=models,
+        models[fs] = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
+        scores[fs] = tan.predict_many(models[fs], {f: getattr(test, f)[keep] for f in feats})
+    return FoldOutput(fold=fold, artifacts=artifacts, models=models,
                       scores=scores, keep=keep, test_table=test)
 
 
@@ -414,9 +404,9 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
     folds = split_folds(data, k=config.folds, seed=config.seed)
     digest = _fold_digest(folds)
     for fold in folds:
-        scored = [data.correct[data.by_student[s]][_warmup_len(config):]
-                  for s in fold.test_students]
-        if np.unique(np.concatenate(scored)).size < 2:
+        test = data.restricted_to(fold.test_students)
+        scored = test.correct[test.row_position() >= _warmup_len(config)]
+        if np.unique(scored).size < 2:
             raise SingleClassError(f"fold {fold.fold_id}: the scored test labels hold "
                                    "fewer than two classes, so AUC is undefined; "
                                    "use fewer folds")
@@ -427,7 +417,7 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
             outputs = list(pool.map(_fold_job, jobs))
     else:
         outputs = [_run_fold(data, fold, config, feature_sets) for fold in folds]
-    outputs.sort(key=lambda o: o.fold_id)
+    outputs.sort(key=lambda o: o.fold.fold_id)
 
     labels = [o.test_table.label[o.keep] for o in outputs]
     all_labels = np.concatenate(labels)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "CONTINUOUS",
     "Discretizer",
     "TanStructure",
     "TanModel",
@@ -138,10 +139,14 @@ class Discretizer:
         return {name: self.transform_column(name, col) for name, col in columns.items()}
 
 
-def fit_discretizer(columns: dict, labels, continuous=("mastery",)) -> Discretizer:
-    """MDL-based cutpoints for each continuous feature present."""
+CONTINUOUS = ("mastery",)
+
+
+def fit_discretizer(columns: dict, labels) -> Discretizer:
+    """MDL-based cutpoints for each ``CONTINUOUS`` feature present; the
+    others are categorical codes."""
     cuts = {}
-    for name in continuous:
+    for name in CONTINUOUS:
         if name in columns:
             cuts[name] = tuple(mdlp_cutpoints(columns[name], labels))
     return Discretizer(cutpoints=cuts)
@@ -202,12 +207,9 @@ def max_spanning_parents(weight: np.ndarray) -> list:
     in_tree = [0]
     remaining = list(range(1, n))
     while remaining:
-        best = None
-        for i in in_tree:
-            for j in remaining:
-                if best is None or weight[i, j] > best[0]:
-                    best = (weight[i, j], i, j)
-        _, i, j = best
+        # max keeps the first of equal weights
+        _, i, j = max(((weight[i, j], i, j) for i in in_tree for j in remaining),
+                      key=lambda edge: edge[0])
         parent[j] = i
         in_tree.append(j)
         remaining.remove(j)
@@ -313,9 +315,9 @@ def estimate_cpts(disc_columns: dict, labels, structure: TanStructure,
                     cpts=cpts, discretizer=discretizer or Discretizer(), alpha=alpha)
 
 
-def fit_tan(columns: dict, labels, continuous=("mastery",), alpha: float = 1.0) -> TanModel:
+def fit_tan(columns: dict, labels, alpha: float = 1.0) -> TanModel:
     """Discretize, learn the evidence tree, estimate tables."""
-    disc = fit_discretizer(columns, labels, continuous)
+    disc = fit_discretizer(columns, labels)
     disc_columns = disc.apply(columns)
     structure = learn_structure(disc_columns, labels)
     return estimate_cpts(disc_columns, labels, structure, alpha=alpha, discretizer=disc)

@@ -100,8 +100,8 @@ def feature_rows_oracle(artifacts, interval_len, data):
     unseen = len(codes)
     centroids = artifacts.clusters.centroids
     out = {k: [] for k in ("skill", "mastery", "profile", "difficulty", "label",
-                           "student", "position")}
-    for student, rows in data.by_student.items():
+                           "position")}
+    for rows in data.by_student.values():
         trackers = {}
         right = np.zeros(unseen + 1)
         total = np.zeros(unseen + 1)
@@ -119,7 +119,6 @@ def feature_rows_oracle(artifacts, interval_len, data):
             out["difficulty"].append(artifacts.difficulty.levels.get(
                 problem_ids[data.problem[row]], artifacts.difficulty.default_level))
             out["label"].append(correct)
-            out["student"].append(student)
             out["position"].append(position)
             trackers[skill].update(correct)
             total[code] += 1

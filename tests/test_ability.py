@@ -9,9 +9,10 @@ from oracles import assign_profile, kmeans_oracle
 
 
 def cols(attempts):
-    """(skill, correct) pairs as the two arrays the ability functions take."""
+    """(skill, correct) pairs of one student as the arrays the ability
+    functions take: skills, outcomes and the one student's row count."""
     attempts = np.array(attempts, dtype=int).reshape(-1, 2)
-    return attempts[:, 0], attempts[:, 1]
+    return attempts[:, 0], attempts[:, 1], [len(attempts)]
 
 
 def rates(rng, n, d, max_den=4):
@@ -34,9 +35,33 @@ def oracle_labels(skill, correct, model, skill_count, interval_len):
     return labels
 
 
+def oracle_vectors(histories, skill_count, interval_len):
+    """``interval_vectors`` of several students, one student at a time:
+    each vector counted from its student's prefix, and per attempt the
+    row of the vector its profile reads."""
+    vectors, index = [], []
+    for skill, correct in histories:
+        first = len(vectors)
+        for end in range(interval_len, len(skill) + 1, interval_len):
+            vectors.append([correct[:end][skill[:end] == s].mean()
+                            if (skill[:end] == s).any() else 0.5
+                            for s in range(skill_count)])
+        index += [first + p // interval_len - 1 if p >= interval_len else -1
+                  for p in range(len(skill))]
+    return np.array(vectors).reshape(-1, skill_count), index
+
+
+def end_to_end(histories):
+    """Per-student (skill, correct) arrays in the layout the ability
+    functions take: all rows laid end to end, and each row count."""
+    return (np.concatenate([h[0] for h in histories] + [np.zeros(0, int)]),
+            np.concatenate([h[1] for h in histories] + [np.zeros(0, int)]),
+            [len(h[0]) for h in histories])
+
+
 def random_history(rng, skill_count, max_len=130):
     n = int(rng.integers(0, max_len))
-    return rng.integers(0, skill_count, n), rng.integers(0, 2, n)
+    return rng.integers(0, skill_count, n), rng.integers(0, 2, n), [n]
 
 
 ORACLE_CASES = {
@@ -55,17 +80,17 @@ class TestSegmentIntervals:
         labels = profile_labels(*cols(attempts), model, skill_count=1, interval_len=20)
         assert len(labels) == 45
         assert labels.tolist() == [1] * 20 + [3] * 20 + [2] * 5
-        assert len(interval_vectors(*cols(attempts), 1, 20)) == 2
+        assert len(interval_vectors(*cols(attempts), 1, 20)[0]) == 2
 
     def test_exactly_one_interval(self):
         model = ClusterModel(centroids=np.array([[0.0], [1.0]]))
         attempts = [(0, 1)] * 20
-        assert len(interval_vectors(*cols(attempts), 1, 20)) == 1
+        assert len(interval_vectors(*cols(attempts), 1, 20)[0]) == 1
         assert set(profile_labels(*cols(attempts), model, 1, 20)) == {1}
 
     def test_below_threshold(self):
         model = ClusterModel(centroids=np.array([[0.0], [1.0]]))
-        assert len(interval_vectors(*cols([(0, 1)] * 7), 1, 20)) == 0
+        assert len(interval_vectors(*cols([(0, 1)] * 7), 1, 20)[0]) == 0
         assert profile_labels(*cols([(0, 1)] * 7), model, 1, 20).tolist() == [1] * 7
 
     def test_bad_length(self):
@@ -76,21 +101,21 @@ class TestSegmentIntervals:
 class TestPerformanceVector:
     def test_success_ratio(self):
         history = [(1, 1), (1, 1), (1, 1), (1, 0)]
-        (vec,) = interval_vectors(*cols(history), skill_count=3, interval_len=4)
+        (vec,), _ = interval_vectors(*cols(history), skill_count=3, interval_len=4)
         assert vec[1] == pytest.approx(0.75)
 
     def test_unattempted_default(self):
-        (vec,) = interval_vectors(*cols([(0, 1)]), skill_count=3, interval_len=1)
+        (vec,), _ = interval_vectors(*cols([(0, 1)]), skill_count=3, interval_len=1)
         assert vec.tolist() == [1.0, 0.5, 0.5]
 
     def test_empty_history(self):
         model = ClusterModel(centroids=np.array([[0.5, 0.5, 0.5]]))
-        assert interval_vectors(*cols([]), skill_count=3).shape == (0, 3)
+        assert interval_vectors(*cols([]), skill_count=3)[0].shape == (0, 3)
         assert profile_labels(*cols([]), model, skill_count=3).size == 0
 
     def test_prefix_monotone_on_untouched_skills(self):
         attempts = [(0, 1)] * 20 + [(1, 0)] * 20
-        v1, v2 = interval_vectors(*cols(attempts), 3, 20)
+        (v1, v2), _ = interval_vectors(*cols(attempts), 3, 20)
         assert v2[0] == v1[0]
         assert v2[2] == v1[2] == 0.5
 
@@ -98,17 +123,54 @@ class TestPerformanceVector:
 class TestIntervalVectors:
     def test_one_vector_per_completed_interval(self):
         attempts = [(0, 1)] * 45
-        vectors = interval_vectors(*cols(attempts), skill_count=2, interval_len=20)
+        vectors, _ = interval_vectors(*cols(attempts), skill_count=2, interval_len=20)
         assert len(vectors) == 2
 
     def test_short_history_contributes_nothing(self):
-        assert interval_vectors(*cols([(0, 1)] * 19), 2, 20).shape == (0, 2)
+        assert interval_vectors(*cols([(0, 1)] * 19), 2, 20)[0].shape == (0, 2)
 
     def test_vectors_are_cumulative(self):
         attempts = [(0, 1)] * 20 + [(0, 0)] * 20
-        v1, v2 = interval_vectors(*cols(attempts), skill_count=1, interval_len=20)
+        (v1, v2), _ = interval_vectors(*cols(attempts), skill_count=1, interval_len=20)
         assert v1[0] == pytest.approx(1.0)
         assert v2[0] == pytest.approx(0.5)  # 20 of 40 correct overall
+
+
+class TestManyStudents:
+    @pytest.mark.parametrize("interval_len", [1, 3, 20])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_the_per_prefix_oracle(self, seed, interval_len):
+        # short students (empty ones at interval_len 1) sit between long
+        # ones; the unseen code skill_count is among the skills; odd seeds
+        # draw tie-heavy quarter-step centroids
+        rng = np.random.default_rng(300 + seed)
+        skill_count, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        centroids = (rng.integers(0, 5, (k, skill_count)) / 4 if seed % 2
+                     else rng.uniform(0, 1, (k, skill_count)))
+        model = ClusterModel(centroids=centroids)
+        histories = []
+        for i in range(9):
+            n = int(rng.integers(0, interval_len) if i % 2
+                    else rng.integers(interval_len, 6 * interval_len))
+            histories.append((rng.integers(0, skill_count + 1, n), rng.integers(0, 2, n)))
+        skill, correct, lengths = end_to_end(histories)
+        vectors, index = interval_vectors(skill, correct, lengths, skill_count, interval_len)
+        want_vectors, want_index = oracle_vectors(histories, skill_count, interval_len)
+        assert np.array_equal(vectors, want_vectors)
+        assert index.tolist() == want_index
+        labels = profile_labels(skill, correct, lengths, model, skill_count, interval_len)
+        assert labels.tolist() == [label for h in histories for label in
+                                   oracle_labels(*h, model, skill_count, interval_len)]
+
+    def test_no_complete_interval_keeps_initial_profile(self):
+        # with centroids but no vector to assign, every attempt keeps the
+        # label 1 and the screen, which needs at least one row, never runs
+        model = ClusterModel(centroids=np.array([[0.2, 0.8], [0.9, 0.1]]))
+        skill, correct, lengths = end_to_end(
+            [(np.zeros(n, int), np.ones(n, int)) for n in (19, 0, 3, 19)])
+        vectors, index = interval_vectors(skill, correct, lengths, 2, 20)
+        assert vectors.shape == (0, 2) and index.tolist() == [-1] * 41
+        assert profile_labels(skill, correct, lengths, model, 2, 20).tolist() == [1] * 41
 
 
 class TestTrainClusters:
@@ -244,9 +306,9 @@ class TestAssignProfile:
     def test_minimizes_squared_distance(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            skill, correct = random_history(rng, 2)
-            labels = profile_labels(skill, correct, self.model, 2, 4)
-            vectors = interval_vectors(skill, correct, 2, 4)
+            skill, correct, n = random_history(rng, 2)
+            labels = profile_labels(skill, correct, n, self.model, 2, 4)
+            vectors, _ = interval_vectors(skill, correct, n, 2, 4)
             # the last vector labels no attempt when the history ends on a boundary
             for z, v in enumerate(vectors[:(len(skill) - 1) // 4], 1):
                 d2 = ((self.model.centroids - v) ** 2).sum(axis=1)
@@ -285,9 +347,9 @@ class TestProfileLabelsOracle:
         skill_count, k = int(rng.integers(1, 7)), int(rng.integers(1, 8))
         model = ClusterModel(centroids=rng.uniform(0, 1, (k, skill_count)))
         for _ in range(10):
-            skill, correct = random_history(rng, skill_count)
+            skill, correct, n = random_history(rng, skill_count)
             interval_len = int(rng.integers(1, 21))
-            assert profile_labels(skill, correct, model, skill_count,
+            assert profile_labels(skill, correct, n, model, skill_count,
                                   interval_len).tolist() == oracle_labels(
                 skill, correct, model, skill_count, interval_len)
 
@@ -301,9 +363,9 @@ class TestProfileLabelsOracle:
         rows = rng.integers(0, 5, (int(rng.integers(2, 5)), 2)) / 4
         model = ClusterModel(centroids=rows[rng.integers(0, len(rows), 6)])
         for _ in range(10):
-            skill, correct = random_history(rng, 2, max_len=40)
+            skill, correct, n = random_history(rng, 2, max_len=40)
             interval_len = int(rng.integers(1, 5))
-            assert profile_labels(skill, correct, model, 2,
+            assert profile_labels(skill, correct, n, model, 2,
                                   interval_len).tolist() == oracle_labels(
                 skill, correct, model, 2, interval_len)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ikt import evaluation
+from ikt import ability, evaluation
 from ikt.bkt import load_params_table
 from ikt.cli import _load_bundle, _load_dataset, load_config, main
 from ikt.dataset import split_folds
@@ -350,22 +350,30 @@ class TestEvaluateCommand:
 
 class TestFitPredictExplain:
     def test_full_chain(self, preprocessed, capsys, monkeypatch):
-        # tracing wrappers replace these, so they are looked up at call time
+        # tracing wrappers replace these, so they are looked up at call time;
+        # the ability functions take every student at once, so each layer
+        # calls them once, and profile_labels reads its vectors through
+        # the module too
         calls = []
-        for name in ("fit_fold_artifacts", "build_feature_rows"):
-            monkeypatch.setattr(evaluation, name, lambda *a, _n=name,
-                                _f=getattr(evaluation, name): calls.append(_n) or _f(*a))
+        for module, name in ((evaluation, "fit_fold_artifacts"),
+                             (evaluation, "build_feature_rows"),
+                             (ability, "interval_vectors"), (ability, "profile_labels")):
+            monkeypatch.setattr(module, name, lambda *a, _n=name, _f=getattr(module, name),
+                                **kw: calls.append(_n) or _f(*a, **kw))
         tmp, data = preprocessed
         fitted = tmp / "fitted"
         assert run(["fit", "--data", data, "--out", str(fitted), "--seed", "3"]) == 0
         assert (fitted / "bkt_params.tsv").exists()
         assert (fitted / "profiles.tsv").exists()
+        assert calls == ["fit_fold_artifacts", "interval_vectors", "build_feature_rows",
+                         "profile_labels", "interval_vectors"]
+        calls.clear()
         preds = tmp / "preds.tsv"
         assert run(["predict", "--data", data, "--model-dir", str(fitted),
                     "--out", str(preds)]) == 0
         lines = preds.read_text().splitlines()
         assert len(lines) == 1251  # header + one row per interaction
-        assert calls == ["fit_fold_artifacts", "build_feature_rows", "build_feature_rows"]
+        assert calls == ["build_feature_rows", "profile_labels", "interval_vectors"]
 
         capsys.readouterr()
         assert run(["explain", "--model-dir", str(fitted),
@@ -468,6 +476,31 @@ def rows_by_student(rows):
 class TestPredictUsesTheBundle:
     """A student's predictions depend on the bundle and that student only."""
 
+    def test_bundle_format_written_and_checked(self, bundle, tmp_path, capsys):
+        schema, fitted, expected = bundle
+        manifest = (fitted / "manifest.kv").read_text(encoding="utf-8")
+        assert "\nbundle_format = 1\n" in manifest
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for path in fitted.iterdir():
+            (copy / path.name).write_bytes(path.read_bytes())
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(CLI_ROWS, str(raw))
+        # a manifest written before the key existed reads as format 1
+        (copy / "manifest.kv").write_text(manifest.replace("bundle_format = 1\n", ""),
+                                          encoding="utf-8")
+        assert predict_rows(raw, schema, copy, tmp_path / "p.tsv") == expected
+        for value in ("2", "1.0", ""):
+            (copy / "manifest.kv").write_text(
+                manifest.replace("bundle_format = 1", f"bundle_format = {value}"),
+                encoding="utf-8")
+            capsys.readouterr()
+            assert run(["predict", "--data", str(raw), "--schema", schema,
+                        "--model-dir", str(copy), "--out", str(tmp_path / "q.tsv")]) == 2
+            err = capsys.readouterr().err
+            assert f"{copy / 'manifest.kv'}: unknown bundle_format {value!r}" in err, value
+            assert "internal" not in err
+
     def test_unrelated_student_first_changes_nothing_else(self, bundle, tmp_path,
                                                           capsys):
         schema, fitted, expected = bundle
@@ -528,7 +561,6 @@ class TestPredictUsesTheBundle:
         loaded_rows, = evaluation.build_feature_rows(artifacts, interval_len, data)
         for f in ("skill", "mastery", "profile", "difficulty", "label", "position"):
             assert np.array_equal(getattr(fitted_rows, f), getattr(loaded_rows, f)), f
-        assert fitted_rows.student == loaded_rows.student
 
     def test_bkt_params_rows_follow_skill_codes(self, reordered):
         # skills first appear in the order kc_b, kc_c, kc_a, not sorted; every

@@ -124,14 +124,14 @@ class TestFoldPipeline:
             rows.append(("u000", f"rare_{extra}", "s0", extra % 2))
             rows.append(("u001", f"rare_{extra}", "s0", 1))
         data = to_dataset(rows)
-        names = list(data.problem_index)
         config = ExperimentConfig(seed=1)
         found = 0
         for fold in split_folds(data, k=5, seed=1):
             artifacts, (_, test) = fold_tables(data, fold, config)
-            for i, s in enumerate(test.student):
-                problem = names[data.problem[data.by_student[s]][test.position[i]]]
-                if problem not in artifacts.difficulty.levels:
+            test_data = data.restricted_to(fold.test_students)  # the table's rows
+            names = list(test_data.problem_index)
+            for i, code in enumerate(test_data.problem.tolist()):
+                if names[code] not in artifacts.difficulty.levels:
                     found += 1
                     assert test.difficulty[i] == 5
         assert found > 0
@@ -200,8 +200,7 @@ class TestFeatureRowsOracle:
         table, = build_feature_rows(artifacts, interval_len, data)
         want = feature_rows_oracle(artifacts, interval_len, data)
         for name, column in want.items():
-            got = getattr(table, name)
-            assert (got if name == "student" else got.tolist()) == column, name
+            assert getattr(table, name).tolist() == column, name
 
 
 class TestRunCv:

@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +16,16 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"ikt.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_imports_only_the_standard_library_and_numpy(name):
+    # the runtime dependencies are numpy alone
+    path = Path(ikt.__file__).with_name(f"{name}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - {"numpy", "ikt"} == set()

@@ -208,7 +208,7 @@ class TestEstimateCpts:
         rng = np.random.default_rng(10)
         cols = {f"f{i}": rng.integers(0, 4, 300) for i in range(3)}
         labels = rng.integers(0, 2, 300)
-        model = fit_tan(cols, labels, continuous=())
+        model = fit_tan(cols, labels)
         for f, cpt in model.cpts.items():
             assert np.allclose(cpt.sum(axis=0), 1.0, atol=1e-9)
             assert np.all(cpt > 0.0)
@@ -241,7 +241,7 @@ class TestPredict:
         rng = np.random.default_rng(12)
         cols = {"a": rng.integers(0, 3, 60), "b": rng.integers(0, 2, 60)}
         labels = (cols["a"] > 0).astype(int)
-        model = fit_tan(cols, labels, continuous=())
+        model = fit_tan(cols, labels)
         for a in range(3):
             for b in range(2):
                 p = posterior(model, {"a": a, "b": b})
