@@ -9,11 +9,13 @@ entry per (parameter combination, response pattern); each carries the
 three live entries of its upper-triangular running product, advanced a
 segment of steps at a time by a product built directly, its off-diagonal
 entry by one matrix product over the steps at which learning can happen.
+One pass can serve several fits at once, one weight column each (every
+cross-validation fold, say), since a pattern's likelihood does not
+depend on who else is fitted with it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,16 +81,21 @@ class FitGrid:
         return self._values(self.slip_cap)
 
 
-def _dedup_sequences(sequences) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Canonicalize to sorted unique response patterns with multiplicities.
+def _dedup_sequences(sequences, weights=None) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Canonicalize to sorted unique response patterns, each with its row
+    of ``weights`` (one row per sequence, one column per fit) summed over
+    the sequences that show it: by default one column of multiplicities.
 
     Sorting makes the fit exactly invariant to input order; grouping
     identical patterns avoids recomputing their likelihood.
     """
-    counts = Counter(tuple(map(int, seq)) for seq in sequences)
-    counts.pop((), None)
-    patterns = sorted(counts)
-    return patterns, np.array([counts[p] for p in patterns], dtype=float)
+    keys = [tuple(map(int, seq)) for seq in sequences]
+    patterns = sorted(set(keys) - {()})
+    rank = {p: i for i, p in enumerate(patterns)}
+    at = np.array([rank.get(k, len(patterns)) for k in keys], dtype=np.intp)  # () last
+    weights = np.ones((len(keys), 1)) if weights is None else np.asarray(weights, dtype=float)
+    summed = [np.bincount(at, column, minlength=len(patterns) + 1)[:-1] for column in weights.T]
+    return patterns, np.stack(summed, axis=1)
 
 
 def _segment_len(*values: np.ndarray) -> int:
@@ -119,16 +126,24 @@ def _segment_len(*values: np.ndarray) -> int:
     return max(1, int(np.log(tiny.tiny / tiny.eps) / (2.0 * np.log(f_min))))
 
 
-def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
+def grid_log_likelihoods(sequences, grid: FitGrid, weights=None) -> np.ndarray:
     """Total log-likelihood at every grid point.
 
-    Returns an array of shape (|l0|, |t|, |g|, |s|). Per (t, g, s)
-    combination the forward pass multiplies 2x2 step matrices: E(r) =
-    diag(P(r|learned), P(r|unlearned)) for the first response and
-    M(r) = E(r) @ A for each later one, with transition A = [[1, t],
-    [0, 1-t]] (columns = source state). All are upper triangular, so the
-    running product [[a, b], [0, c]] is carried as three arrays, one
-    entry per (combination, pattern).
+    Returns an array of shape (|l0|, |t|, |g|, |s|). With ``weights``, one
+    row per sequence and one column per fit, it returns each column's
+    weighted total instead, along a last axis. A sequence's
+    log-likelihood depends on its responses and the grid alone, so one
+    forward pass over the unique patterns serves every column; a
+    pattern's weight in a column is the sum of its sequences' weights
+    there. Cross-validation weighs a student's sequence 1 in each fold
+    that trains on the student and 0 in the fold that tests it.
+
+    Per (t, g, s) combination the forward pass multiplies 2x2 step
+    matrices: E(r) = diag(P(r|learned), P(r|unlearned)) for the first
+    response and M(r) = E(r) @ A for each later one, with transition
+    A = [[1, t], [0, 1-t]] (columns = source state). All are upper
+    triangular, so the running product [[a, b], [0, c]] is carried as
+    three arrays, one entry per (combination, pattern).
 
     Steps are taken in segments of K (``_segment_len``). A segment's
     product [[A, B], [0, C]] is built directly: A is the product of its
@@ -148,10 +163,10 @@ def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
 
     The final likelihood a l0 + (b + c)(1 - l0) is linear in the initial
     state distribution, so the l0 axis is taken one value at a time on a
-    (combination, pattern) block and reduced over the pattern weights by
-    one matrix-vector product.
+    (combination, pattern) block and reduced over the (pattern, column)
+    weight matrix W by one matrix product, ``ll @ W``.
     """
-    patterns, weights = _dedup_sequences(sequences)
+    patterns, weight_matrix = _dedup_sequences(sequences, weights)
     if not patterns:
         raise NoSkillDataError("no non-empty response sequences")
 
@@ -167,13 +182,13 @@ def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
     emit_learned = np.stack([sv, 1.0 - sv, np.ones_like(sv)])
     emit_unlearned = np.stack([1.0 - gv, gv, np.ones_like(gv)])
 
-    total = np.zeros((l0.size, n_combo))
+    total = np.zeros((l0.size, n_combo, weight_matrix.shape[1]))
     chunk = 256
     for start in range(0, len(patterns), chunk):
         pats = patterns[start:start + chunk]
         order = sorted(range(len(pats)), key=lambda i: -len(pats[i]))  # longest first
         pats = [pats[i] for i in order]
-        w = weights[start:start + chunk][order]
+        w = weight_matrix[start:start + chunk][order]
         n = len(pats)
         lengths = np.array([len(p) for p in pats])
         longest = len(pats[0])
@@ -225,29 +240,47 @@ def grid_log_likelihoods(sequences, grid: FitGrid) -> np.ndarray:
             np.log(ll, out=ll)
             total[i] += ll @ w
 
-    return total.reshape((l0.size,) + shape)
+    total = total.reshape((l0.size,) + shape + (-1,))
+    return total if weights is not None else total[..., 0]
 
 
-def fit_skill(sequences, grid: FitGrid | None = None) -> BktParams:
+def fit_skill(sequences, grid: FitGrid | None = None, weights=None):
     """Best grid point by total log-likelihood over all sequences.
 
     Ties resolve to the lexicographically smallest (l0, t, g, s), which
     also makes the result deterministic and independent of input order.
+    With ``weights`` (see ``grid_log_likelihoods``) it returns a list with
+    each column's best point, or None for a column that gives no
+    non-empty sequence any weight.
     """
     grid = grid or FitGrid()
-    total = grid_log_likelihoods(sequences, grid)
-    best = np.unravel_index(int(np.argmax(total)), total.shape)
+    total = grid_log_likelihoods(sequences, grid, weights)
     axes = (grid.l0_values, grid.t_values, grid.g_values, grid.s_values)
-    return BktParams(*(float(values[i]) for values, i in zip(axes, best)))
+
+    def best(column) -> BktParams:
+        at = np.unravel_index(int(np.argmax(column)), column.shape)
+        return BktParams(*(float(values[i]) for values, i in zip(axes, at)))
+
+    if weights is None:
+        return best(total)
+    nonempty = np.array([len(seq) > 0 for seq in sequences], dtype=bool)
+    fitted = np.asarray(weights, dtype=float)[nonempty].sum(axis=0) > 0
+    return [best(total[..., f]) if fitted[f] else None for f in range(fitted.size)]
 
 
-def fit_all_skills(sequences_by_skill: dict, grid: FitGrid | None = None) -> dict:
-    """Fit every skill that has data; skills without data are omitted."""
+def fit_all_skills(sequences_by_skill: dict, grid: FitGrid | None = None,
+                   weights_by_skill: dict | None = None) -> dict:
+    """Fit every skill that has data; skills without data are omitted.
+
+    With ``weights_by_skill``, each skill's ``fit_skill`` takes its
+    weights, so each value is that skill's list of per-column fits.
+    """
     grid = grid or FitGrid()
     fitted = {}
     for skill, seqs in sequences_by_skill.items():
+        weights = None if weights_by_skill is None else weights_by_skill[skill]
         try:
-            fitted[skill] = fit_skill(seqs, grid)
+            fitted[skill] = fit_skill(seqs, grid, weights)
         except NoSkillDataError:
             continue
     return fitted

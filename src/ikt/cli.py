@@ -333,12 +333,17 @@ def cmd_predict(args) -> int:
 def cmd_explain(args) -> int:
     artifacts, _, model = _load_bundle(args.model_dir)
     codes = artifacts.skill_index
+    known = f"(model features: {', '.join(model.features)})"
     evidence: dict = {}
     for pair in args.evidence:
         if "=" not in pair:
             raise InputError(f"evidence must be name=value, got {pair!r}")
         name, raw = pair.split("=", 1)
         name = name.strip()
+        if name not in model.features:
+            raise InputError(f"evidence {name!r} is not a model feature {known}")
+        if name in evidence:
+            raise InputError(f"evidence for {name} given more than once {known}")
         if name == "skill":
             # coded as predict codes it: an unknown id gets the unseen code
             evidence[name] = codes.get(raw.strip(), len(codes))
@@ -347,10 +352,12 @@ def cmd_explain(args) -> int:
             evidence[name] = float(raw) if name in model.discretizer.cutpoints else int(raw)
         except ValueError:
             raise InputError(f"evidence value for {name} is not numeric: {raw!r}") from None
+        if name == "mastery" and not 0.0 <= evidence[name] <= 1.0:
+            raise InputError(f"evidence value for mastery must be a probability "
+                             f"in [0, 1], got {raw!r}")
     missing = [f for f in model.features if f not in evidence]
     if missing:
-        raise InputError(f"missing evidence for: {', '.join(missing)} "
-                         f"(model features: {', '.join(model.features)})")
+        raise InputError(f"missing evidence for: {', '.join(missing)} {known}")
 
     record = tan.explain(model, evidence)
     out = [f"posterior P(correct) = {record.posterior:.6f}",

@@ -5,6 +5,18 @@ are fitted on training students only, feature rows are built for both
 sides, the classifier is trained on the training rows and scored on the
 test rows with AUC and RMSE. The ablation runs the three nested feature
 sets over identical folds and artifacts.
+
+Work the folds or feature sets have in common runs once. Before the
+folds are dispatched, one BKT fit serves them all: each skill's
+sequences over the whole log are grouped into unique patterns once, and
+a (pattern, fold) weight matrix, each pattern's count among the fold's
+training students, turns one forward pass into every fold's totals
+(``bkt.grid_log_likelihoods``). Each fold then fits the discretizer,
+codes the columns and computes the pairwise CMI once for the largest
+feature set; the smaller sets, its prefixes, take their trees from the
+matrix's leading blocks and estimate only their own tables
+(``tan.fit_nested_tans``). Every fold's parameters and models equal
+those of its own independent fits.
 """
 
 from __future__ import annotations
@@ -180,20 +192,52 @@ def _sequences(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.flatnonzero(np.diff(key[rows], prepend=-1))
 
 
+def _skill_sequences(data: Dataset) -> tuple[dict, dict]:
+    """Each skill's response sequences, one per student who attempted it,
+    keyed in ``data.skill_index`` order, and each sequence's student as
+    its position in ``by_student``."""
+    rows, starts = _sequences(data)
+    sequences: dict = {skill: [] for skill in data.skill_index}
+    students: dict = {skill: [] for skill in data.skill_index}
+    names = list(data.skill_index)
+    correct = data.correct[rows].tolist()
+    bounds = starts.tolist() + [len(correct)]
+    first = rows[starts]
+    for code, student, lo, hi in zip(data.skill[first].tolist(),
+                                     data.row_student()[first].tolist(), bounds, bounds[1:]):
+        sequences[names[code]].append(correct[lo:hi])
+        students[names[code]].append(student)
+    return sequences, students
+
+
+def _fold_params(data: Dataset, folds, config: ExperimentConfig) -> list[dict]:
+    """Every fold's skill parameters from one BKT fit over the whole log.
+
+    A (skill, student) sequence weighs 1 in each fold that trains on its
+    student and 0 in the fold that tests it, so each pattern's likelihood
+    is computed once for all folds, and fold f's parameters are those
+    ``fit_fold_artifacts`` fits on f's training students, keyed in their
+    skill order: a skill only f's test students attempted is left out.
+    """
+    test_fold = {s: i for i, fold in enumerate(folds) for s in fold.test_students}
+    held_out = np.array([test_fold[s] for s in data.by_student], dtype=np.intp)
+    train_weight = (held_out[:, None] != np.arange(len(folds))).astype(float)
+    sequences, students = _skill_sequences(data)
+    fitted = bkt.fit_all_skills(sequences, config.fit_grid(),
+                                {skill: train_weight[students[skill]] for skill in sequences})
+    return [{skill: fits[i] for skill, fits in fitted.items() if fits[i] is not None}
+            for i in range(len(folds))]
+
+
 def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
-                       fold_id: int = 0) -> FoldArtifacts:
+                       fold_id: int = 0, params: dict | None = None) -> FoldArtifacts:
     """Fit skill parameters, clusters and difficulty on ``train``, the
     training students' rows; their dataset's skill index becomes the
     artifacts' skill coding, as the order of ``params_by_skill``.
+    ``params``, when given, are those skill parameters, already fitted.
     """
-    rows, starts = _sequences(train)
-    sequences_by_skill: dict = {skill: [] for skill in train.skill_index}
-    names = list(train.skill_index)
-    correct = train.correct[rows].tolist()
-    bounds = starts.tolist() + [len(correct)]
-    for code, lo, hi in zip(train.skill[rows[starts]].tolist(), bounds, bounds[1:]):
-        sequences_by_skill[names[code]].append(correct[lo:hi])
-    params = bkt.fit_all_skills(sequences_by_skill, config.fit_grid())
+    if params is None:
+        params = bkt.fit_all_skills(_skill_sequences(train)[0], config.fit_grid())
 
     vectors, _ = ability.interval_vectors(train.skill, train.correct, train.row_counts(),
                                           train.n_skills, config.interval_len)
@@ -372,17 +416,20 @@ class MetricReport:
 
 
 def _run_fold(data: Dataset, fold: FoldSplit, config: ExperimentConfig,
-              feature_sets) -> FoldOutput:
+              feature_sets, params: dict) -> FoldOutput:
     train_data = data.restricted_to(fold.train_students)
-    artifacts = fit_fold_artifacts(train_data, config, fold.fold_id)
+    artifacts = fit_fold_artifacts(train_data, config, fold.fold_id, params)
     train, test = build_feature_rows(artifacts, config.interval_len, train_data,
                                      data.restricted_to(fold.test_students))
     keep = test.position >= _warmup_len(config)
-    models, scores = {}, {}
-    for fs in feature_sets:
-        feats = FEATURE_SETS[fs]
-        models[fs] = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
-        scores[fs] = tan.predict_many(models[fs], {f: getattr(test, f)[keep] for f in feats})
+    # the feature sets are nested, so each is a prefix of the largest
+    sizes = [len(FEATURE_SETS[fs]) for fs in feature_sets]
+    largest = FEATURE_SETS[feature_sets[int(np.argmax(sizes))]]
+    fitted = tan.fit_nested_tans(train.columns(largest), train.label, sizes,
+                                 alpha=config.alpha)
+    models = dict(zip(feature_sets, fitted))
+    scores = {fs: tan.predict_many(model, {f: getattr(test, f)[keep] for f in model.features})
+              for fs, model in models.items()}
     return FoldOutput(fold=fold, artifacts=artifacts, models=models,
                       scores=scores, keep=keep, test_table=test)
 
@@ -393,7 +440,8 @@ def _fold_job(args):
 
 def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
                           feature_sets) -> tuple[dict, list]:
-    """Shared driver: one artifact fit per fold, one model per feature set.
+    """Shared driver: one BKT fit for all folds, then per fold one fit of
+    the other artifacts and one nested TAN fit, one model per feature set.
 
     Returns reports keyed by feature set plus the per-fold outputs
     (fitted artifacts, models, scores) for artifact serialization.
@@ -411,12 +459,13 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
                                    "fewer than two classes, so AUC is undefined; "
                                    "use fewer folds")
 
+    jobs = [(data, fold, config, tuple(feature_sets), params)
+            for fold, params in zip(folds, _fold_params(data, folds, config))]
     if config.workers > 1:
-        jobs = [(data, fold, config, tuple(feature_sets)) for fold in folds]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outputs = list(pool.map(_fold_job, jobs))
     else:
-        outputs = [_run_fold(data, fold, config, feature_sets) for fold in folds]
+        outputs = [_run_fold(*job) for job in jobs]
     outputs.sort(key=lambda o: o.fold.fold_id)
 
     labels = [o.test_table.label[o.keep] for o in outputs]

@@ -37,6 +37,7 @@ __all__ = [
     "learn_structure",
     "estimate_cpts",
     "fit_tan",
+    "fit_nested_tans",
     "predict_many",
     "explain",
     "save_model",
@@ -155,15 +156,22 @@ def fit_discretizer(columns: dict, labels) -> Discretizer:
 # ---------------------------------------------------------------------------
 # structure learning
 
+def _dense_codes(values) -> np.ndarray:
+    return np.unique(np.asarray(values), return_inverse=True)[1].astype(np.int64)
+
+
 def conditional_mutual_information(a, b, y) -> float:
     """I(a; b | y) from empirical frequencies, natural log.
 
     The two feature arguments are canonicalized internally so the result
     is exactly symmetric, not merely up to floating-point reordering.
     """
-    a_codes = np.unique(np.asarray(a), return_inverse=True)[1].astype(np.int64)
-    b_codes = np.unique(np.asarray(b), return_inverse=True)[1].astype(np.int64)
-    y_codes = np.unique(np.asarray(y), return_inverse=True)[1].astype(np.int64)
+    return _coded_cmi(_dense_codes(a), _dense_codes(b), _dense_codes(y))
+
+
+def _coded_cmi(a_codes, b_codes, y_codes) -> float:
+    """``conditional_mutual_information`` of columns already coded 0..n-1
+    in value order."""
     if a_codes.tobytes() > b_codes.tobytes():
         a_codes, b_codes = b_codes, a_codes
 
@@ -189,10 +197,20 @@ def conditional_mutual_information(a, b, y) -> float:
 @dataclass(frozen=True)
 class TanStructure:
     """Evidence tree: every feature has at most one evidence parent; the
-    class is an implicit parent of every feature."""
+    class is an implicit parent of every feature. A learned tree keeps
+    the pairwise CMI ``weight`` it was grown from (not compared)."""
 
     features: tuple
     parent: dict
+    weight: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def prefix(self, n: int) -> "TanStructure":
+        """The tree ``learn_structure`` grows over the first n features:
+        a pair's CMI depends on that pair alone, so its weights are the
+        leading n x n block of this tree's."""
+        if n == len(self.features):
+            return self
+        return _spanning_structure(self.features[:n], self.weight[:n, :n])
 
 
 def max_spanning_parents(weight: np.ndarray) -> list:
@@ -223,20 +241,23 @@ def learn_structure(disc_columns: dict, labels) -> TanStructure:
     is implicitly parent of everything.
     """
     features = list(disc_columns)
-    if len(features) < 2:
-        raise ValueError("need at least two evidence features")
     n = len(features)
-    y = np.asarray(labels)
+    codes = [_dense_codes(disc_columns[f]) for f in features]
+    y = _dense_codes(labels)
     weight = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            w = conditional_mutual_information(disc_columns[features[i]],
-                                               disc_columns[features[j]], y)
-            weight[i, j] = weight[j, i] = w
+            weight[i, j] = weight[j, i] = _coded_cmi(codes[i], codes[j], y)
+    return _spanning_structure(tuple(features), weight)
+
+
+def _spanning_structure(features: tuple, weight: np.ndarray) -> TanStructure:
+    if len(features) < 2:
+        raise ValueError("need at least two evidence features")
     parent_idx = max_spanning_parents(weight)
     parent = {features[j]: (features[i] if i is not None else None)
               for j, i in enumerate(parent_idx)}
-    return TanStructure(features=tuple(features), parent=parent)
+    return TanStructure(features=features, parent=parent, weight=weight)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +338,30 @@ def estimate_cpts(disc_columns: dict, labels, structure: TanStructure,
 
 def fit_tan(columns: dict, labels, alpha: float = 1.0) -> TanModel:
     """Discretize, learn the evidence tree, estimate tables."""
+    return fit_nested_tans(columns, labels, [len(columns)], alpha=alpha)[0]
+
+
+def fit_nested_tans(columns: dict, labels, sizes, alpha: float = 1.0) -> list:
+    """One model per size n in ``sizes``, each equal to ``fit_tan`` on the
+    first n of ``columns``.
+
+    The work that does not depend on n runs once: MDLP cuts each feature
+    against the labels alone, and a pair's CMI depends on that pair
+    alone, so the discretizer, the coded columns and the CMI matrix of
+    all features serve every prefix, whose tree comes from the matrix's
+    leading block (``TanStructure.prefix``). Only the tables are
+    estimated per model.
+    """
     disc = fit_discretizer(columns, labels)
     disc_columns = disc.apply(columns)
     structure = learn_structure(disc_columns, labels)
-    return estimate_cpts(disc_columns, labels, structure, alpha=alpha, discretizer=disc)
+    models = []
+    for n in sizes:
+        tree = structure.prefix(n)
+        cuts = {f: c for f, c in disc.cutpoints.items() if f in tree.features}
+        models.append(estimate_cpts({f: disc_columns[f] for f in tree.features}, labels,
+                                    tree, alpha=alpha, discretizer=Discretizer(cuts)))
+    return models
 
 
 @dataclass(frozen=True)

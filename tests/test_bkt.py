@@ -302,6 +302,46 @@ class TestFitSkill:
             fit_skill([[], []])
 
 
+class TestWeightedColumns:
+    """One forward pass serves several fits, one weight column each."""
+
+    def test_columns_equal_fits_of_their_weighted_sequences(self):
+        rng = np.random.default_rng(9)
+        seqs = [list(rng.integers(0, 2, rng.integers(1, 30))) for _ in range(40)]
+        seqs += [[], seqs[0]]
+        weights = rng.integers(0, 3, (len(seqs), 4)).astype(float)
+        weights[:, 3] = 0.0
+        weights[-2, 3] = 1.0  # the empty sequence alone: no data for column 3
+        fits = fit_skill(seqs, FitGrid(), weights)
+        assert len(fits) == 4 and fits[3] is None
+        for f in range(3):
+            # weight w counts as w copies of the sequence
+            repeated = [s for s, w in zip(seqs, weights[:, f].tolist()) for _ in range(int(w))]
+            assert fits[f] == fit_skill(repeated)
+
+    def test_totals_match_the_oracle_per_column(self):
+        rng = np.random.default_rng(10)
+        seqs = [list(rng.integers(0, 2, rng.integers(1, 40))) for _ in range(12)]
+        weights = rng.integers(0, 2, (len(seqs), 3)).astype(float)
+        grid = FitGrid()
+        total = grid_log_likelihoods(seqs, grid, weights)
+        assert total.shape == (19, 19, 6, 6, 3)
+        for idx in [(0, 0, 0, 0), (18, 18, 5, 5), (7, 3, 1, 4)]:
+            p = grid_point(grid, idx)
+            want = [sum(w * forward_oracle(p, s)[1] for s, w in zip(seqs, weights[:, f]))
+                    for f in range(3)]
+            assert total[idx] == pytest.approx(want, abs=1e-9)
+
+    def test_fit_all_skills_returns_each_skills_columns(self):
+        seqs = {"a": [[1, 0, 1], [0, 0]], "b": [[1, 1]], "c": [[]]}
+        weights = {"a": np.array([[1.0, 0.0], [1.0, 1.0]]), "b": np.array([[0.0, 1.0]]),
+                   "c": np.ones((1, 2))}
+        fitted = fit_all_skills(seqs, FitGrid(), weights)
+        assert list(fitted) == ["a", "b"]
+        assert fitted["a"] == [fit_skill([[1, 0, 1], [0, 0]]), fit_skill([[0, 0]])]
+        assert fitted["b"] == [None, fit_skill([[1, 1]])]
+
+
 class TestParamsTable:
     def test_round_trip(self, tmp_path):
         params = {"s1": BktParams(0.35, 0.1, 0.25, 0.05),

@@ -89,7 +89,8 @@ class TestInputErrors:
         config.write_text("folds = 10\ngrid_step = 0.25\nkmeans_restarts = 1\n"
                           f"skip_first_interval = {skip}\n", encoding="utf-8")
         if code == 2:
-            monkeypatch.setattr("ikt.evaluation._run_fold", None)  # a fit would exit 1
+            for name in ("_fold_params", "_run_fold"):  # a fit would exit 1
+                monkeypatch.setattr(f"ikt.evaluation.{name}", None)
         assert run(["evaluate", "--data", str(raw), "--schema", str(schema),
                     "--config", str(config), "--out", str(tmp_path / "x")]) == code
         err = capsys.readouterr().err
@@ -123,7 +124,8 @@ class TestInputErrors:
         tmp, raw, schema = workspace
         config = tmp / "many.cfg"
         config.write_text("folds = 26\n", encoding="utf-8")
-        monkeypatch.setattr("ikt.evaluation._run_fold", None)  # a fit would exit 1
+        for name in ("_fold_params", "_run_fold"):  # a fit would exit 1
+            monkeypatch.setattr(f"ikt.evaluation.{name}", None)
         assert run(["evaluate", "--data", raw, "--schema", schema,
                     "--config", str(config), "--out", str(tmp / "x")]) == 2
         assert "need at least 26 students for 26 folds, have 25" in capsys.readouterr().err
@@ -425,6 +427,35 @@ class TestFitPredictExplain:
         out = capsys.readouterr().out
         assert "  skill=3 (class only): +0.000000" in out
         assert "note: value 3 for skill is outside the model domain" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-3", "1.5"])
+    def test_explain_rejects_mastery_outside_the_unit_interval(self, bundle, capsys, value):
+        # nan and inf once fell into the top bin, -3 into the bottom one
+        _, fitted, _ = bundle
+        assert run(["explain", "--model-dir", str(fitted), "skill=s1", f"mastery={value}",
+                    "profile=1", "difficulty=5"]) == 2
+        err = capsys.readouterr().err
+        assert f"mastery must be a probability in [0, 1], got {value!r}" in err
+        assert "internal" not in err
+
+    @pytest.mark.parametrize("value", ["0", "1", "0.0", "1.0"])
+    def test_explain_accepts_mastery_at_the_bounds(self, bundle, capsys, value):
+        _, fitted, _ = bundle
+        assert run(["explain", "--model-dir", str(fitted), "skill=s1", f"mastery={value}",
+                    "profile=1", "difficulty=5"]) == 0
+
+    @pytest.mark.parametrize("extra, message", [
+        (["skill=s0"], "evidence for skill given more than once"),
+        (["foo=7"], "evidence 'foo' is not a model feature"),
+    ], ids=["repeated", "unknown"])
+    def test_explain_rejects_repeated_or_unknown_names(self, bundle, capsys, extra, message):
+        # a repeated name once took its last value; an unknown one was ignored
+        _, fitted, _ = bundle
+        assert run(["explain", "--model-dir", str(fitted), "skill=s1", "mastery=0.4",
+                    "profile=1", "difficulty=5", *extra]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "(model features: skill, mastery, profile, difficulty)" in err
 
     def test_explain_skill_id_reads_its_code(self, bundle, capsys):
         # recorded with the former `explain --model tan_ikt3.model skill=1 ...`

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ikt import tan
 from ikt.ability import ClusterModel
-from ikt.bkt import BktParams
+from ikt.bkt import BktParams, fit_skill
 from ikt.dataset import split_folds
 from ikt.difficulty import DifficultyTable
 from ikt.evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
-                            SingleClassError, _run_fold, auc, build_feature_rows,
-                            evaluate_feature_sets, fit_fold_artifacts, rmse)
+                            SingleClassError, _fold_params, auc,
+                            build_feature_rows, evaluate_feature_sets, fit_fold_artifacts,
+                            rmse)
 
 from oracles import feature_rows_oracle, pairwise_auc
 from synth import (mastery_process_rows, mixed_process_rows, records, shuffle_labels,
@@ -143,8 +145,9 @@ class TestFoldPipeline:
         # flip every test-student answer; the fold's artifacts must not move
         flipped = to_dataset([(s, p, k, 1 - c if s in fold.test_students else c)
                               for s, p, k, c in records(data)])
-        full = _run_fold(data, fold, config, ["ikt3"]).artifacts
-        altered = _run_fold(flipped, fold, config, ["ikt3"]).artifacts
+        # through evaluate, whose BKT fit covers every fold's students at once
+        full = evaluate_feature_sets(data, config, ["ikt3"])[1][1].artifacts
+        altered = evaluate_feature_sets(flipped, config, ["ikt3"])[1][1].artifacts
         assert full.skill_index == altered.skill_index
         assert full.params_by_skill == altered.params_by_skill
         assert full.fallback == altered.fallback
@@ -214,9 +217,18 @@ class TestRunCv:
 
     def test_parallel_workers_match_sequential(self, small_data):
         data, _ = small_data
-        seq, _ = evaluate_feature_sets(data, ExperimentConfig(seed=4, workers=1), ["ikt3"])
-        par, _ = evaluate_feature_sets(data, ExperimentConfig(seed=4, workers=2), ["ikt3"])
-        assert seq["ikt3"].render_kv() == par["ikt3"].render_kv()
+        seq, seq_out = evaluate_feature_sets(data, ExperimentConfig(seed=4, workers=1),
+                                             FEATURE_SETS)
+        par, par_out = evaluate_feature_sets(data, ExperimentConfig(seed=4, workers=2),
+                                             FEATURE_SETS)
+        for fs in FEATURE_SETS:
+            assert seq[fs].render_kv() == par[fs].render_kv()
+        for a, b in zip(seq_out, par_out, strict=True):
+            assert a.fold == b.fold
+            assert list(a.artifacts.params_by_skill.items()) == \
+                list(b.artifacts.params_by_skill.items())
+            for fs in FEATURE_SETS:
+                assert_same_model(a.models[fs], b.models[fs])
 
     def test_mean_is_arithmetic_mean_of_folds(self, small_data):
         data, _ = small_data
@@ -235,6 +247,70 @@ class TestRunCv:
         data, _ = small_data
         with pytest.raises(ValueError, match="clusters"):
             evaluate_feature_sets(data, ExperimentConfig(clusters=0), ["ikt3"])
+
+
+def assert_same_model(a, b):
+    assert a.discretizer.cutpoints == b.discretizer.cutpoints
+    assert a.features == b.features
+    assert a.structure.parent == b.structure.parent
+    assert a.domains.keys() == b.domains.keys()
+    assert all(np.array_equal(a.domains[f], b.domains[f]) for f in a.features)
+    assert a.cpts.keys() == b.cpts.keys()
+    assert all(np.array_equal(a.cpts[f], b.cpts[f]) for f in a.features)
+    assert np.array_equal(a.class_prior, b.class_prior)
+
+
+def reference_fold_params(data, fold, grid):
+    """``fit_skill`` on each skill's sequences among the fold's training
+    students, gathered row by row, keyed in the training skill order."""
+    seqs: dict = {}
+    for student, _, skill, correct in records(data):
+        if student in fold.train_students:
+            seqs.setdefault(skill, {}).setdefault(student, []).append(correct)
+    train = data.restricted_to(fold.train_students)
+    return {skill: fit_skill(list(seqs[skill].values()), grid) for skill in train.skill_index}
+
+
+class TestSharedFits:
+    """Evaluate fits BKT once for all folds and the nested TANs once per
+    fold; each result must equal the fold's own independent fit."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rows, _ = mastery_process_rows(n_students=30, n_skills=4, attempts=40, seed=3)
+        # a skill that one student alone attempts, so one fold's test side
+        # holds all of it, and an s0 pattern that no other student shows
+        rows += [("u_solo", f"solo_{i}", "s_solo", i % 2) for i in range(6)]
+        odd = [1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1]
+        rows += [("u_odd", f"odd_{i}", "s0", c) for i, c in enumerate(odd)]
+        data = to_dataset(rows)
+        s0 = [tuple(c for u, _, k, c in records(data) if k == "s0" and u == student)
+              for student in data.by_student]
+        assert s0.count(tuple(odd)) == 1
+        return data
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bkt_params_equal_each_folds_own_fit(self, data, seed):
+        config = ExperimentConfig(seed=seed)
+        folds = split_folds(data, k=config.folds, seed=seed)
+        shared = _fold_params(data, folds, config)
+        assert len(shared) == len(folds)
+        for fold, params in zip(folds, shared):
+            want = reference_fold_params(data, fold, config.fit_grid())
+            assert params == want
+            assert list(params) == list(data.restricted_to(fold.train_students).skill_index)
+            assert ("s_solo" in params) == ("u_solo" in fold.train_students)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nested_tans_equal_independent_fits(self, data, seed):
+        config = ExperimentConfig(seed=seed)
+        _, outputs = evaluate_feature_sets(data, config, FEATURE_SETS)
+        for output in outputs:
+            train_data = data.restricted_to(output.fold.train_students)
+            train, = build_feature_rows(output.artifacts, config.interval_len, train_data)
+            for fs, feats in FEATURE_SETS.items():
+                alone = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
+                assert_same_model(output.models[fs], alone)
 
 
 class TestAblation:
