@@ -194,28 +194,47 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
             int(interval_len), model)
 
 
+def _formatted(values: np.ndarray, fmt, end: str = "\t") -> tuple:
+    """Each distinct value of a column formatted once, followed by
+    ``end``, and each entry's index into those strings. Floats are told
+    apart by their bits, which keeps -0.0 apart from 0.0."""
+    key = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+    unique, inverse = np.unique(key, return_inverse=True)
+    strings = [fmt(v) + end for v in unique.view(values.dtype).tolist()]
+    return np.array(strings, dtype=object), inverse
+
+
 def _dump_predictions(path: str, data, table, keep, scores) -> None:
-    """One line per kept row of ``table``, the feature rows of ``data``."""
-    skill_ids = np.array(list(data.skill_index), dtype=object)
-    student_ids = np.array(list(data.by_student), dtype=object)[data.row_student()]
+    """One line per kept row of ``table``, the feature rows of ``data``.
+
+    Each column is coded by its distinct values, so that every id,
+    count and probability is formatted once (``_formatted``); the lines
+    are gathered from those strings and written 4,096 rows at a time.
+    """
     rows = np.flatnonzero(keep)
+    student_ids, skill_ids = (np.array([f"{name}\t" for name in index], dtype=object)
+                              for index in (data.by_student, data.skill_index))
+    fixed = "{:.6f}".format
+    columns = (
+        (student_ids, data.row_student()[rows]),
+        _formatted(table.position[rows], str),
+        (skill_ids, data.skill[rows]),
+        _formatted(table.mastery[rows], fixed),
+        _formatted(table.profile[rows], str),
+        _formatted(table.difficulty[rows], str),
+        _formatted(np.asarray(scores, dtype=float), fixed),
+        _formatted(table.label[rows], str, end="\n"),
+    )
     chunk = 4096
+    block = np.empty((chunk, len(columns)), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("student\tposition\tskill\tmastery\tprofile\tdifficulty\t"
                  "probability\tlabel\n")
         for lo in range(0, rows.size, chunk):
-            at = rows[lo:lo + chunk]
-            columns = (
-                student_ids[at].tolist(),
-                map(str, table.position[at].tolist()),
-                skill_ids[data.skill[at]].tolist(),
-                [f"{v:.6f}" for v in table.mastery[at].tolist()],
-                map(str, table.profile[at].tolist()),
-                map(str, table.difficulty[at].tolist()),
-                [f"{v:.6f}" for v in scores[lo:lo + chunk].tolist()],
-                map(str, table.label[at].tolist()),
-            )
-            fh.writelines("\t".join(line) + "\n" for line in zip(*columns))
+            n = min(chunk, rows.size - lo)
+            for j, (strings, codes) in enumerate(columns):
+                block[:n, j] = strings[codes[lo:lo + n]]
+            fh.write("".join(block[:n].ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +367,13 @@ def cmd_explain(args) -> int:
             # coded as predict codes it: an unknown id gets the unseen code
             evidence[name] = codes.get(raw.strip(), len(codes))
             continue
+        kind = float if name in model.discretizer.cutpoints else int
         try:
-            evidence[name] = float(raw) if name in model.discretizer.cutpoints else int(raw)
+            evidence[name] = kind(raw)
         except ValueError:
-            raise InputError(f"evidence value for {name} is not numeric: {raw!r}") from None
+            expected = "a number" if kind is float else "an integer"
+            raise InputError(f"evidence value for {name} must be {expected}, "
+                             f"got {raw!r}") from None
         if name == "mastery" and not 0.0 <= evidence[name] <= 1.0:
             raise InputError(f"evidence value for mastery must be a probability "
                              f"in [0, 1], got {raw!r}")

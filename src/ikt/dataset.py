@@ -233,6 +233,113 @@ _MISSING = ("missing student", "missing skill", "missing problem", "missing corr
             "missing order")
 
 
+class _Coder(dict):
+    """One column's codes: a raw cell maps to the code of its stripped
+    text, numbered by first appearance, or to -1 when it is blank. Each
+    distinct raw cell is stripped once; ``names`` maps the stripped text
+    to its code."""
+
+    __slots__ = ("names",)
+
+    def __init__(self):
+        super().__init__()
+        self.names: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        name = raw.strip()
+        code = self.names.setdefault(name, len(self.names)) if name else -1
+        self[raw] = code
+        return code
+
+
+def _code_rows(rows, width: int, at: list, coders: list, columns: list) -> None:
+    """Append each row's cells to ``columns``: its student, skill, problem,
+    correctness and scaffold flag cells as codes of their ``coders`` and
+    its order cell as read, each from its position in ``at`` (None for a
+    column not read). A short row reads as padded with blanks; blank
+    lines are skipped and not counted, as csv.DictReader does."""
+    i_student, i_skill, i_problem, i_correct, i_flag, i_order = at
+    students, skills, problems, corrects, flags = coders
+    to_student, to_skill, to_problem, to_correct, to_flag, to_order = (
+        c.append for c in columns)
+    for row in filter(None, rows):
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        to_student(students[row[i_student]])
+        to_skill(skills[row[i_skill]])
+        to_problem(problems[row[i_problem]])
+        to_correct(corrects[row[i_correct]])
+        if i_flag is not None:
+            to_flag(flags[row[i_flag]])
+        if i_order is not None:
+            to_order(row[i_order])
+
+
+def _kept_rows(columns: list, coders: list, keep_flag, has_order, drops: Counter) -> tuple:
+    """The file rows (0 = first data row) that hold every mapped cell and
+    pass the scaffold filter, with their student, skill and problem codes
+    and 0/1 correctness. The other rows are tallied into ``drops``. Raises
+    on the first kept row whose correctness cell is not 0/1.
+
+    ``columns`` and ``coders`` are those of ``_code_rows``, for the rows
+    read so far.
+    """
+    student, skill, problem, correct, flag = (np.asarray(c, dtype=np.intp)
+                                              for c in columns[:5])
+    blank = [student < 0, skill < 0, problem < 0, correct < 0]
+    if has_order:
+        blank.append(np.fromiter(map(len, map(str.strip, columns[5])), dtype=np.intp,
+                                 count=len(columns[5])) == 0)
+    blank = np.array(blank)
+    kept = ~blank.any(axis=0)
+    # a row is tallied under its first blank cell, in _MISSING order
+    first = np.bincount(blank.argmax(axis=0)[~kept], minlength=len(blank)).tolist()
+    for reason, count in zip(_MISSING, first):
+        if count:
+            drops[reason] += count
+    if keep_flag is not None:
+        # the code -1, a blank flag, takes the last entry
+        passes = np.array([name == keep_flag for name in coders[4].names] + [keep_flag == ""])
+        scaffold = kept & ~passes[flag]
+        if scaffold.any():
+            drops["scaffolding"] += int(np.count_nonzero(scaffold))
+            kept &= ~scaffold
+    rows = np.flatnonzero(kept)
+    names = list(coders[3].names)
+    values = []
+    for name in names:
+        try:
+            values.append(_parse_correct(name, 0))
+        except DataFormatError:
+            values.append(-1)
+    correct = correct[rows]
+    value = np.array(values + [-1], dtype=np.intp)[correct]
+    if (value < 0).any():
+        at = int(np.argmax(value < 0))
+        _parse_correct(names[correct[at]], int(rows[at]) + 2)
+    return rows, student[rows], skill[rows], problem[rows], value
+
+
+def _order_keys(path: str, cells: np.ndarray, file_row: np.ndarray) -> np.ndarray:
+    """Sort keys from the kept rows' order cells.
+
+    Order cells hold numbers, or strings ranked lexicographically, which
+    is chronological only for ISO timestamps, so each must start
+    YYYY-MM-DD.
+    """
+    try:
+        return cells.astype(float)
+    except ValueError:
+        order = [v.strip() for v in cells.tolist()]
+    for v, row in zip(order, file_row.tolist()):
+        if not _ISO_DATE.match(v):
+            raise DataFormatError(f"{path}: row {row + 2}: order value {v!r} is "
+                                  "not a number or a YYYY-MM-DD timestamp, so it "
+                                  "cannot be ranked unambiguously")
+    rank = {v: float(i) for i, v in enumerate(sorted(set(order)))}
+    return np.array([rank[v] for v in order], dtype=float)
+
+
 def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     """Read a delimited log into a Dataset, tallying dropped rows.
 
@@ -244,15 +351,22 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     never replaced. Students keep their order of first appearance, and
     each student's rows are sorted by (order key, file row), or by file
     row when the schema maps no order column.
+
+    The rows are streamed once (``_code_rows``). Each mapped id,
+    correctness and scaffold cell is coded through its column's
+    ``_Coder``, so a distinct cell is stripped once and the row loop only
+    looks codes up; the order cells are kept as read. Drops, the scaffold
+    filter and the correctness check then run over the codes, each
+    distinct correctness value parsed once, and the order keys of the
+    kept rows are parsed in one call. Errors name the same file row as a
+    row-by-row check would: blank lines are not counted, and the first
+    bad row in the file wins.
     """
     needed = [schema.student, schema.problem, schema.skill, schema.correct]
     needed += [c for c in (schema.order, schema.scaffold_column) if c]
-    students: dict[str, int] = {}
-    skills: dict[str, int] = {}
-    problems: dict[str, int] = {}
-    student, skill, problem, correct, order, file_row = [], [], [], [], [], []
-    drops: Counter = Counter()
     keep_flag = schema.scaffold_keep if schema.scaffold_column is not None else None
+    coders = [_Coder() for _ in range(5)]
+    columns = [[] for _ in range(6)]
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -262,47 +376,28 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
             if missing:
                 raise SchemaError(f"{path}: mapped column(s) not in header: "
                                   f"{', '.join(missing)}")
-            # in _MISSING order, the order column only when mapped
             at = [position[c] for c in (schema.student, schema.skill, schema.problem,
                                         schema.correct)]
-            at += [position[schema.order]] if schema.order else []
-            flag_at = position.get(schema.scaffold_column)
-            # blank lines are skipped and not counted, as csv.DictReader does
-            for row_idx, row in enumerate(filter(None, reader)):
-                row += [""] * (len(header) - len(row))
-                cells = [row[i].strip() for i in at]
-                if not all(cells):
-                    drops[_MISSING[cells.index("")]] += 1
-                    continue
-                if keep_flag is not None and keep_flag != (
-                        row[flag_at].strip() if flag_at is not None else ""):
-                    drops["scaffolding"] += 1
-                    continue
-                correct.append(_parse_correct(cells[3], row_idx + 2))
-                student.append(students.setdefault(cells[0], len(students)))
-                skill.append(skills.setdefault(cells[1], len(skills)))
-                problem.append(problems.setdefault(cells[2], len(problems)))
-                if schema.order:
-                    order.append(cells[4])
-                file_row.append(row_idx)
-    except UnicodeDecodeError:
+            at.append(position[schema.scaffold_column] if keep_flag is not None else None)
+            at.append(position[schema.order] if schema.order else None)
+            _code_rows(reader, len(header), at, coders, columns)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # a bad correctness cell read before the failure is reported first
+        _kept_rows(columns, coders, keep_flag, schema.order, Counter())
+        if isinstance(exc, csv.Error):
+            raise
         raise DataFormatError(f"{path}: byte {_undecodable_offset(path)} is not "
                               "valid UTF-8") from None
 
-    # order cells hold numbers, or strings ranked lexicographically, which
-    # is chronological only for ISO timestamps, so each must start YYYY-MM-DD
-    try:
-        keys = np.array([float(v) for v in order] if schema.order else file_row, dtype=float)
-    except ValueError:
-        for v, row in zip(order, file_row):
-            if not _ISO_DATE.match(v):
-                raise DataFormatError(f"{path}: row {row + 2}: order value {v!r} is "
-                                      "not a number or a YYYY-MM-DD timestamp, so it "
-                                      "cannot be ranked unambiguously") from None
-        rank = {v: float(i) for i, v in enumerate(sorted(set(order)))}
-        keys = np.array([rank[v] for v in order], dtype=float)
-    student, skill, problem, correct, file_row = (
-        np.array(x, dtype=np.intp) for x in (student, skill, problem, correct, file_row))
+    # each list is freed once converted, and the order cells before the sort
+    for i, cells in enumerate(columns):
+        columns[i] = np.array(cells, dtype=object if i == 5 else np.intp)
+    drops: Counter = Counter()
+    file_row, student, skill, problem, correct = _kept_rows(
+        columns, coders, keep_flag, schema.order, drops)
+    keys = (_order_keys(path, columns[5][file_row], file_row) if schema.order
+            else file_row.astype(float))
+    del columns
     finite = np.isfinite(keys)
     if not finite.all():
         # nan or inf cannot be ranked in time, so such a row is dropped as a
@@ -310,13 +405,14 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
         drops["non-finite order"] += int(np.count_nonzero(~finite))
         student, skill, problem, correct, file_row, keys = (
             x[finite] for x in (student, skill, problem, correct, file_row, keys))
-        student, students = _recode(student, students)
+    student, student_index = _recode(student, coders[0].names)
     rows = np.lexsort((file_row, keys, student))
-    skill, skill_index = _recode(skill[rows], skills)
-    problem, problem_index = _recode(problem[rows], problems)
-    lengths = np.bincount(student, minlength=len(students)).tolist()
+    skill, skill_index = _recode(skill[rows], coders[1].names)
+    problem, problem_index = _recode(problem[rows], coders[2].names)
+    lengths = np.bincount(student, minlength=len(student_index)).tolist()
     return Dataset(skill, problem, correct[rows], keys[rows],
-                   _slices(dict(zip(students, lengths))), skill_index, problem_index, drops)
+                   _slices(dict(zip(student_index, lengths))), skill_index, problem_index,
+                   drops)
 
 
 def preprocess(raw: Dataset) -> Dataset:

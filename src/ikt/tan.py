@@ -160,6 +160,13 @@ def _dense_codes(values) -> np.ndarray:
     return np.unique(np.asarray(values), return_inverse=True)[1].astype(np.int64)
 
 
+def _domain_codes(column) -> tuple:
+    """A discretized column's sorted distinct values and each entry's
+    index among them."""
+    domain, codes = np.unique(np.asarray(column, dtype=int), return_inverse=True)
+    return domain, codes.astype(np.int64)
+
+
 def conditional_mutual_information(a, b, y) -> float:
     """I(a; b | y) from empirical frequencies, natural log.
 
@@ -234,15 +241,16 @@ def max_spanning_parents(weight: np.ndarray) -> list:
     return parent
 
 
-def learn_structure(disc_columns: dict, labels) -> TanStructure:
+def learn_structure(disc_columns: dict, labels, coded: dict | None = None) -> TanStructure:
     """Maximum spanning tree over pairwise class-conditional MI.
 
     Edges point away from the root (the first feature); the class node
-    is implicitly parent of everything.
+    is implicitly parent of everything. ``coded`` may give each column's
+    ``_domain_codes``, which are then not recomputed.
     """
     features = list(disc_columns)
     n = len(features)
-    codes = [_dense_codes(disc_columns[f]) for f in features]
+    codes = [coded[f][1] if coded else _dense_codes(disc_columns[f]) for f in features]
     y = _dense_codes(labels)
     weight = np.zeros((n, n))
     for i in range(n):
@@ -302,18 +310,19 @@ class TanModel:
 
 
 def estimate_cpts(disc_columns: dict, labels, structure: TanStructure,
-                  alpha: float = 1.0, discretizer: Discretizer | None = None) -> TanModel:
+                  alpha: float = 1.0, discretizer: Discretizer | None = None,
+                  coded: dict | None = None) -> TanModel:
     """Smoothed conditional probability tables for a fixed structure.
 
     alpha=0 gives maximum-likelihood frequencies; contexts never seen in
-    training fall back to a uniform column either way.
+    training fall back to a uniform column either way. ``coded`` may give
+    each column's ``_domain_codes``, which are then not recomputed.
     """
     y = np.asarray(labels, dtype=int)
     n = y.size
-    domains = {f: np.unique(np.asarray(disc_columns[f], dtype=int))
-               for f in structure.features}
-    codes = {f: np.searchsorted(domains[f], np.asarray(disc_columns[f], dtype=int))
-             for f in structure.features}
+    coded = coded or {f: _domain_codes(disc_columns[f]) for f in structure.features}
+    domains = {f: coded[f][0] for f in structure.features}
+    codes = {f: coded[f][1] for f in structure.features}
 
     prior_counts = np.bincount(y, minlength=2).astype(float)
     class_prior = (prior_counts + alpha) / (n + 2.0 * alpha)
@@ -349,18 +358,21 @@ def fit_nested_tans(columns: dict, labels, sizes, alpha: float = 1.0) -> list:
     against the labels alone, and a pair's CMI depends on that pair
     alone, so the discretizer, the coded columns and the CMI matrix of
     all features serve every prefix, whose tree comes from the matrix's
-    leading block (``TanStructure.prefix``). Only the tables are
-    estimated per model.
+    leading block (``TanStructure.prefix``). Each discretized column is
+    coded once, for the CMI matrix and every model's tables; only the
+    tables are estimated per model.
     """
     disc = fit_discretizer(columns, labels)
     disc_columns = disc.apply(columns)
-    structure = learn_structure(disc_columns, labels)
+    coded = {f: _domain_codes(column) for f, column in disc_columns.items()}
+    structure = learn_structure(disc_columns, labels, coded)
     models = []
     for n in sizes:
         tree = structure.prefix(n)
         cuts = {f: c for f, c in disc.cutpoints.items() if f in tree.features}
         models.append(estimate_cpts({f: disc_columns[f] for f in tree.features}, labels,
-                                    tree, alpha=alpha, discretizer=Discretizer(cuts)))
+                                    tree, alpha=alpha, discretizer=Discretizer(cuts),
+                                    coded=coded))
     return models
 
 

@@ -5,17 +5,22 @@ the code under test: matrix-form forward passes, a streaming per-attempt
 mastery tracker and feature replay, exhaustive joint-table enumeration,
 Prufer-sequence spanning-tree enumeration, quadratic pairwise AUC,
 k-means with every distance taken from the full point-by-centroid
-broadcast, profile labels from per-vector exact sums.
+broadcast, profile labels from per-vector exact sums, a log loader that
+checks one row at a time and sorts and codes in plain Python.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
 import math
+import re
+from collections import Counter
 
 import numpy as np
 
+from ikt.dataset import DataFormatError, Dataset, SchemaError, _undecodable_offset
 from ikt.tan import Discretizer, TanModel, TanStructure
 
 
@@ -129,6 +134,104 @@ def feature_rows_oracle(artifacts, interval_len, data):
                 vec[seen] = right[:unseen][seen] / total[:unseen][seen]
                 profile = 2 + int(np.argmin(((centroids - vec) ** 2).sum(axis=1)))
     return out
+
+
+def _parse_correct(value: str, row: int) -> int:
+    try:
+        num = float(value)
+    except ValueError:
+        raise DataFormatError(f"row {row}: correctness value {value!r} is not numeric") from None
+    if num not in (0.0, 1.0):
+        raise DataFormatError(f"row {row}: correctness value {value!r} is not binary")
+    return int(num)
+
+
+_MISSING = ("missing student", "missing skill", "missing problem", "missing correctness",
+            "missing order")
+
+
+def load_csv_oracle(path, schema):
+    """``dataset.load_csv``, checking and coding one row at a time.
+
+    Each row is padded, stripped, checked for blanks, the scaffold flag
+    and its correctness value in file order, and its ids coded by
+    ``setdefault``; the kept rows are then sorted with Python's sort and
+    the skill and problem indexes rebuilt by first appearance in the
+    sorted rows.
+    """
+    needed = [schema.student, schema.problem, schema.skill, schema.correct]
+    needed += [c for c in (schema.order, schema.scaffold_column) if c]
+    students: dict = {}
+    kept = []  # (student code, skill, problem, correct, order cell, file row)
+    drops: Counter = Counter()
+    keep_flag = schema.scaffold_keep if schema.scaffold_column is not None else None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh, delimiter=schema.delimiter)
+            header = next(reader, needed)
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in needed if c not in position]
+            if missing:
+                raise SchemaError(f"{path}: mapped column(s) not in header: "
+                                  f"{', '.join(missing)}")
+            at = [position[c] for c in (schema.student, schema.skill, schema.problem,
+                                        schema.correct)]
+            at += [position[schema.order]] if schema.order else []
+            flag_at = position.get(schema.scaffold_column)
+            for row_idx, row in enumerate(filter(None, reader)):
+                row += [""] * (len(header) - len(row))
+                cells = [row[i].strip() for i in at]
+                if not all(cells):
+                    drops[_MISSING[cells.index("")]] += 1
+                    continue
+                if keep_flag is not None and keep_flag != (
+                        row[flag_at].strip() if flag_at is not None else ""):
+                    drops["scaffolding"] += 1
+                    continue
+                correct = _parse_correct(cells[3], row_idx + 2)
+                kept.append((students.setdefault(cells[0], len(students)), cells[1],
+                             cells[2], correct, cells[4] if schema.order else None,
+                             row_idx))
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: byte {_undecodable_offset(path)} is not "
+                              "valid UTF-8") from None
+
+    if schema.order:
+        try:
+            keys = [float(r[4]) for r in kept]
+        except ValueError:
+            for r in kept:
+                if not re.match(r"\d{4}-\d{2}-\d{2}", r[4]):
+                    raise DataFormatError(f"{path}: row {r[5] + 2}: order value {r[4]!r} "
+                                          "is not a number or a YYYY-MM-DD timestamp, so "
+                                          "it cannot be ranked unambiguously") from None
+            rank = {v: float(i) for i, v in enumerate(sorted({r[4] for r in kept}))}
+            keys = [rank[r[4]] for r in kept]
+    else:
+        keys = [float(r[5]) for r in kept]
+    finite = [(key, r) for key, r in zip(keys, kept) if math.isfinite(key)]
+    if len(finite) < len(kept):
+        drops["non-finite order"] += len(kept) - len(finite)
+    names = {code: name for name, code in students.items()}
+    first_kept: dict = {}
+    for _, r in finite:
+        first_kept.setdefault(r[0], len(first_kept))
+    finite.sort(key=lambda kr: (first_kept[kr[1][0]], kr[0], kr[1][5]))
+    by_student: dict = {}
+    skill_index: dict = {}
+    problem_index: dict = {}
+    for i, (_, r) in enumerate(finite):
+        rows = by_student.setdefault(names[r[0]], [i, i])
+        rows[1] = i + 1
+        skill_index.setdefault(r[1], len(skill_index))
+        problem_index.setdefault(r[2], len(problem_index))
+    return Dataset(
+        np.array([skill_index[r[1]] for _, r in finite], dtype=np.intp),
+        np.array([problem_index[r[2]] for _, r in finite], dtype=np.intp),
+        np.array([r[3] for _, r in finite], dtype=np.intp),
+        np.array([key for key, _ in finite], dtype=float),
+        {s: slice(a, b) for s, (a, b) in by_student.items()},
+        skill_index, problem_index, drops)
 
 
 def simulate_bkt(params, n_seq, length, rng):

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from ikt import ability, evaluation
 from ikt.bkt import load_params_table
-from ikt.cli import _load_bundle, _load_dataset, load_config, main
+from ikt.cli import _dump_predictions, _load_bundle, _load_dataset, load_config, main
 from ikt.dataset import split_folds
-from ikt.evaluation import ExperimentConfig
+from ikt.evaluation import ExperimentConfig, FeatureTable
 
-from synth import mixed_process_rows, write_raw_csv
+from synth import mixed_process_rows, to_dataset, write_raw_csv
 
 CLI_ROWS = mixed_process_rows(n_students=25, n_skills=3, attempts=50, seed=9)
 
@@ -350,6 +350,56 @@ class TestEvaluateCommand:
         assert len(dump) > 1
 
 
+def reference_dump(path, data, table, keep, scores):
+    """The predictions file written one cell at a time."""
+    students, skills = list(data.by_student), list(data.skill_index)
+    row_student = data.row_student()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("student\tposition\tskill\tmastery\tprofile\tdifficulty\t"
+                 "probability\tlabel\n")
+        for score, row in zip(scores, np.flatnonzero(keep)):
+            cells = [students[row_student[row]], str(int(table.position[row])),
+                     skills[data.skill[row]], f"{float(table.mastery[row]):.6f}",
+                     str(int(table.profile[row])), str(int(table.difficulty[row])),
+                     f"{float(score):.6f}", str(int(table.label[row]))]
+            fh.write("\t".join(cells) + "\n")
+
+
+class TestDumpPredictions:
+    def test_matches_the_cell_by_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = 9000
+        student = np.sort(rng.integers(0, 40, n))
+        rows = [(f"u{s}", f"p{i}", f"s{rng.integers(5)}", 1) for i, s in enumerate(student)]
+        data = to_dataset(rows)
+        mastery = rng.choice([0.0, -0.0, 1.0, 0.25, 1 / 3, 0.1234565, 2e-7], n)
+        table = FeatureTable(
+            skill=np.where(rng.random(n) < 0.1, len(data.skill_index), data.skill),
+            mastery=mastery, profile=rng.integers(1, 9, n),
+            difficulty=rng.integers(0, 11, n), label=rng.integers(0, 2, n),
+            position=data.row_position())
+        # gaps on both sides of each 4,096-row chunk boundary, as evaluate's
+        # fold masks leave them
+        keep = rng.random(n) < 0.8
+        keep[4090:4100] = False
+        keep[8190:8200] = [True, False] * 5
+        scores = rng.choice([0.0, -0.0, 0.5, 0.9999995, 1e-9], keep.sum())
+        scores[:200] = rng.random(200)
+        got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
+        _dump_predictions(str(got), data, table, keep, scores)
+        reference_dump(str(want), data, table, keep, scores)
+        assert got.read_bytes() == want.read_bytes()
+        text = got.read_text()
+        assert "\t-0.000000\t" in text and "\t0.000000\t" in text
+
+    def test_no_kept_rows_writes_the_header(self, tmp_path):
+        data = to_dataset([("u0", "p0", "s0", 1)])
+        table = FeatureTable(*(np.zeros(1, dtype=int) for _ in range(6)))
+        path = tmp_path / "empty.tsv"
+        _dump_predictions(str(path), data, table, np.zeros(1, dtype=bool), np.zeros(0))
+        assert path.read_text().count("\n") == 1
+
+
 class TestFitPredictExplain:
     def test_full_chain(self, preprocessed, capsys, monkeypatch):
         # tracing wrappers replace these, so they are looked up at call time;
@@ -437,6 +487,22 @@ class TestFitPredictExplain:
         err = capsys.readouterr().err
         assert f"mastery must be a probability in [0, 1], got {value!r}" in err
         assert "internal" not in err
+
+    @pytest.mark.parametrize("pair, message", [
+        ("profile=1.5", "evidence value for profile must be an integer, got '1.5'"),
+        ("difficulty=x", "evidence value for difficulty must be an integer, got 'x'"),
+        ("mastery=high", "evidence value for mastery must be a number, got 'high'"),
+    ], ids=["profile", "difficulty", "mastery"])
+    def test_explain_names_the_expected_kind_of_value(self, bundle, capsys, pair, message):
+        # an integer feature's 1.5 was once reported as "not numeric"
+        _, fitted, _ = bundle
+        evidence = {"skill": "s1", "mastery": "0.4", "profile": "1", "difficulty": "5"}
+        name, value = pair.split("=")
+        evidence[name] = value
+        assert run(["explain", "--model-dir", str(fitted),
+                    *(f"{k}={v}" for k, v in evidence.items())]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal" not in err
 
     @pytest.mark.parametrize("value", ["0", "1", "0.0", "1.0"])
     def test_explain_accepts_mastery_at_the_bounds(self, bundle, capsys, value):

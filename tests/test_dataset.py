@@ -1,12 +1,16 @@
+import csv
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ikt.dataset import (CANONICAL_SCHEMA, ColumnSchema, DataFormatError,
                          SchemaError, load_csv, load_schema, preprocess,
                          save_canonical, split_folds)
 
+from oracles import load_csv_oracle
 from synth import mastery_process_rows, records, to_dataset
 
 SCHEMA = ColumnSchema(student="user", problem="item", skill="kc", correct="outcome")
@@ -143,6 +147,117 @@ class TestLoadCsv:
                               correct="outcome", delimiter="\t")
         path = write(tmp_path, "user\titem\tkc\toutcome\na\tp1\ts1\t1\n")
         assert load_csv(path, schema).n_records == 1
+
+
+def same_dataset(a, b):
+    for name in ("skill", "problem", "correct", "order"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("by_student", "skill_index", "problem_index"):
+        assert list(getattr(a, name).items()) == list(getattr(b, name).items()), name
+    assert a.drops == b.drops
+
+
+def load_or_error(loader, path, schema):
+    try:
+        return loader(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+ID_CELLS = ["a", "b", "c", " a", "b ", "c,d", "e\tf", '"q"']
+CORRECT_CELLS = ["0", "1", " 1", "1.0", "0.0 "]
+ORDER_CELLS = {"numeric": ["1", " 2", "3 ", "10", "2.5", "-1", "1e999", "nan", "inf", "-inf"],
+               "iso": ["2020-01-01", " 2020-01-02", "2020-01-01 09:00", "2021-12-31T23:59"]}
+FLAG_CELLS = ["1", " 1", "0", ""]
+BLANK_CELLS = ["", "  "]
+BAD_CELLS = {"outcome": ["x", "0.5", "nan"], "ts": ["7", "01/02/2020", "x"]}
+
+
+@st.composite
+def raw_logs(draw):
+    """A raw log's text and its schema: padded ids, quoted cells holding
+    the delimiter, repeated header names, non-finite and ISO order cells,
+    scaffold flags, comma or tab delimited; in some logs also blank cells
+    in any column, short rows and blank lines, or bad correctness or
+    order cells."""
+    order = draw(st.sampled_from([None, "numeric", "iso"]))
+    keep = draw(st.sampled_from([None, "absent", "1", ""]))
+    header = ["user", "item", "kc", "outcome"] + ["ts"] * bool(order)
+    header += ["orig"] * (keep != "absent") + ["note"] * draw(st.booleans())
+    header = draw(st.permutations(header))
+    header += draw(st.lists(st.sampled_from(header), max_size=2))  # repeated names
+    pools = {"user": ID_CELLS, "item": ID_CELLS, "kc": ID_CELLS, "note": ID_CELLS,
+             "outcome": CORRECT_CELLS, "ts": ORDER_CELLS.get(order), "orig": FLAG_CELLS}
+    blanks, short = draw(st.booleans()), draw(st.booleans())
+    bad = draw(st.sampled_from([None, None, "outcome", "ts"]))
+    cell = {name: st.sampled_from(pool * 3 + BLANK_CELLS * blanks + BAD_CELLS.get(name, [])
+                                  * (name == bad)) for name, pool in pools.items() if pool}
+    row = st.tuples(*(cell[name] for name in header))
+    cut = st.integers(0, len(header)) if short else st.none()
+    size = draw(st.integers(1, 20))
+    rows = draw(st.lists(st.tuples(row, cut), min_size=size, max_size=size))
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    for cells, n in rows:
+        writer.writerow(cells[:n])  # an empty row is a blank line
+    schema = ColumnSchema(student="user", problem="item", skill="kc", correct="outcome",
+                          order="ts" if order else None, delimiter=delimiter,
+                          scaffold_column=None if keep == "absent" else "orig",
+                          scaffold_keep=None if keep == "absent" else keep)
+    return out.getvalue(), schema
+
+
+class TestLoaderOracle:
+    """``load_csv`` against the row-at-a-time ``load_csv_oracle``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=raw_logs())
+    def test_agrees_with_the_row_at_a_time_loader(self, tmp_path_factory, case):
+        text, schema = case
+        path = str(tmp_path_factory.getbasetemp() / "oracle_log.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got, want = (load_or_error(f, path, schema) for f in (load_csv, load_csv_oracle))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            same_dataset(got, want)
+
+    def test_blank_order_name_maps_no_order_column(self, tmp_path):
+        # a header may name a column "", which an unset order must not pick
+        schema = ColumnSchema(student="user", problem="item", skill="kc",
+                              correct="outcome", order="")
+        path = write(tmp_path, "user,item,kc,outcome,\na,p2,s1,1,9\na,p1,s1,0,1\n")
+        data = load_csv(path, schema)
+        assert problem_ids(data, "a") == ["p2", "p1"]
+        same_dataset(data, load_csv_oracle(path, schema))
+
+    def test_bad_correctness_on_a_row_dropped_for_a_blank_student_loads(self, tmp_path):
+        path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,1\n ,p2,s1,maybe\n")
+        data = load_csv(path, SCHEMA)
+        assert data.n_records == 1 and data.drops == {"missing student": 1}
+        same_dataset(data, load_csv_oracle(path, SCHEMA))
+
+    def test_bad_correctness_on_a_kept_row_names_that_row(self, tmp_path):
+        # blank lines are not counted; the first bad kept row is named
+        path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,1\n\n ,p2,s1,x\n"
+                               "b,p2,s1,0.5\nb,p3,s1,maybe\n")
+        with pytest.raises(DataFormatError, match=re.escape("row 4: correctness value "
+                                                            "'0.5' is not binary")):
+            load_csv(path, SCHEMA)
+
+    def test_bad_correctness_before_an_undecodable_byte_is_reported(self, tmp_path):
+        # the reader decodes ahead in blocks; a correctness error in a block
+        # read before the bad byte is still the error reported
+        path = tmp_path / "data.csv"
+        rows = b"".join(b"a,p%d,s1,1\n" % i for i in range(20000))
+        path.write_bytes(b"user,item,kc,outcome\nz,p0,s1,x\n" + rows + b"b,p\xe9,s1,0\n")
+        for loader in (load_csv, load_csv_oracle):
+            with pytest.raises(DataFormatError, match="row 2: correctness value 'x'"):
+                loader(str(path), SCHEMA)
 
 
 class TestSchemaFile:

@@ -5,7 +5,8 @@ import pytest
 
 from ikt.tan import (Discretizer, TanModel, TanStructure,
                      conditional_mutual_information, estimate_cpts, explain,
-                     fit_discretizer, fit_tan, learn_structure, load_model,
+                     fit_discretizer, fit_nested_tans, fit_tan, learn_structure,
+                     load_model,
                      max_spanning_parents, mdlp_cutpoints, predict_many,
                      save_model)
 
@@ -212,6 +213,34 @@ class TestEstimateCpts:
         for f, cpt in model.cpts.items():
             assert np.allclose(cpt.sum(axis=0), 1.0, atol=1e-9)
             assert np.all(cpt > 0.0)
+
+
+class TestNestedFits:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_model_equals_the_step_by_step_fit(self, seed):
+        # fit_nested_tans codes each column once for the CMI matrix and all
+        # tables; each step here codes its own columns
+        rng = np.random.default_rng(seed)
+        n = 400
+        labels = rng.integers(0, 2, n)
+        columns = {"skill": rng.integers(0, 6, n),
+                   "mastery": np.clip(0.4 * labels + rng.random(n) * 0.6, 0, 1),
+                   "profile": rng.choice([1, 2, 5, 9], n),
+                   "difficulty": labels * rng.integers(0, 3, n) + rng.integers(3, 11, n)}
+        for model, size in zip(fit_nested_tans(columns, labels, [2, 3, 4], alpha=0.5),
+                               [2, 3, 4]):
+            prefix = dict(list(columns.items())[:size])
+            disc = fit_discretizer(prefix, labels)
+            disc_columns = disc.apply(prefix)
+            want = estimate_cpts(disc_columns, labels, learn_structure(disc_columns, labels),
+                                 alpha=0.5, discretizer=disc)
+            assert model.discretizer.cutpoints == want.discretizer.cutpoints
+            assert model.structure == want.structure
+            assert np.array_equal(model.structure.weight, want.structure.weight)
+            for f in want.features:
+                assert np.array_equal(model.domains[f], want.domains[f])
+                assert np.array_equal(model.cpts[f], want.cpts[f])
+            assert np.array_equal(model.class_prior, want.class_prior)
 
 
 class TestPredict:
