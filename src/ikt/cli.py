@@ -354,6 +354,7 @@ def cmd_explain(args) -> int:
     codes = artifacts.skill_index
     known = f"(model features: {', '.join(model.features)})"
     evidence: dict = {}
+    given: dict = {}  # the skill as given, printed in place of its code
     for pair in args.evidence:
         if "=" not in pair:
             raise InputError(f"evidence must be name=value, got {pair!r}")
@@ -365,7 +366,8 @@ def cmd_explain(args) -> int:
             raise InputError(f"evidence for {name} given more than once {known}")
         if name == "skill":
             # coded as predict codes it: an unknown id gets the unseen code
-            evidence[name] = codes.get(raw.strip(), len(codes))
+            given[name] = raw.strip()
+            evidence[name] = codes.get(given[name], len(codes))
             continue
         kind = float if name in model.discretizer.cutpoints else int
         try:
@@ -386,13 +388,16 @@ def cmd_explain(args) -> int:
            f"prior log-odds       = {record.prior_log_odds:+.6f}"]
     for c in record.contributions:
         parent = model.structure.parent[c.feature]
-        parent_txt = f"{parent}={c.parent_value}" if parent is not None else "class only"
-        out.append(f"  {c.feature}={c.value} ({parent_txt}): {c.log_ratio:+.6f}")
+        parent_txt = (f"{parent}={given.get(parent, c.parent_value)}" if parent is not None
+                      else "class only")
+        out.append(f"  {c.feature}={given.get(c.feature, c.value)} ({parent_txt}): "
+                   f"{c.log_ratio:+.6f}")
     total = record.prior_log_odds + sum(c.log_ratio for c in record.contributions)
     out.append(f"sum of contributions = {total:+.6f} (posterior log-odds "
                f"{record.log_odds:+.6f})")
-    for flag in record.flags:
-        out.append(f"note: {flag}")
+    for name in record.out_of_domain:
+        out.append(f"note: value {given.get(name, evidence[name])!r} for {name} is outside "
+                   "the model domain; uniform fallback used")
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 

@@ -129,10 +129,14 @@ def load_schema(path: str) -> ColumnSchema:
 class Dataset:
     """Cleaned interaction log, one array entry per attempt: ``skill`` and
     ``problem`` codes into the dense indexes, the 0/1 ``correct`` and
-    the ``order`` key. Rows are grouped by student, chronological within
-    each; ``by_student`` maps each student id, in first-appearance
-    order, to its slice of rows. Not mutated after construction, so safe
-    to share across threads.
+    the ``order`` key. ``by_student`` maps each student id, in
+    first-appearance order, to its slice of rows. Not mutated after
+    construction, so safe to share across threads.
+
+    Invariant: rows are grouped by student, and ``order`` is nondecreasing
+    within each student. ``load_csv``, ``preprocess`` and ``restricted_to``
+    keep it, and ``preprocess`` relies on it: rows equal on (student,
+    order) are adjacent.
     """
 
     skill: np.ndarray
@@ -195,10 +199,17 @@ def _slices(lengths: dict) -> dict[str, slice]:
 def _recode(codes: np.ndarray, index: dict, in_index_order: bool = False):
     """``codes`` renumbered 0, 1, ... over the codes they hold, in order of
     first appearance or, with ``in_index_order``, of ``index``; returned
-    with the index that names the new codes."""
-    used, first = np.unique(codes, return_index=True)
+    with the index that names the new codes.
+
+    Linear in the rows: the used codes come from a count and each one's
+    first row from one ``minimum.at`` pass, so only the used codes, at
+    most ``len(index)``, are sorted.
+    """
+    used = np.flatnonzero(np.bincount(codes, minlength=len(index)))
     if not in_index_order:
-        used = used[np.argsort(first)]
+        first = np.full(len(index), codes.size, dtype=np.intp)
+        np.minimum.at(first, codes, np.arange(codes.size))
+        used = used[np.argsort(first[used])]
     remap = np.zeros(len(index), dtype=np.intp)
     remap[used] = np.arange(used.size)
     names = list(index)
@@ -207,14 +218,13 @@ def _recode(codes: np.ndarray, index: dict, in_index_order: bool = False):
 
 def _later_repeats(keys) -> np.ndarray:
     """Mask of the rows equal on every key column to an earlier row."""
-    n = keys[0].size
-    order = np.lexsort((np.arange(n),) + tuple(keys))
-    same = np.ones(n, dtype=bool)
+    order = np.lexsort(keys)  # stable, so equal rows keep their row order
+    same = np.ones(order.size, dtype=bool)
     for key in keys:
         key = key[order]
         same[1:] &= key[1:] == key[:-1]
     same[:1] = False
-    repeat = np.empty(n, dtype=bool)
+    repeat = np.empty(order.size, dtype=bool)
     repeat[order] = same
     return repeat
 
@@ -348,9 +358,10 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     is a non-finite number such as ``nan`` or ``inf``. A non-empty correctness
     cell that is not 0/1 raises ``DataFormatError`` because it signals a
     mis-mapped column; so does a byte that is not valid UTF-8, which is
-    never replaced. Students keep their order of first appearance, and
-    each student's rows are sorted by (order key, file row), or by file
-    row when the schema maps no order column.
+    never replaced, and a line the csv reader cannot split, such as one
+    with a cell over its field size limit. Students keep their order of
+    first appearance, and each student's rows are sorted by (order key,
+    file row), or by file row when the schema maps no order column.
 
     The rows are streamed once (``_code_rows``). Each mapped id,
     correctness and scaffold cell is coded through its column's
@@ -385,7 +396,7 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
         # a bad correctness cell read before the failure is reported first
         _kept_rows(columns, coders, keep_flag, schema.order, Counter())
         if isinstance(exc, csv.Error):
-            raise
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
         raise DataFormatError(f"{path}: byte {_undecodable_offset(path)} is not "
                               "valid UTF-8") from None
 
@@ -422,21 +433,32 @@ def preprocess(raw: Dataset) -> Dataset:
     later attempt on an already-seen problem is dropped. Row order
     within a student is preserved; dense indexes are rebuilt by first
     appearance over the kept rows.
+
+    No pass sorts every row: equal rows share (student, order), so with
+    the ``Dataset`` row layout they sit in one run of adjacent ties, and
+    only the rows of such runs are compared; repeats are found with one
+    stable sort of a single (student, problem) key.
     """
     student = raw.row_student()
     # the identity leaves out the file-position tie-breaker so that
     # byte-identical source rows collapse; a dropped repeat keeps its
     # identity, so its copies count as duplicates
-    duplicate = _later_repeats((raw.order, raw.correct, raw.skill, raw.problem, student))
+    tie = np.zeros(raw.n_records + 1, dtype=bool)  # row i has row i-1's student and order
+    tie[1:-1] = (student[1:] == student[:-1]) & (raw.order[1:] == raw.order[:-1])
+    in_run = np.flatnonzero(tie[:-1] | tie[1:])
+    duplicate = np.zeros(raw.n_records, dtype=bool)
+    duplicate[in_run] = _later_repeats(tuple(x[in_run] for x in (
+        raw.order, raw.correct, raw.skill, raw.problem, student)))
     kept = ~duplicate
-    repeat = _later_repeats((raw.problem[kept], student[kept]))
+    student = student[kept]
+    repeat = _later_repeats((student * raw.n_problems + raw.problem[kept],))
     kept[kept] = ~repeat
     drops = Counter(raw.drops)
     for reason, mask in (("duplicate row", duplicate), ("repeat attempt", repeat)):
         if mask.any():
             drops[reason] += int(mask.sum())
     # a student's first row is never dropped, so every student stays
-    lengths = np.bincount(student[kept], minlength=len(raw.by_student)).tolist()
+    lengths = np.bincount(student[~repeat], minlength=len(raw.by_student)).tolist()
     skill, skill_index = _recode(raw.skill[kept], raw.skill_index)
     problem, problem_index = _recode(raw.problem[kept], raw.problem_index)
     return Dataset(skill, problem, raw.correct[kept], raw.order[kept],

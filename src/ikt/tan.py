@@ -396,7 +396,7 @@ class ExplanationRecord:
     prior_log_odds: float
     log_odds: float
     contributions: tuple
-    flags: tuple
+    out_of_domain: tuple
 
 
 def _sigmoid(x: float) -> float:
@@ -410,14 +410,15 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
     """Posterior plus each node's exact log-likelihood-ratio contribution.
 
     A node whose value, or whose parent's value, is outside the model
-    domain contributes 0 (the uniform fallback) and is flagged.
+    domain contributes 0 (the uniform fallback); ``out_of_domain`` names
+    each such feature once, in the order the nodes are walked.
     """
     cutpoints = model.discretizer.cutpoints
     values = {f: (bisect.bisect_right(cutpoints[f], evidence[f]) if f in cutpoints
                   else int(evidence[f])) for f in model.features}
     codes = {f: model.codes[f].get(v) for f, v in values.items()}
     contributions = []
-    flags: list = []
+    out_of_domain: list = []
     log_odds = model.prior_log_odds
     for f in model.features:
         p_feat = model.structure.parent[f]
@@ -426,10 +427,8 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
         if code is None or pcode is None:
             ratio = 0.0
             bad = f if code is None else p_feat
-            flag = (f"value {evidence[bad]!r} for {bad} is outside the model domain; "
-                    "uniform fallback used")
-            if flag not in flags:
-                flags.append(flag)
+            if bad not in out_of_domain:
+                out_of_domain.append(bad)
         else:
             ratio = model.log_ratio[f].item(code, pcode)
         parent_value = values[p_feat] if p_feat is not None else None
@@ -440,7 +439,7 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
         prior_log_odds=model.prior_log_odds,
         log_odds=log_odds,
         contributions=tuple(contributions),
-        flags=tuple(flags),
+        out_of_domain=tuple(out_of_domain),
     )
 
 

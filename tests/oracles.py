@@ -6,7 +6,8 @@ mastery tracker and feature replay, exhaustive joint-table enumeration,
 Prufer-sequence spanning-tree enumeration, quadratic pairwise AUC,
 k-means with every distance taken from the full point-by-centroid
 broadcast, profile labels from per-vector exact sums, a log loader that
-checks one row at a time and sorts and codes in plain Python.
+checks one row at a time and sorts and codes in plain Python, and a
+cleaning pass that looks each row up in sets.
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ def load_csv_oracle(path, schema):
     except UnicodeDecodeError:
         raise DataFormatError(f"{path}: byte {_undecodable_offset(path)} is not "
                               "valid UTF-8") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
     if schema.order:
         try:
@@ -232,6 +235,51 @@ def load_csv_oracle(path, schema):
         np.array([key for key, _ in finite], dtype=float),
         {s: slice(a, b) for s, (a, b) in by_student.items()},
         skill_index, problem_index, drops)
+
+
+def preprocess_oracle(raw):
+    """``dataset.preprocess``, one row at a time in row order.
+
+    A row is a duplicate when an earlier row had the same (student,
+    order, correct, skill, problem), and a repeat attempt when an earlier
+    row that was not a duplicate had the same (student, problem); both
+    are looked up in sets. The indexes are rebuilt by ``setdefault`` over
+    the kept rows.
+    """
+    skills, problems = list(raw.skill_index), list(raw.problem_index)
+    drops = Counter(raw.drops)
+    identities, pairs = set(), set()
+    kept = {}  # student -> kept row numbers
+    for student, rows in raw.by_student.items():
+        for i in range(rows.start, rows.stop):
+            problem = problems[raw.problem[i]]
+            identity = (student, float(raw.order[i]), int(raw.correct[i]),
+                        skills[raw.skill[i]], problem)
+            if identity in identities:
+                drops["duplicate row"] += 1
+                continue
+            identities.add(identity)
+            if (student, problem) in pairs:
+                drops["repeat attempt"] += 1
+            else:
+                pairs.add((student, problem))
+                kept.setdefault(student, []).append(i)
+    rows = [i for student_rows in kept.values() for i in student_rows]
+    skill_index: dict = {}
+    problem_index: dict = {}
+    for i in rows:
+        skill_index.setdefault(skills[raw.skill[i]], len(skill_index))
+        problem_index.setdefault(problems[raw.problem[i]], len(problem_index))
+    by_student, start = {}, 0
+    for student, student_rows in kept.items():
+        by_student[student] = slice(start, start + len(student_rows))
+        start += len(student_rows)
+    return Dataset(
+        np.array([skill_index[skills[raw.skill[i]]] for i in rows], dtype=np.intp),
+        np.array([problem_index[problems[raw.problem[i]]] for i in rows], dtype=np.intp),
+        np.array([raw.correct[i] for i in rows], dtype=np.intp),
+        np.array([raw.order[i] for i in rows], dtype=float),
+        by_student, skill_index, problem_index, drops)
 
 
 def simulate_bkt(params, n_seq, length, rng):

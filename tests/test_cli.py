@@ -120,6 +120,21 @@ class TestInputErrors:
                     "--out", str(tmp / "x")]) == 2
         assert f"bad.csv: byte {offset} is not valid UTF-8" in capsys.readouterr().err
 
+    def test_cell_over_the_csv_field_limit_exits_2(self, workspace, capsys):
+        # csv.Error once escaped load_csv as an internal error (exit 1)
+        tmp, raw, schema = workspace
+        lines = (tmp / "raw.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[3].split(",")
+        cells[2] = "k" * 140_000
+        bad = tmp / "long.csv"
+        bad.write_text("".join(lines[:3]) + ",".join(cells) + "".join(lines[4:]),
+                       encoding="utf-8")
+        assert run(["preprocess", "--data", str(bad), "--schema", schema,
+                    "--out", str(tmp / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "long.csv: line 4: field larger than field limit (131072)" in err
+        assert "internal" not in err
+
     def test_too_few_students_exits_2(self, workspace, capsys, monkeypatch):
         tmp, raw, schema = workspace
         config = tmp / "many.cfg"
@@ -470,13 +485,15 @@ class TestFitPredictExplain:
         assert "manifest.kv" in err and "internal" not in err
 
     def test_explain_unknown_skill_flagged(self, bundle, capsys):
-        # coded as predict codes it: len(vocabulary), outside the skill domain
+        # coded as predict codes it: len(vocabulary), outside the skill domain;
+        # printed by the id given
         _, fitted, _ = bundle
         assert run(["explain", "--model-dir", str(fitted), "skill=s_new",
                     "mastery=0.4", "profile=1", "difficulty=5"]) == 0
         out = capsys.readouterr().out
-        assert "  skill=3 (class only): +0.000000" in out
-        assert "note: value 3 for skill is outside the model domain" in out
+        assert "  skill=s_new (class only): +0.000000" in out
+        assert "  difficulty=5 (skill=s_new): " in out
+        assert "note: value 's_new' for skill is outside the model domain" in out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-3", "1.5"])
     def test_explain_rejects_mastery_outside_the_unit_interval(self, bundle, capsys, value):
@@ -525,17 +542,18 @@ class TestFitPredictExplain:
 
     def test_explain_skill_id_reads_its_code(self, bundle, capsys):
         # recorded with the former `explain --model tan_ikt3.model skill=1 ...`
-        # on this bundle, whose bkt_params.tsv lists s1 second (code 1)
+        # on this bundle, whose bkt_params.tsv lists s1 second (code 1); the
+        # lines print the skill by its id, where they once printed the code
         _, fitted, _ = bundle
         assert run(["explain", "--model-dir", str(fitted), "skill=s1",
                     "mastery=0.4", "profile=1", "difficulty=5"]) == 0
         assert capsys.readouterr().out == (
             "posterior P(correct) = 0.481073\n"
             "prior log-odds       = +0.057524\n"
-            "  skill=1 (class only): -0.193381\n"
+            "  skill=s1 (class only): -0.193381\n"
             "  mastery=0 (profile=1): -0.206581\n"
             "  profile=1 (difficulty=5): +0.025533\n"
-            "  difficulty=5 (skill=1): +0.241162\n"
+            "  difficulty=5 (skill=s1): +0.241162\n"
             "sum of contributions = -0.075743 (posterior log-odds -0.075743)\n")
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ikt.dataset import (CANONICAL_SCHEMA, ColumnSchema, DataFormatError,
-                         SchemaError, load_csv, load_schema, preprocess,
+                         SchemaError, _recode, load_csv, load_schema, preprocess,
                          save_canonical, split_folds)
 
-from oracles import load_csv_oracle
+from oracles import load_csv_oracle, preprocess_oracle
 from synth import mastery_process_rows, records, to_dataset
 
 SCHEMA = ColumnSchema(student="user", problem="item", skill="kc", correct="outcome")
@@ -152,10 +152,24 @@ class TestLoadCsv:
 def same_dataset(a, b):
     for name in ("skill", "problem", "correct", "order"):
         x, y = getattr(a, name), getattr(b, name)
+        # bytes too, so that -0.0 and 0.0 keys are told apart
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert x.tobytes() == y.tobytes(), name
     for name in ("by_student", "skill_index", "problem_index"):
         assert list(getattr(a, name).items()) == list(getattr(b, name).items()), name
-    assert a.drops == b.drops
+    assert sorted(a.drops.items()) == sorted(b.drops.items())
+
+
+def assert_row_layout(data):
+    """The ``Dataset`` invariant: each student's rows are one slice, the
+    slices follow each other in ``by_student`` order, and ``order`` is
+    nondecreasing within each."""
+    stop = 0
+    for rows in data.by_student.values():
+        assert rows.start == stop and rows.stop > rows.start and rows.step is None
+        assert (np.diff(data.order[rows]) >= 0).all()
+        stop = rows.stop
+    assert stop == data.n_records
 
 
 def load_or_error(loader, path, schema):
@@ -258,6 +272,89 @@ class TestLoaderOracle:
         for loader in (load_csv, load_csv_oracle):
             with pytest.raises(DataFormatError, match="row 2: correctness value 'x'"):
                 loader(str(path), SCHEMA)
+
+    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path):
+        long_line = "b,p2," + "k" * 140_000 + ",1\n"
+        path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,1\n" + long_line)
+        for loader in (load_csv, load_csv_oracle):
+            with pytest.raises(DataFormatError, match=re.escape(
+                    "data.csv: line 3: field larger than field limit (131072)")):
+                loader(path, SCHEMA)
+        # a bad correctness cell read before it is still the error reported
+        path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,x\n" + long_line)
+        for loader in (load_csv, load_csv_oracle):
+            with pytest.raises(DataFormatError, match="row 2: correctness value 'x'"):
+                loader(path, SCHEMA)
+
+
+# few ids and order cells, so that rows tie on (student, order), repeat a
+# problem or copy an earlier row; "-0" and "0.0" are equal keys
+CLEAN_ORDER_CELLS = {"numeric": ["0", "-0", "0.0", "-0.0", "1", "1.0", "2", "3"],
+                     "iso": ["2020-01-01", "2020-01-02", "2020-01-03"]}
+
+
+@st.composite
+def logs_to_clean(draw):
+    """A raw log's text and schema: rows drawn from small pools, some of
+    them copied to later positions, so that exact duplicates fall inside
+    and across runs of tied order cells; possibly empty, possibly
+    without an order column."""
+    order = draw(st.sampled_from([None, "numeric", "iso"]))
+    header = ["user", "item", "kc", "outcome"] + ["ts"] * bool(order)
+    ts = [st.sampled_from(CLEAN_ORDER_CELLS[order])] if order else []
+    row = st.tuples(st.sampled_from("abcd"), st.sampled_from(["p1", "p2", "p3"]),
+                    st.sampled_from(["s1", "s2"]), st.sampled_from(["0", "1"]), *ts)
+    rows = draw(st.lists(row, max_size=25))
+    for at, source in draw(st.lists(st.tuples(st.integers(0, 25), st.integers(0, 25)),
+                                    max_size=8 * bool(rows))):
+        rows.insert(at, rows[source % len(rows)])
+    text = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    return text, ColumnSchema(student="user", problem="item", skill="kc",
+                              correct="outcome", order="ts" if order else None)
+
+
+class TestPreprocessOracle:
+    """``preprocess`` against the set-based ``preprocess_oracle``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=logs_to_clean())
+    def test_agrees_with_the_row_at_a_time_cleaner(self, tmp_path_factory, case):
+        text, schema = case
+        path = str(tmp_path_factory.getbasetemp() / "clean_log.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        raw = load_csv(path, schema)
+        assert_row_layout(raw)
+        data = preprocess(raw)
+        assert_row_layout(data)
+        same_dataset(data, preprocess_oracle(raw))
+
+    def test_duplicates_inside_and_across_tie_runs(self, tmp_path):
+        # a's ts-1 run holds p1 twice around p2, its ts-2 run p1 again (a
+        # repeat) and that row's copy; b's one row stays, keyed -0.0
+        path = write(tmp_path, "user,item,kc,outcome,ts\n"
+                               "a,p1,s1,1,1\na,p2,s1,0,1\nb,p1,s1,1,-0\na,p1,s1,1,1\n"
+                               "a,p1,s1,0,2\na,p3,s2,1,0\na,p1,s1,0,2\n")
+        raw = load_csv(path, SCHEMA_ORDERED)
+        data = preprocess(raw)
+        assert problem_ids(data, "a") == ["p3", "p1", "p2"] and problem_ids(data, "b") == ["p1"]
+        assert data.drops == {"duplicate row": 2, "repeat attempt": 1}
+        assert np.signbit(data.order[data.by_student["b"]]).tolist() == [True]
+        same_dataset(data, preprocess_oracle(raw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(codes=st.lists(st.integers(0, 7), max_size=30), extra=st.integers(0, 3),
+           in_index_order=st.booleans())
+    def test_recode_agrees_with_np_unique(self, codes, extra, in_index_order):
+        codes = np.array(codes, dtype=np.intp)
+        index = {f"n{i}": i for i in range(8 + extra)}
+        used, first = np.unique(codes, return_index=True)
+        if not in_index_order:
+            used = used[np.argsort(first)]
+        got, got_index = _recode(codes, index, in_index_order=in_index_order)
+        assert list(got_index.items()) == [(f"n{c}", i) for i, c in enumerate(used.tolist())]
+        assert got.dtype == np.intp
+        assert got.tolist() == [used.tolist().index(c) for c in codes.tolist()]
 
 
 class TestSchemaFile:

@@ -304,7 +304,7 @@ class TestPredict:
     def test_out_of_domain_uses_uniform_and_flags(self):
         model = uniform_model(prior=(0.4, 0.6))
         record = explain(model, {"a": 99, "b": 0})
-        assert record.flags
+        assert record.out_of_domain == ("a",)
         assert record.posterior == pytest.approx(0.6, abs=1e-12)
         assert predict_many(model, {"a": [99], "b": [0]})[0] == pytest.approx(0.6, abs=1e-12)
 
