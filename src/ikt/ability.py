@@ -31,8 +31,6 @@ __all__ = [
     "interval_vectors",
     "train_clusters",
     "profile_labels",
-    "save_centroids",
-    "load_centroids",
 ]
 
 INITIAL_PROFILE = 1
@@ -273,28 +271,3 @@ def profile_labels(skill, correct, lengths, model: ClusterModel, skill_count: in
     if len(vectors):
         labels[:-1] += 1 + _screen(vectors, model.k)(model.centroids)
     return labels[index]
-
-
-def save_centroids(model: ClusterModel, path: str) -> None:
-    """K rows by n-skills matrix, 6-decimal, tab-separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in model.centroids:
-            fh.write("\t".join(f"{v:.6f}" for v in row) + "\n")
-
-
-def load_centroids(path: str) -> ClusterModel:
-    """Inverse of ``save_centroids``; a malformed row raises ``ValueError``
-    naming ``path:lineno``."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(v) for v in line.split("\t")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{path}:{lineno}: {len(rows[-1])} values, "
-                                 f"expected {len(rows[0])}")
-    return ClusterModel(centroids=np.array(rows))

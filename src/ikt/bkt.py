@@ -28,8 +28,6 @@ __all__ = [
     "fit_skill",
     "fit_all_skills",
     "mean_params",
-    "save_params_table",
-    "load_params_table",
 ]
 
 
@@ -293,32 +291,3 @@ def mean_params(params_list) -> BktParams:
         return BktParams(0.5, 0.1, 0.2, 0.1)
     arr = np.array([[p.l0, p.t, p.g, p.s] for p in params_list])
     return BktParams(*map(float, arr.mean(axis=0)))
-
-
-def save_params_table(params_by_skill: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("skill_id\tl0\tt\tg\ts\n")
-        for skill, p in params_by_skill.items():
-            fh.write(f"{skill}\t{p.l0:.6f}\t{p.t:.6f}\t{p.g:.6f}\t{p.s:.6f}\n")
-
-
-def load_params_table(path: str) -> dict:
-    """Skill id -> parameters in file row order; a malformed row raises
-    ``ValueError`` naming ``path:lineno``."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("skill_id"):
-            raise ValueError(f"{path}:1: not a skill parameter table")
-        for lineno, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            try:
-                skill, l0, t, g, s = line.rstrip("\n").split("\t")
-                params = BktParams(float(l0), float(t), float(g), float(s))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if skill in out:
-                raise ValueError(f"{path}:{lineno}: skill {skill!r} listed twice")
-            out[skill] = params
-    return out

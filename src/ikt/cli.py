@@ -1,11 +1,25 @@
 """Command-line entry point: preprocess, fit, evaluate, predict, explain.
 
 ``fit`` writes one bundle, and ``evaluate`` one per fold under
-``artifacts/foldN``: ``bkt_params.tsv``, whose row order is the skill
-coding, ``centroids.tsv``, ``difficulty.tsv``, a ``tan_<feature
-set>.model`` per feature set and ``manifest.kv`` with the bundle format
-and the configuration. ``predict`` and ``explain`` read a bundle given
-as ``--model-dir``; ``explain`` takes the skill as an id of that bundle.
+``artifacts/foldN``. ``predict`` and ``explain`` read a bundle given as
+``--model-dir``; ``explain`` takes the skill as an id of that bundle.
+``_write_bundle`` and ``_load_bundle`` own its files; the three tables
+are UTF-8 text, one tab-separated row per line, and a blank line is
+skipped when read:
+
+- ``bkt_params.tsv``: the header ``skill_id l0 t g s``, then one row per
+  skill, its id and its four probabilities to 6 decimals. The row order
+  is the skill coding.
+- ``centroids.tsv``: one row per k-means cluster, its value for each
+  skill, in skill-code order, to 6 decimals; no header, and no row when
+  no cluster was fitted.
+- ``difficulty.tsv``: the line ``# default`` with the level of a problem
+  not listed, then one row per rated problem, its id and its integer
+  level from 0 to 10.
+
+Besides them, a ``tan_<feature set>.model`` per feature set
+(``tan.save_model``) and ``manifest.kv`` with the bundle format and the
+configuration.
 
 All outputs are UTF-8 text. Exit codes: 0 success, 2 for input or
 configuration errors, 1 for internal failures, which also print their
@@ -23,11 +37,13 @@ import traceback
 
 import numpy as np
 
-from . import __version__, ability, bkt, evaluation, tan
+from . import __version__, evaluation, tan
+from .ability import ClusterModel
+from .bkt import BktParams
 from .dataset import (CANONICAL_SCHEMA, DataFormatError, SchemaError, load_csv,
                       load_schema, preprocess, render_drop_report, save_canonical,
                       _parse_keyvalue)
-from .difficulty import load_difficulty_table, save_difficulty_table
+from .difficulty import DEFAULT_LEVEL, DifficultyTable
 from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
                          SingleClassError, evaluate_feature_sets, render_ablation_text)
 
@@ -68,11 +84,7 @@ def load_config(path: str | None, args=None) -> tuple[ExperimentConfig, bool]:
     if path is not None:
         if not os.path.exists(path):
             raise InputError(f"config file not found: {path}")
-        try:
-            entries = _parse_keyvalue(path)
-        except SchemaError as exc:
-            raise InputError(str(exc)) from exc
-        for key, raw in entries.items():
+        for key, raw in _parse_keyvalue(path).items():
             typ = bool if key == "ablation" else _CONFIG_TYPES.get(key)
             if typ is None:
                 errors.append(f"{key}: unknown configuration key")
@@ -114,11 +126,8 @@ def _load_dataset(path: str, schema_path: str | None):
         raise InputError(f"schema file not found: {schema_path}")
     if not os.path.exists(path):
         raise InputError(f"data file not found: {path}")
-    try:
-        schema = load_schema(schema_path) if schema_path else CANONICAL_SCHEMA
-        return preprocess(load_csv(path, schema))
-    except (SchemaError, DataFormatError) as exc:
-        raise InputError(str(exc)) from exc
+    schema = load_schema(schema_path) if schema_path else CANONICAL_SCHEMA
+    return preprocess(load_csv(path, schema))
 
 
 def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
@@ -134,12 +143,19 @@ def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
     os.makedirs(outdir, exist_ok=True)
     written = []
     if artifacts is not None:
-        for name, save, value in (
-                ("bkt_params.tsv", bkt.save_params_table, artifacts.params_by_skill),
-                ("centroids.tsv", ability.save_centroids, artifacts.clusters),
-                ("difficulty.tsv", save_difficulty_table, artifacts.difficulty)):
+        difficulty = artifacts.difficulty
+        tables = {
+            "bkt_params.tsv": ["skill_id\tl0\tt\tg\ts"] + [
+                f"{skill}\t{p.l0:.6f}\t{p.t:.6f}\t{p.g:.6f}\t{p.s:.6f}"
+                for skill, p in artifacts.params_by_skill.items()],
+            "centroids.tsv": ["\t".join(f"{v:.6f}" for v in row)
+                              for row in artifacts.clusters.centroids],
+            "difficulty.tsv": [f"# default\t{difficulty.default_level}"] + [
+                f"{problem}\t{level}" for problem, level in difficulty.levels.items()],
+        }
+        for name, lines in tables.items():
             written.append(os.path.join(outdir, name))
-            save(value, written[-1])
+            _write(written[-1], "".join(f"{line}\n" for line in lines))
     for fs, model in (models or {}).items():
         written.append(os.path.join(outdir, f"tan_{fs}.model"))
         tan.save_model(model, written[-1])
@@ -151,6 +167,53 @@ def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
     lines += [f"artifact = {p}" for p in written]
     _write(os.path.join(outdir, "manifest.kv"), "\n".join(lines) + "\n")
     return written
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # nan fails too
+        raise ValueError(f"{text!r} is not a probability in [0, 1]")
+    return value
+
+
+def _level(text: str) -> int:
+    level = int(text)
+    if not 0 <= level <= 10:
+        raise ValueError(f"level {text!r} is not from 0 to 10")
+    return level
+
+
+def _read_rows(path: str, parse, width: int | None = None, header: str | None = None,
+               key: str | None = None) -> list:
+    """What ``parse`` returns for each row of the bundle table ``path``,
+    in file order; a row is a non-blank line split on tabs.
+
+    Every row has ``width`` fields, or as many as the first. With
+    ``header`` the first line must start with it and is not a row. With
+    ``key``, the name of what the first field holds, no first field may
+    repeat. A violation, or an error of ``parse``, raises ``ValueError``
+    naming ``path:lineno``.
+    """
+    rows, seen = [], set()
+    with open(path, encoding="utf-8") as fh:
+        if header is not None and not fh.readline().startswith(header):
+            raise ValueError(f"{path}:1: expected a {header!r} header")
+        for lineno, line in enumerate(fh, 1 + (header is not None)):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            width = width or len(fields)
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"{len(fields)} fields, expected {width}")
+                if key is not None:
+                    if fields[0] in seen:
+                        raise ValueError(f"{key} {fields[0]!r} listed twice")
+                    seen.add(fields[0])
+                rows.append(parse(*fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return rows
 
 
 def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
@@ -181,16 +244,21 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
             raise ValueError(f"{manifest}: needs config.feature_set and a positive "
                              "config.interval_len")
         model = tan.load_model(artifact(f"tan_{feature_set}.model"))
-        params = bkt.load_params_table(bkt_path)
-        clusters = ability.load_centroids(centroids_path)
-        difficulty = load_difficulty_table(artifact("difficulty.tsv"))
+        params = dict(_read_rows(
+            bkt_path, lambda skill, *p: (skill, BktParams(*map(_probability, p))),
+            width=5, header="skill_id", key="skill"))
+        centroids = _read_rows(centroids_path, lambda *row: list(map(_probability, row)))
+        levels = dict(_read_rows(artifact("difficulty.tsv"),
+                                 lambda problem, level: (problem, _level(level)),
+                                 width=2, key="problem"))
     except (SchemaError, ValueError) as exc:
         raise InputError(f"malformed artifact: {exc}") from exc
-    if clusters.k and clusters.dim != len(params):
-        raise InputError(f"{centroids_path}: centroids have dimension {clusters.dim}, "
+    if centroids and len(centroids[0]) != len(params):
+        raise InputError(f"{centroids_path}: centroids have dimension {len(centroids[0])}, "
                          f"but {bkt_path} lists {len(params)} skills")
-    return (FoldArtifacts(params_by_skill=params, clusters=clusters,
-                          difficulty=difficulty),
+    default = levels.pop("# default", DEFAULT_LEVEL)
+    return (FoldArtifacts(params_by_skill=params, clusters=ClusterModel(np.array(centroids)),
+                          difficulty=DifficultyTable(levels, default)),
             int(interval_len), model)
 
 
@@ -462,7 +530,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, SchemaError, DataFormatError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DifficultyTable", "build_difficulty_table", "save_difficulty_table",
-           "load_difficulty_table", "DEFAULT_LEVEL", "MIN_STUDENTS"]
+__all__ = ["DifficultyTable", "build_difficulty_table", "DEFAULT_LEVEL", "MIN_STUDENTS"]
 
 DEFAULT_LEVEL = 5
 MIN_STUDENTS = 4
@@ -42,31 +41,3 @@ def build_difficulty_table(train_data) -> DifficultyTable:
     return DifficultyTable(levels={
         names[c]: 10 * int(right[c]) // int(attempts[c])
         for c in distinct[np.argsort(first)].tolist() if attempts[c] >= MIN_STUDENTS})
-
-
-def save_difficulty_table(table: DifficultyTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# default\t{table.default_level}\n")
-        for problem in table.levels:
-            fh.write(f"{problem}\t{table.levels[problem]}\n")
-
-
-def load_difficulty_table(path: str) -> DifficultyTable:
-    """Inverse of ``save_difficulty_table``; a malformed row raises
-    ``ValueError`` naming ``path:lineno``."""
-    levels = {}
-    default = DEFAULT_LEVEL
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                if line.startswith("# default\t"):
-                    default = int(line.split("\t")[1])
-                    continue
-                problem, level = line.split("\t")
-                levels[problem] = int(level)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return DifficultyTable(levels=levels, default_level=default)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ikt.ability import (ClusterModel, interval_vectors, load_centroids,
-                         profile_labels, save_centroids, train_clusters)
+from ikt.ability import ClusterModel, interval_vectors, profile_labels, train_clusters
 from ikt.evaluation import ExperimentConfig
 
 from oracles import assign_profile, kmeans_oracle
@@ -382,13 +381,3 @@ class TestProfileLabelsOracle:
         model = ClusterModel(centroids=np.zeros(0))
         labels = profile_labels(*cols([(0, 1)] * 45), model, skill_count=3)
         assert labels.tolist() == [1] * 45
-
-
-class TestCentroidIO:
-    def test_round_trip(self, tmp_path):
-        model = ClusterModel(centroids=np.array([[0.123456, 0.5], [0.9, 0.25]]))
-        path = tmp_path / "centroids.tsv"
-        save_centroids(model, str(path))
-        loaded = load_centroids(str(path))
-        assert np.allclose(loaded.centroids, model.centroids, atol=1e-6)
-        assert path.read_text().splitlines()[0] == "0.123456\t0.500000"

@@ -9,16 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ikt import ability, evaluation
-from ikt.bkt import load_params_table
-from ikt.cli import _dump_predictions, _load_bundle, _load_dataset, load_config, main
+from ikt.ability import ClusterModel
+from ikt.bkt import BktParams
+from ikt.cli import (_dump_predictions, _load_bundle, _load_dataset, _write_bundle,
+                     load_config, main)
 from ikt.dataset import split_folds
-from ikt.evaluation import ExperimentConfig, FeatureTable
+from ikt.difficulty import DifficultyTable
+from ikt.evaluation import ExperimentConfig, FeatureTable, FoldArtifacts
 
 from synth import mixed_process_rows, to_dataset, write_raw_csv
 
 CLI_ROWS = mixed_process_rows(n_students=25, n_skills=3, attempts=50, seed=9)
 
 SCHEMA_TEXT = "student = user\nproblem = item\nskill = kc\ncorrect = outcome\norder = ts\n"
+
+PARAMS_HEADER = "skill_id\tl0\tt\tg\ts\n"
+PARAMS_ROWS = "s1\t0.5\t0.1\t0.2\t0.1\ns2\t0.5\t0.1\t0.2\t0.1\n"
 
 
 @pytest.fixture()
@@ -155,6 +161,23 @@ class TestInputErrors:
         ("centroids.tsv", "0.5\t0.5\t0.5\n0.5\t0.5\n"),
         ("difficulty.tsv", "p1\thard\n"),
         ("manifest.kv", "config.feature_set = ikt3\n"),
+        # values out of range, and a problem listed twice, once loaded silently
+        pytest.param("bkt_params.tsv", PARAMS_HEADER + "s0\t1.5\t0.1\t0.2\t0.1\n"
+                     + PARAMS_ROWS, id="l0_above_one"),
+        pytest.param("bkt_params.tsv", PARAMS_HEADER + "s0\tnan\t0.1\t0.2\t0.1\n"
+                     + PARAMS_ROWS, id="l0_nan"),
+        pytest.param("bkt_params.tsv", PARAMS_HEADER + "s0\t0.5\t-0.3\t0.2\t0.1\n"
+                     + PARAMS_ROWS, id="t_negative"),
+        pytest.param("centroids.tsv", "0.5\t0.5\t0.5\n0.5\tnan\t0.5\n", id="centroid_nan"),
+        pytest.param("centroids.tsv", "0.5\tinf\t0.5\n", id="centroid_inf"),
+        pytest.param("centroids.tsv", "0.5\t1.2\t0.5\n", id="centroid_above_one"),
+        pytest.param("difficulty.tsv", "# default\t5\np_s0_0\t3\np_s0_0\t4\n",
+                     id="problem_listed_twice"),
+        pytest.param("difficulty.tsv", "# default\t5\np_s0_0\t11\n", id="level_above_10"),
+        pytest.param("difficulty.tsv", "p_s0_0\t-1\n", id="level_negative"),
+        pytest.param("difficulty.tsv", "# default\t12\n", id="default_level_above_10"),
+        pytest.param("difficulty.tsv", "# default\t5\n# default\t6\n",
+                     id="default_level_twice"),
     ])
     def test_malformed_artifact_exits_2(self, workspace, capsys, name, content):
         tmp, raw, schema = workspace
@@ -167,6 +190,8 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "malformed artifact" in err and "internal" not in err
         assert re.search(re.escape(name) + r"(:\d+)?: ", err)  # names the file
+        if name.endswith(".tsv"):  # and, in a table, the line
+            assert re.search(re.escape(name) + r":\d+: ", err)
 
     def test_centroid_dimension_mismatch_exits_2(self, workspace, capsys):
         # the bundle itself disagrees: 3 centroid columns, 2 skill rows
@@ -588,6 +613,47 @@ def rows_by_student(rows):
     return out
 
 
+class TestBundleTables:
+    """The three tables of a bundle, as ``_write_bundle`` writes them and
+    ``_load_bundle`` reads them."""
+
+    def test_round_trip(self, bundle, tmp_path):
+        _, fitted, _ = bundle
+        model = _load_bundle(str(fitted))[2]
+        params = {"sk": BktParams(0.3, 0.1, 0.2, 0.05),
+                  "s1": BktParams(0.35, 0.1, 0.25, 0.0500004)}
+        centroids = np.array([[0.1234564, 0.5], [0.9, 0.25]])
+        artifacts = FoldArtifacts(params_by_skill=params, clusters=ClusterModel(centroids),
+                                  difficulty=DifficultyTable(levels={"p1": 3, "p2": 10}))
+        names = ("bkt_params.tsv", "centroids.tsv", "difficulty.tsv")
+        tables = []
+        for out in (tmp_path / "written", tmp_path / "rewritten"):
+            _write_bundle(str(out), ExperimentConfig(), {}, artifacts, {"ikt3": model})
+            tables.append({n: (out / n).read_bytes() for n in names})
+            artifacts, interval_len, _ = _load_bundle(str(out))
+            assert interval_len == 20
+            assert list(artifacts.params_by_skill) == ["sk", "s1"]  # row order kept
+            for skill, p in params.items():
+                assert np.allclose(dataclasses.astuple(artifacts.params_by_skill[skill]),
+                                   dataclasses.astuple(p), rtol=0, atol=5e-7), skill
+            assert np.allclose(artifacts.clusters.centroids, centroids, rtol=0, atol=5e-7)
+            assert artifacts.difficulty.levels == {"p1": 3, "p2": 10}
+            assert artifacts.difficulty.default_level == 5
+        assert tables[0] == tables[1]  # a loaded bundle's tables write back unchanged
+        lines = {n: text.decode().splitlines() for n, text in tables[0].items()}
+        assert lines["bkt_params.tsv"][:2] == ["skill_id\tl0\tt\tg\ts",
+                                              "sk\t0.300000\t0.100000\t0.200000\t0.050000"]
+        assert lines["centroids.tsv"][0] == "0.123456\t0.500000"
+        assert lines["difficulty.tsv"] == ["# default\t5", "p1\t3", "p2\t10"]
+        # without clusters (no complete interval) the centroid table is empty
+        out = tmp_path / "unclustered"
+        _write_bundle(str(out), ExperimentConfig(), {},
+                      dataclasses.replace(artifacts, clusters=ClusterModel(np.zeros(0))),
+                      {"ikt3": model})
+        assert (out / "centroids.tsv").read_bytes() == b""
+        assert _load_bundle(str(out))[0].clusters.k == 0
+
+
 class TestPredictUsesTheBundle:
     """A student's predictions depend on the bundle and that student only."""
 
@@ -661,7 +727,7 @@ class TestPredictUsesTheBundle:
         got = predict_rows(raw, schema, fitted, tmp_path / "p.tsv")
         assert set(got) == set(expected)
         # without s0 each student starts on s1, at s1's fitted prior
-        l0 = load_params_table(str(fitted / "bkt_params.tsv"))["s1"].l0
+        l0 = _load_bundle(str(fitted))[0].params_by_skill["s1"].l0
         for lines in got.values():
             assert lines[0].split("\t")[2:4] == ["s1", f"{l0:.6f}"]
 

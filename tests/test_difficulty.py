@@ -1,8 +1,7 @@
 import pytest
 
 from ikt.dataset import preprocess
-from ikt.difficulty import (DifficultyTable, build_difficulty_table,
-                            load_difficulty_table, save_difficulty_table)
+from ikt.difficulty import DifficultyTable, build_difficulty_table
 
 from synth import to_dataset
 
@@ -66,13 +65,3 @@ class TestLookup:
 
     def test_unseen_default(self):
         assert DifficultyTable(levels={}).lookup("nope") == 5
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        table = DifficultyTable(levels={"p1": 3, "p2": 10})
-        path = tmp_path / "difficulty.tsv"
-        save_difficulty_table(table, str(path))
-        loaded = load_difficulty_table(str(path))
-        assert loaded.levels == table.levels
-        assert loaded.default_level == 5

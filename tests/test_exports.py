@@ -29,3 +29,14 @@ def test_imports_only_the_standard_library_and_numpy(name):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert imported - sys.stdlib_module_names - {"numpy", "ikt"} == set()
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_only_the_file_owners_open_files(name):
+    # cli owns the bundle, dataset the logs and tan the model file; the
+    # model layers themselves stay free of file formats
+    path = Path(ikt.__file__).with_name(f"{name}.py")
+    opens = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert name in {"cli", "dataset", "tan"} or opens == []
