@@ -3,6 +3,8 @@
 Two processes: a pure mastery process (hidden learned/unlearned state
 per skill drives correctness) and a mixed process where per-problem
 quality dominates, used to demonstrate the feature-ablation ordering.
+Also ``bundle_round_trip``, which passes given tables through the
+bundle writer and loader.
 """
 
 from __future__ import annotations
@@ -12,8 +14,13 @@ import math
 
 import numpy as np
 
+from ikt import tan
+from ikt.ability import ClusterModel
+from ikt.cli import _load_bundle, _write_bundle
 from ikt.dataset import Dataset
 from ikt.bkt import BktParams
+from ikt.difficulty import DifficultyTable
+from ikt.evaluation import ExperimentConfig, FoldArtifacts
 
 ROW_FIELDS = ("student_id", "problem_id", "skill_id", "correct")
 
@@ -149,3 +156,20 @@ def shuffle_labels(rows, seed=0):
     labels = np.array([r[3] for r in rows])
     labels = labels[rng.permutation(len(labels))]
     return [(s, p, k, int(c)) for (s, p, k, _), c in zip(rows, labels)]
+
+
+def bundle_round_trip(outdir, params, centroids=(), levels=None) -> FoldArtifacts:
+    """Write a bundle holding these tables and a small ikt3 classifier,
+    then load it; returns the loaded artifacts. The tables are files of
+    ``outdir``. ``centroids`` needs one value per skill of ``params``.
+    """
+    rng = np.random.default_rng(0)
+    cols = {"skill": rng.integers(0, 3, 200), "mastery": rng.random(200),
+            "profile": rng.integers(1, 4, 200), "difficulty": rng.integers(0, 11, 200)}
+    labels = (rng.random(200) < 0.2 + 0.6 * cols["mastery"]).astype(int)
+    artifacts = FoldArtifacts(params_by_skill=params,
+                              clusters=ClusterModel(np.array(centroids, dtype=float)),
+                              difficulty=DifficultyTable(levels=dict(levels or {})))
+    _write_bundle(str(outdir), ExperimentConfig(), {}, artifacts,
+                  {"ikt3": tan.fit_tan(cols, labels)})
+    return _load_bundle(str(outdir))[0]

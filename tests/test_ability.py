@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from ikt.ability import ClusterModel, interval_vectors, profile_labels, train_clusters
+from ikt.bkt import BktParams
 from ikt.evaluation import ExperimentConfig
 
 from oracles import assign_profile, kmeans_oracle
+from synth import bundle_round_trip
 
 
 def cols(attempts):
@@ -381,3 +383,13 @@ class TestProfileLabelsOracle:
         model = ClusterModel(centroids=np.zeros(0))
         labels = profile_labels(*cols([(0, 1)] * 45), model, skill_count=3)
         assert labels.tolist() == [1] * 45
+
+
+class TestCentroidIO:
+    def test_round_trip(self, tmp_path):
+        centroids = np.array([[0.123456, 0.5], [0.9, 0.25]])
+        params = {"s1": BktParams(0.3, 0.1, 0.2, 0.1), "s2": BktParams(0.3, 0.1, 0.2, 0.1)}
+        loaded = bundle_round_trip(tmp_path, params, centroids)
+        assert np.allclose(loaded.clusters.centroids, centroids, atol=1e-6)
+        path = tmp_path / "centroids.tsv"
+        assert path.read_text().splitlines()[0] == "0.123456\t0.500000"

@@ -8,7 +8,7 @@ from ikt.bkt import (BktParams, FitGrid, NoSkillDataError, _segment_len, fit_all
                      fit_skill, grid_log_likelihoods, mean_params)
 
 from oracles import MasteryTracker, forward_oracle, simulate_bkt
-from synth import mastery_process_rows
+from synth import bundle_round_trip, mastery_process_rows
 
 
 def updated(params, obs):
@@ -339,6 +339,20 @@ class TestWeightedColumns:
         assert list(fitted) == ["a", "b"]
         assert fitted["a"] == [fit_skill([[1, 0, 1], [0, 0]]), fit_skill([[0, 0]])]
         assert fitted["b"] == [None, fit_skill([[1, 1]])]
+
+
+class TestParamsTable:
+    def test_round_trip(self, tmp_path):
+        params = {"s1": BktParams(0.35, 0.1, 0.25, 0.05),
+                  "s2": BktParams(0.6, 0.2, 0.1, 0.1)}
+        loaded = bundle_round_trip(tmp_path, params).params_by_skill
+        assert set(loaded) == {"s1", "s2"}
+        assert loaded["s1"].l0 == pytest.approx(0.35)
+
+    def test_fixed_decimal_format(self, tmp_path):
+        bundle_round_trip(tmp_path, {"sk": BktParams(0.3, 0.1, 0.2, 0.05)})
+        line = (tmp_path / "bkt_params.tsv").read_text().splitlines()[1]
+        assert line == "sk\t0.300000\t0.100000\t0.200000\t0.050000"
 
 
 class TestMeanParams:

@@ -1,9 +1,10 @@
 import pytest
 
+from ikt.bkt import BktParams
 from ikt.dataset import preprocess
 from ikt.difficulty import DifficultyTable, build_difficulty_table
 
-from synth import to_dataset
+from synth import bundle_round_trip, to_dataset
 
 
 def dataset_with(problem_outcomes):
@@ -65,3 +66,12 @@ class TestLookup:
 
     def test_unseen_default(self):
         assert DifficultyTable(levels={}).lookup("nope") == 5
+
+
+class TestSerialization:
+    def test_round_trip(self, tmp_path):
+        levels = {"p1": 3, "p2": 10}
+        loaded = bundle_round_trip(tmp_path, {"s1": BktParams(0.3, 0.1, 0.2, 0.1)},
+                                   levels=levels).difficulty
+        assert loaded.levels == levels
+        assert loaded.default_level == 5
