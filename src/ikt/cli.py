@@ -42,7 +42,7 @@ from .ability import ClusterModel
 from .bkt import BktParams
 from .dataset import (CANONICAL_SCHEMA, DataFormatError, SchemaError, load_csv,
                       load_schema, preprocess, render_drop_report, save_canonical,
-                      _parse_keyvalue)
+                      _parse_keyvalue, _undecodable_offset)
 from .difficulty import DEFAULT_LEVEL, DifficultyTable
 from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
                          SingleClassError, evaluate_feature_sets, render_ablation_text)
@@ -121,13 +121,20 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_dataset(path: str, schema_path: str | None):
-    """Load and clean a log; without a schema it must be canonical csv."""
+    """Load and clean a log; without a schema it must be canonical csv. An
+    id holding a tab or line break is refused: the outputs are TSV lines."""
     if schema_path is not None and not os.path.exists(schema_path):
         raise InputError(f"schema file not found: {schema_path}")
     if not os.path.exists(path):
         raise InputError(f"data file not found: {path}")
     schema = load_schema(schema_path) if schema_path else CANONICAL_SCHEMA
-    return preprocess(load_csv(path, schema))
+    data = preprocess(load_csv(path, schema))
+    for column, ids in (("student", data.by_student), ("skill", data.skill_index),
+                        ("problem", data.problem_index)):
+        for name in ids:
+            if "\t" in name or "\r" in name or "\n" in name:
+                raise InputError(f"{path}: {column} id {name!r} holds a tab or a line break")
+    return data
 
 
 def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
@@ -195,24 +202,27 @@ def _read_rows(path: str, parse, width: int | None = None, header: str | None = 
     naming ``path:lineno``.
     """
     rows, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        if header is not None and not fh.readline().startswith(header):
-            raise ValueError(f"{path}:1: expected a {header!r} header")
-        for lineno, line in enumerate(fh, 1 + (header is not None)):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            width = width or len(fields)
-            try:
-                if len(fields) != width:
-                    raise ValueError(f"{len(fields)} fields, expected {width}")
-                if key is not None:
-                    if fields[0] in seen:
-                        raise ValueError(f"{key} {fields[0]!r} listed twice")
-                    seen.add(fields[0])
-                rows.append(parse(*fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if header is not None and not fh.readline().startswith(header):
+                raise ValueError(f"{path}:1: expected a {header!r} header")
+            for lineno, line in enumerate(fh, 1 + (header is not None)):
+                if not line.strip():
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                width = width or len(fields)
+                try:
+                    if len(fields) != width:
+                        raise ValueError(f"{len(fields)} fields, expected {width}")
+                    if key is not None:
+                        if fields[0] in seen:
+                            raise ValueError(f"{key} {fields[0]!r} listed twice")
+                        seen.add(fields[0])
+                    rows.append(parse(*fields))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: byte {_undecodable_offset(path)} is not valid UTF-8") from None
     return rows
 
 

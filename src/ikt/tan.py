@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import _undecodable_offset
+
 __all__ = [
     "CONTINUOUS",
     "Discretizer",
@@ -32,7 +34,6 @@ __all__ = [
     "NodeContribution",
     "mdlp_cutpoints",
     "fit_discretizer",
-    "conditional_mutual_information",
     "max_spanning_parents",
     "learn_structure",
     "estimate_cpts",
@@ -136,9 +137,6 @@ class Discretizer:
             return np.asarray(column, dtype=int)
         return np.searchsorted(np.asarray(cuts), column, side="right").astype(int)
 
-    def apply(self, columns: dict) -> dict:
-        return {name: self.transform_column(name, col) for name, col in columns.items()}
-
 
 CONTINUOUS = ("mastery",)
 
@@ -156,10 +154,6 @@ def fit_discretizer(columns: dict, labels) -> Discretizer:
 # ---------------------------------------------------------------------------
 # structure learning
 
-def _dense_codes(values) -> np.ndarray:
-    return np.unique(np.asarray(values), return_inverse=True)[1].astype(np.int64)
-
-
 def _domain_codes(column) -> tuple:
     """A discretized column's sorted distinct values and each entry's
     index among them."""
@@ -167,18 +161,10 @@ def _domain_codes(column) -> tuple:
     return domain, codes.astype(np.int64)
 
 
-def conditional_mutual_information(a, b, y) -> float:
-    """I(a; b | y) from empirical frequencies, natural log.
-
-    The two feature arguments are canonicalized internally so the result
-    is exactly symmetric, not merely up to floating-point reordering.
-    """
-    return _coded_cmi(_dense_codes(a), _dense_codes(b), _dense_codes(y))
-
-
 def _coded_cmi(a_codes, b_codes, y_codes) -> float:
-    """``conditional_mutual_information`` of columns already coded 0..n-1
-    in value order."""
+    """I(a; b | y) from empirical frequencies, natural log, of columns
+    coded 0..n-1 in value order. a and b are put in byte order first, so
+    the result is exactly symmetric, not merely up to rounding."""
     if a_codes.tobytes() > b_codes.tobytes():
         a_codes, b_codes = b_codes, a_codes
 
@@ -241,17 +227,17 @@ def max_spanning_parents(weight: np.ndarray) -> list:
     return parent
 
 
-def learn_structure(disc_columns: dict, labels, coded: dict | None = None) -> TanStructure:
-    """Maximum spanning tree over pairwise class-conditional MI.
+def learn_structure(coded: dict, labels) -> TanStructure:
+    """Maximum spanning tree over pairwise class-conditional MI of the
+    ``coded`` columns, each a discretized column's ``_domain_codes`` pair.
 
     Edges point away from the root (the first feature); the class node
-    is implicitly parent of everything. ``coded`` may give each column's
-    ``_domain_codes``, which are then not recomputed.
+    is implicitly parent of everything.
     """
-    features = list(disc_columns)
+    features = list(coded)
     n = len(features)
-    codes = [coded[f][1] if coded else _dense_codes(disc_columns[f]) for f in features]
-    y = _dense_codes(labels)
+    codes = [coded[f][1] for f in features]
+    y = _domain_codes(labels)[1]
     weight = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -309,18 +295,16 @@ class TanModel:
         return self.structure.features
 
 
-def estimate_cpts(disc_columns: dict, labels, structure: TanStructure,
-                  alpha: float = 1.0, discretizer: Discretizer | None = None,
-                  coded: dict | None = None) -> TanModel:
-    """Smoothed conditional probability tables for a fixed structure.
+def estimate_cpts(coded: dict, labels, structure: TanStructure,
+                  alpha: float = 1.0, discretizer: Discretizer | None = None) -> TanModel:
+    """Smoothed conditional probability tables for a fixed structure,
+    from ``coded``: each feature's ``_domain_codes`` pair (domain, codes).
 
     alpha=0 gives maximum-likelihood frequencies; contexts never seen in
-    training fall back to a uniform column either way. ``coded`` may give
-    each column's ``_domain_codes``, which are then not recomputed.
+    training fall back to a uniform column either way.
     """
     y = np.asarray(labels, dtype=int)
     n = y.size
-    coded = coded or {f: _domain_codes(disc_columns[f]) for f in structure.features}
     domains = {f: coded[f][0] for f in structure.features}
     codes = {f: coded[f][1] for f in structure.features}
 
@@ -359,20 +343,19 @@ def fit_nested_tans(columns: dict, labels, sizes, alpha: float = 1.0) -> list:
     alone, so the discretizer, the coded columns and the CMI matrix of
     all features serve every prefix, whose tree comes from the matrix's
     leading block (``TanStructure.prefix``). Each discretized column is
-    coded once, for the CMI matrix and every model's tables; only the
-    tables are estimated per model.
+    coded once, as the ``_domain_codes`` pair ``learn_structure`` and
+    each model's ``estimate_cpts`` take; only the tables are per model.
     """
     disc = fit_discretizer(columns, labels)
-    disc_columns = disc.apply(columns)
-    coded = {f: _domain_codes(column) for f, column in disc_columns.items()}
-    structure = learn_structure(disc_columns, labels, coded)
+    coded = {f: _domain_codes(disc.transform_column(f, column))
+             for f, column in columns.items()}
+    structure = learn_structure(coded, labels)
     models = []
     for n in sizes:
         tree = structure.prefix(n)
         cuts = {f: c for f, c in disc.cutpoints.items() if f in tree.features}
-        models.append(estimate_cpts({f: disc_columns[f] for f in tree.features}, labels,
-                                    tree, alpha=alpha, discretizer=Discretizer(cuts),
-                                    coded=coded))
+        models.append(estimate_cpts(coded, labels, tree, alpha=alpha,
+                                    discretizer=Discretizer(cuts)))
     return models
 
 
@@ -508,8 +491,11 @@ def save_model(model: TanModel, path: str) -> None:
 
 
 def load_model(path: str) -> TanModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: byte {_undecodable_offset(path)} is not valid UTF-8") from None
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a recognized model file")
     alpha = None

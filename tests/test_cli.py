@@ -252,6 +252,37 @@ class TestInputErrors:
         cpt_row = text.splitlines().index("[cpt skill]") + 2
         assert message.format(cpt_row=cpt_row) in err and "internal" not in err
 
+    @pytest.mark.parametrize("name", ["difficulty.tsv", "tan_ikt3.model"])
+    def test_undecodable_artifact_named(self, workspace, capsys, name):
+        # the decoder's own message once named neither the file nor the byte
+        tmp, raw, schema = workspace
+        fitted = tmp / "fitted"
+        assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 0
+        artifact = fitted / name
+        text = artifact.read_bytes()
+        artifact.write_bytes(text + b"\xff")
+        capsys.readouterr()
+        assert run(["predict", "--data", raw, "--schema", schema,
+                    "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed artifact: {artifact}: byte {len(text)} is not valid UTF-8" in err
+
+    @pytest.mark.parametrize("column, index, bad", [
+        ("student", 0, "u\t000"), ("problem", 1, "p\n1"), ("skill", 2, "s\r0")],
+        ids=["student_tab", "problem_line_feed", "skill_carriage_return"])
+    def test_id_the_tab_separated_outputs_cannot_hold_exits_2(self, workspace, capsys,
+                                                               column, index, bad):
+        # such a bundle was once written, then refused by predict
+        tmp, raw, schema = workspace
+        first = CLI_ROWS[0][index]
+        rows = [row[:index] + (bad if row[index] == first else row[index],) + row[index + 1:]
+                for row in CLI_ROWS]
+        write_raw_csv(rows, raw)
+        fitted = tmp / "fitted"
+        assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 2
+        assert f"{column} id {bad!r} holds a tab or a line break" in capsys.readouterr().err
+        assert not (fitted / "bkt_params.tsv").exists()
+
     def test_internal_value_error_exits_1_with_traceback(self, workspace, capsys,
                                                          monkeypatch):
         def broken(*args):

@@ -40,3 +40,24 @@ def test_only_the_file_owners_open_files(name):
              if isinstance(node, ast.Call)
              and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert name in {"cli", "dataset", "tan"} or opens == []
+
+
+def _names_used(*roots):
+    used = set()
+    for root in roots:
+        for path in root.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_has_a_caller_outside_the_tests(name):
+    # a public helper that only tests call duplicates a production path
+    package = Path(ikt.__file__).parent
+    used = _names_used(package, Path(__file__).resolve().parents[1] / "perfbench")
+    module = importlib.import_module(f"ikt.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if n not in used] == []

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ikt.tan import (Discretizer, TanModel, TanStructure,
-                     conditional_mutual_information, estimate_cpts, explain,
+from ikt.tan import (Discretizer, TanModel, TanStructure, estimate_cpts, explain,
                      fit_discretizer, fit_nested_tans, fit_tan, learn_structure,
-                     load_model,
-                     max_spanning_parents, mdlp_cutpoints, predict_many,
+                     load_model, max_spanning_parents, mdlp_cutpoints, predict_many,
                      save_model)
 
 from oracles import enumerate_spanning_tree_weights, joint_oracle, random_tan_model
@@ -39,6 +37,18 @@ def best_cut_by_scan(values, labels):
         if gain > best[0]:
             best = (gain, (v[i] + v[i + 1]) / 2.0)
     return best
+
+
+def coded(columns):
+    """Each discretized column as the (domain, codes) pair the fitting
+    steps take: its sorted distinct values and each entry's index."""
+    return {f: np.unique(np.asarray(c, dtype=int), return_inverse=True)
+            for f, c in columns.items()}
+
+
+def cmi(a, b, y):
+    """I(a; b | y) as ``learn_structure`` weighs the edge between a and b."""
+    return learn_structure(coded({"a": a, "b": b}), y).weight[0, 1]
 
 
 def posterior(model, evidence):
@@ -107,7 +117,7 @@ class TestConditionalMutualInformation:
         rng = np.random.default_rng(4)
         a = rng.integers(0, 2, 4000)
         y = rng.integers(0, 2, 4000)
-        got = conditional_mutual_information(a, a.copy(), y)
+        got = cmi(a, a.copy(), y)
         h = 0.0
         for yy in (0, 1):
             mask = y == yy
@@ -123,15 +133,14 @@ class TestConditionalMutualInformation:
         y = rng.integers(0, 2, n)
         a = rng.integers(0, 3, n)
         b = rng.integers(0, 4, n)
-        assert conditional_mutual_information(a, b, y) < 0.01
+        assert cmi(a, b, y) < 0.01
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(6)
         a = rng.integers(0, 5, 3000)
         b = rng.integers(0, 3, 3000)
         y = rng.integers(0, 2, 3000)
-        assert (conditional_mutual_information(a, b, y)
-                == conditional_mutual_information(b, a, y))
+        assert cmi(a, b, y) == cmi(b, a, y)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -139,7 +148,7 @@ class TestConditionalMutualInformation:
             a = rng.integers(0, 4, 200)
             b = rng.integers(0, 4, 200)
             y = rng.integers(0, 2, 200)
-            assert conditional_mutual_information(a, b, y) >= -1e-12
+            assert cmi(a, b, y) >= -1e-12
 
 
 class TestLearnStructure:
@@ -170,7 +179,7 @@ class TestLearnStructure:
     def test_structure_is_tree_with_class_parent_implicit(self):
         rng = np.random.default_rng(9)
         cols = {f"f{i}": rng.integers(0, 3, 500) for i in range(4)}
-        st = learn_structure(cols, rng.integers(0, 2, 500))
+        st = learn_structure(coded(cols), rng.integers(0, 2, 500))
         assert [f for f in st.features if st.parent[f] is None] == ["f0"]
         for f in st.features:  # every parent chain ends at the root
             seen = set()
@@ -181,7 +190,7 @@ class TestLearnStructure:
 
     def test_needs_two_features(self):
         with pytest.raises(ValueError):
-            learn_structure({"only": np.zeros(10, int)}, np.zeros(10, int))
+            learn_structure(coded({"only": np.zeros(10, int)}), np.zeros(10, int))
 
 
 class TestEstimateCpts:
@@ -189,7 +198,7 @@ class TestEstimateCpts:
         cols = {"b": np.zeros(4, int), "a": np.array([0, 0, 0, 1])}
         labels = np.ones(4, int)
         st = TanStructure(features=("b", "a"), parent={"b": None, "a": "b"})
-        model = estimate_cpts(cols, labels, st, alpha=1.0)
+        model = estimate_cpts(coded(cols), labels, st, alpha=1.0)
         # counts {3,1} in the (b=0, y=1) context, domain size 2
         assert model.cpts["a"][0, 0, 1] == pytest.approx(4 / 6)
         assert model.cpts["a"][1, 0, 1] == pytest.approx(2 / 6)
@@ -200,12 +209,12 @@ class TestEstimateCpts:
         cols = {"b": np.zeros(4, int), "a": np.array([0, 0, 0, 1])}
         labels = np.ones(4, int)
         st = TanStructure(features=("b", "a"), parent={"b": None, "a": "b"})
-        model = estimate_cpts(cols, labels, st, alpha=0.0)
+        model = estimate_cpts(coded(cols), labels, st, alpha=0.0)
         assert model.cpts["a"][0, 0, 1] == pytest.approx(3 / 4)
         # empty context stays uniform even without smoothing
         assert model.cpts["a"][0, 0, 0] == pytest.approx(1 / 2)
 
-    def test_columns_normalized_and_positive(self):
+    def test_disc_codednormalized_and_positive(self):
         rng = np.random.default_rng(10)
         cols = {f"f{i}": rng.integers(0, 4, 300) for i in range(3)}
         labels = rng.integers(0, 2, 300)
@@ -231,8 +240,8 @@ class TestNestedFits:
                                [2, 3, 4]):
             prefix = dict(list(columns.items())[:size])
             disc = fit_discretizer(prefix, labels)
-            disc_columns = disc.apply(prefix)
-            want = estimate_cpts(disc_columns, labels, learn_structure(disc_columns, labels),
+            disc_coded = coded({f: disc.transform_column(f, c) for f, c in prefix.items()})
+            want = estimate_cpts(disc_coded, labels, learn_structure(disc_coded, labels),
                                  alpha=0.5, discretizer=disc)
             assert model.discretizer.cutpoints == want.discretizer.cutpoints
             assert model.structure == want.structure
