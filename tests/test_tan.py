@@ -214,7 +214,7 @@ class TestEstimateCpts:
         # empty context stays uniform even without smoothing
         assert model.cpts["a"][0, 0, 0] == pytest.approx(1 / 2)
 
-    def test_disc_codednormalized_and_positive(self):
+    def test_columns_normalized_and_positive(self):
         rng = np.random.default_rng(10)
         cols = {f"f{i}": rng.integers(0, 4, 300) for i in range(3)}
         labels = rng.integers(0, 2, 300)
