@@ -42,7 +42,7 @@ from .ability import ClusterModel
 from .bkt import BktParams
 from .dataset import (CANONICAL_SCHEMA, DataFormatError, SchemaError, load_csv,
                       load_schema, preprocess, render_drop_report, save_canonical,
-                      _parse_keyvalue, _undecodable_offset)
+                      _parse_keyvalue, _probability, _undecodable_offset)
 from .difficulty import DEFAULT_LEVEL, DifficultyTable
 from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
                          SingleClassError, evaluate_feature_sets, render_ablation_text)
@@ -176,13 +176,6 @@ def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
     return written
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # nan fails too
-        raise ValueError(f"{text!r} is not a probability in [0, 1]")
-    return value
-
-
 def _level(text: str) -> int:
     level = int(text)
     if not 0 <= level <= 10:
@@ -253,7 +246,12 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
                 and int(interval_len) >= 1):
             raise ValueError(f"{manifest}: needs config.feature_set and a positive "
                              "config.interval_len")
-        model = tan.load_model(artifact(f"tan_{feature_set}.model"))
+        model_path = artifact(f"tan_{feature_set}.model")
+        model = tan.load_model(model_path)
+        if model.features != FEATURE_SETS[feature_set]:
+            raise ValueError(f"{model_path}: features {' '.join(model.features)}, but "
+                             f"feature set {feature_set} is "
+                             f"{' '.join(FEATURE_SETS[feature_set])}")
         params = dict(_read_rows(
             bkt_path, lambda skill, *p: (skill, BktParams(*map(_probability, p))),
             width=5, header="skill_id", key="skill"))

@@ -78,6 +78,15 @@ def _undecodable_offset(path: str) -> int:
     raise AssertionError(f"{path} decodes as UTF-8")
 
 
+def _probability(text: str) -> float:
+    """A bundle file's probability field; nan and values outside [0, 1]
+    raise ``ValueError``."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # nan fails too
+        raise ValueError(f"{text!r} is not a probability in [0, 1]")
+    return value
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     """Column mapping for one dataset layout.

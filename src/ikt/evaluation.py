@@ -97,8 +97,8 @@ class ExperimentConfig:
                 if 0.0 < getattr(self, name) < 1.0 and not 0.0 < top < 1.0:
                     errors.append(f"{name}: at grid_step {self.grid_step} the largest "
                                   f"grid value is {top}, which must be in (0, 1)")
-        if self.alpha < 0:
-            errors.append(f"alpha: must be >= 0, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:  # else some log-ratios are nan
+            errors.append(f"alpha: must be > 0 and finite, got {self.alpha}")
         if self.workers < 1:
             errors.append(f"workers: must be >= 1, got {self.workers}")
         return errors

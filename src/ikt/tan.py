@@ -10,9 +10,11 @@ Laplace-smoothed.
 
 Scalar and batch inference read one table: a fitted model holds, per
 node, log P(value | parent value, correct) - log P(value | parent value,
-incorrect). ``predict_many`` gathers whole columns from it and
-``explain`` looks up one entry per node, so the contributions explain
-reports are exactly the terms the batch posterior sums.
+incorrect), padded with a last row and column of zeros that a value
+outside the domain, coded -1 in both paths, reads: the uniform fallback.
+``predict_many`` gathers whole columns from it and ``explain`` looks up
+one entry per node, in the same order, so the contributions explain
+reports are exactly the terms the batch log-odds sums.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _undecodable_offset
+from .dataset import _probability, _undecodable_offset
 
 __all__ = [
     "CONTINUOUS",
@@ -266,8 +268,9 @@ class TanModel:
     inference tables below are derived once, at construction.
 
     ``log_ratio[f][v, p]`` is node f's log-likelihood ratio for domain
-    index v under parent domain index p; ``codes[f]`` maps a value of
-    f's domain to its index; ``prior_log_odds`` is the class term.
+    index v under parent domain index p, and 0 at the pad index -1 of an
+    out-of-domain v or p; ``codes[f]`` maps a value of f's domain to its
+    index; ``prior_log_odds`` is the class term.
     """
 
     structure: TanStructure
@@ -282,7 +285,7 @@ class TanModel:
 
     def __post_init__(self):
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.log_ratio = {f: np.log(cpt[..., 1]) - np.log(cpt[..., 0])
+            self.log_ratio = {f: np.pad(np.log(cpt[..., 1]) - np.log(cpt[..., 0]), (0, 1))
                               for f, cpt in self.cpts.items()}
         self.codes = {f: {int(v): i for i, v in enumerate(dom)}
                       for f, dom in self.domains.items()}
@@ -399,7 +402,7 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
     cutpoints = model.discretizer.cutpoints
     values = {f: (bisect.bisect_right(cutpoints[f], evidence[f]) if f in cutpoints
                   else int(evidence[f])) for f in model.features}
-    codes = {f: model.codes[f].get(v) for f, v in values.items()}
+    codes = {f: model.codes[f].get(v, -1) for f, v in values.items()}
     contributions = []
     out_of_domain: list = []
     log_odds = model.prior_log_odds
@@ -407,13 +410,11 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
         p_feat = model.structure.parent[f]
         code = codes[f]
         pcode = codes[p_feat] if p_feat is not None else 0
-        if code is None or pcode is None:
-            ratio = 0.0
-            bad = f if code is None else p_feat
+        if code < 0 or pcode < 0:
+            bad = f if code < 0 else p_feat
             if bad not in out_of_domain:
                 out_of_domain.append(bad)
-        else:
-            ratio = model.log_ratio[f].item(code, pcode)
+        ratio = model.log_ratio[f].item(code, pcode)
         parent_value = values[p_feat] if p_feat is not None else None
         contributions.append(NodeContribution(f, values[f], parent_value, ratio))
         log_odds += ratio
@@ -426,27 +427,25 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
     )
 
 
-def predict_many(model: TanModel, columns: dict) -> np.ndarray:
-    """Vectorized posteriors for a column batch, summing the same table
-    entries as explain (out-of-domain nodes likewise contribute 0)."""
+def _log_odds(model: TanModel, columns: dict) -> np.ndarray:
+    """Posterior log-odds for a column batch: the prior plus explain's terms, in order."""
     codes = {}
-    valid = {}
     for f in model.features:
         values = model.discretizer.transform_column(f, columns[f])
         dom = model.domains[f]
-        codes[f] = np.minimum(np.searchsorted(dom, values), len(dom) - 1)
-        valid[f] = dom[codes[f]] == values
+        at = np.minimum(np.searchsorted(dom, values), len(dom) - 1)
+        codes[f] = np.where(dom[at] == values, at, -1)
 
     log_odds = np.full(len(values), model.prior_log_odds)
     for f in model.features:
         p_feat = model.structure.parent[f]
-        if p_feat is not None:
-            pcodes = codes[p_feat]
-            ok = valid[f] & valid[p_feat]
-        else:
-            pcodes = 0
-            ok = valid[f]
-        log_odds += np.where(ok, model.log_ratio[f][codes[f], pcodes], 0.0)
+        log_odds += model.log_ratio[f][codes[f], codes[p_feat] if p_feat is not None else 0]
+    return log_odds
+
+
+def predict_many(model: TanModel, columns: dict) -> np.ndarray:
+    """Vectorized posteriors for a column batch: the logistic of ``_log_odds``."""
+    log_odds = _log_odds(model, columns)
     out = np.empty(len(log_odds))
     pos_mask = log_odds >= 0
     out[pos_mask] = 1.0 / (1.0 + np.exp(-log_odds[pos_mask]))
@@ -523,7 +522,7 @@ def load_model(path: str) -> TanModel:
                 if key == "alpha":
                     alpha = float(value)
                 elif key == "class_prior":
-                    class_prior = np.array([float(v) for v in value.split()])
+                    class_prior = np.array([_probability(v) for v in value.split()])
                 elif key == "features":
                     features = value.split()
             elif section.startswith("cutpoints "):
@@ -532,13 +531,15 @@ def load_model(path: str) -> TanModel:
             elif section.startswith("domain "):
                 name = section.split(" ", 1)[1]
                 domains[name] = np.array([int(v) for v in line.split()], dtype=int)
+                if np.any(np.diff(domains[name]) <= 0):  # coded by binary search
+                    raise ValueError(f"[domain {name}] is not strictly increasing")
             elif section == "tree":
                 f, p = line.split()
                 parent[f] = None if p == "-" else p
             elif section.startswith("cpt "):
                 vi, pi, p0, p1 = line.split()
                 cpt_rows[section.split(" ", 1)[1]].append(
-                    (int(vi), int(pi), float(p0), float(p1)))
+                    (int(vi), int(pi), _probability(p0), _probability(p1)))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
 
@@ -550,6 +551,9 @@ def load_model(path: str) -> TanModel:
         if missing:
             raise ValueError(f"{path}: feature {f!r} lacks its "
                              f"{', '.join(missing)} section")
+        if parent[f] is not None and (parent[f] == f or parent[f] not in features):
+            raise ValueError(f"{path}: [tree] parent {parent[f]!r} of {f!r} is not "
+                             "another listed feature")
     structure = TanStructure(features=tuple(features), parent=parent)
     cpts = {}
     for f in features:

@@ -105,7 +105,10 @@ class TestInputErrors:
     @pytest.mark.parametrize("content, message", [
         (b"folds 3\n", "bad.kv:1: expected 'key = value'"),
         (b"seed = 1\nfolds = \xff\n", "bad.kv: byte 17 is not valid UTF-8"),
-    ], ids=["no_equals_sign", "undecodable"])
+        # at alpha 0 a value unseen in both classes once gave nan predictions
+        (b"alpha = 0\n", "alpha: must be > 0 and finite, got 0.0"),
+        (b"alpha = inf\n", "alpha: must be > 0 and finite, got inf"),
+    ], ids=["no_equals_sign", "undecodable", "alpha_zero", "alpha_infinite"])
     def test_bad_config_file_exits_2(self, workspace, capsys, content, message):
         tmp, raw, schema = workspace
         config = tmp / "bad.kv"
@@ -235,8 +238,22 @@ class TestInputErrors:
          "tan_ikt3.model:3: could not convert string to float: 'x'"),
         (lambda text: re.sub(r"(\[cpt skill\]\n\S+ \S+ \S+) \S+\n", r"\1\n", text),
          "tan_ikt3.model:{cpt_row}: not enough values to unpack"),
+        # each below once loaded: predict wrote other probabilities than
+        # explain, wrote nan, or failed as an internal error
+        (lambda text: re.sub(r"(\[domain skill\]\n)(\S+) (\S+)", r"\1\3 \2", text),
+         "tan_ikt3.model:{domain_row}: [domain skill] is not strictly increasing"),
+        (lambda text: re.sub(r"\nmastery \S+\n", "\nmastery foo\n", text),
+         "tan_ikt3.model: [tree] parent 'foo' of 'mastery' is not another listed feature"),
+        (lambda text: re.sub(r"(\[cpt skill\]\n\S+ \S+) \S+", r"\1 -0.5", text),
+         "tan_ikt3.model:{cpt_row}: '-0.5' is not a probability in [0, 1]"),
+        (lambda text: re.sub(r"class_prior = \S+", "class_prior = nan", text),
+         "tan_ikt3.model:3: 'nan' is not a probability in [0, 1]"),
+        (lambda text: re.sub(r"\bskill\b", "foo", text),
+         "tan_ikt3.model: features foo mastery profile difficulty, but feature set "
+         "ikt3 is skill mastery profile difficulty"),
     ], ids=["no_class_prior", "cpt_index_outside_domain", "class_prior_not_numeric",
-            "cpt_row_with_three_fields"])
+            "cpt_row_with_three_fields", "domain_out_of_order", "tree_parent_not_a_feature",
+            "cpt_probability_negative", "class_prior_nan", "features_not_the_feature_set"])
     def test_malformed_model_exits_2(self, workspace, capsys, edit, message):
         tmp, raw, schema = workspace
         fitted = tmp / "fitted"
@@ -249,8 +266,10 @@ class TestInputErrors:
         assert run(["predict", "--data", raw, "--schema", schema,
                     "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
         err = capsys.readouterr().err
-        cpt_row = text.splitlines().index("[cpt skill]") + 2
-        assert message.format(cpt_row=cpt_row) in err and "internal" not in err
+        lines = text.splitlines()
+        rows = {"cpt_row": lines.index("[cpt skill]") + 2,
+                "domain_row": lines.index("[domain skill]") + 2}
+        assert message.format(**rows) in err and "internal" not in err
 
     @pytest.mark.parametrize("name", ["difficulty.tsv", "tan_ikt3.model"])
     def test_undecodable_artifact_named(self, workspace, capsys, name):

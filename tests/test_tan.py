@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ikt.tan import (Discretizer, TanModel, TanStructure, estimate_cpts, explain,
-                     fit_discretizer, fit_nested_tans, fit_tan, learn_structure,
+from ikt.tan import (Discretizer, TanModel, TanStructure, _log_odds, estimate_cpts,
+                     explain, fit_discretizer, fit_nested_tans, fit_tan, learn_structure,
                      load_model, max_spanning_parents, mdlp_cutpoints, predict_many,
                      save_model)
 
@@ -66,6 +67,48 @@ def uniform_model(prior=(0.5, 0.5), cpt_b=None):
         discretizer=Discretizer(),
         alpha=1.0,
     )
+
+
+@st.composite
+def tree_models_and_rows(draw):
+    """A small model whose tree joins its nodes in a drawn order, so a
+    parent may come later in the feature tuple, with integer domains
+    holding gaps and negative values, and rows of values drawn in and
+    out of every domain."""
+    n = draw(st.integers(2, 5))
+    features = tuple(f"f{i}" for i in range(n))
+    joined = draw(st.permutations(features))
+    parent = {joined[0]: None}
+    for j in range(1, n):
+        parent[joined[j]] = joined[draw(st.integers(0, j - 1))]
+    domains = {f: np.array(sorted(draw(st.sets(st.integers(-4, 4), min_size=1,
+                                               max_size=4)))) for f in features}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cpts = {}
+    for f in features:
+        p = len(domains[parent[f]]) if parent[f] is not None else 1
+        cpt = rng.random((len(domains[f]), p, 2)) + 0.01
+        cpts[f] = cpt / cpt.sum(axis=0, keepdims=True)
+    prior = rng.random(2) + 0.1
+    model = TanModel(structure=TanStructure(features=features, parent=parent),
+                     domains=domains, class_prior=prior / prior.sum(), cpts=cpts,
+                     discretizer=Discretizer())
+    rows = draw(st.lists(st.fixed_dictionaries({f: st.integers(-6, 6) for f in features}),
+                         min_size=1, max_size=20))
+    return model, rows
+
+
+def walk_order_out_of_domain(model, row):
+    """Each node's own value if outside its domain, else its parent's,
+    named once, as the nodes are walked in feature order."""
+    outside = {f for f in model.features if row[f] not in model.domains[f]}
+    named = []
+    for f in model.features:
+        bad = [g for g in (f, model.structure.parent[f]) if g in outside]
+        if bad and bad[0] not in named:
+            named.append(bad[0])
+    assert set(named) == outside
+    return tuple(named)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +349,11 @@ class TestPredict:
         fcols["difficulty"][:5] = 11  # a level outside the domain
         for m, c in ((model, cols), (fitted, fcols)):
             batch = predict_many(m, c)
+            log_odds = _log_odds(m, c)
             for row in range(len(batch)):
                 record = explain(m, {f: c[f][row].item() for f in m.features})
                 assert batch[row] == pytest.approx(record.posterior, abs=1e-12)
+                assert record.log_odds == log_odds[row]
 
     def test_out_of_domain_uses_uniform_and_flags(self):
         model = uniform_model(prior=(0.4, 0.6))
@@ -316,6 +361,34 @@ class TestPredict:
         assert record.out_of_domain == ("a",)
         assert record.posterior == pytest.approx(0.6, abs=1e-12)
         assert predict_many(model, {"a": [99], "b": [0]})[0] == pytest.approx(0.6, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_models_and_rows())
+    def test_scalar_and_batch_read_one_table(self, drawn):
+        # the out-of-domain rule is the table's pad, so both paths add the
+        # same terms in the same order: log-odds equal to the last bit
+        model, rows = drawn
+        log_odds = _log_odds(model, {f: np.array([r[f] for r in rows])
+                                     for f in model.features})
+        for i, row in enumerate(rows):
+            record = explain(model, row)
+            assert record.log_odds == log_odds[i]
+            assert record.out_of_domain == walk_order_out_of_domain(model, row)
+
+    def test_out_of_domain_names_features_in_walk_order(self):
+        # b's parent d comes after c in the tuple; walking b meets d first
+        features = ("a", "b", "c", "d")
+        parent = {"a": None, "b": "d", "c": "a", "d": "a"}
+        model = TanModel(
+            structure=TanStructure(features=features, parent=parent),
+            domains={f: np.arange(2) for f in features},
+            class_prior=np.array([0.4, 0.6]),
+            cpts={f: np.full((2, 1 if parent[f] is None else 2, 2), 0.5) for f in features},
+            discretizer=Discretizer())
+        row = {"a": 0, "b": 1, "c": 7, "d": -1}
+        record = explain(model, row)
+        assert record.out_of_domain == ("d", "c")
+        assert record.log_odds == _log_odds(model, {f: [v] for f, v in row.items()})[0]
 
 
 class TestExplain:
@@ -338,6 +411,7 @@ class TestExplain:
                 assert c.log_ratio == model.log_ratio[c.feature][c.value, parent_index]
             p = predict_many(model, {f: [v] for f, v in evidence.items()})[0]
             assert record.posterior == pytest.approx(p, abs=1e-12)
+            assert record.log_odds == _log_odds(model, {f: [v] for f, v in evidence.items()})[0]
 
     def test_dominant_node_has_largest_contribution(self):
         strong = np.empty((2, 3, 2))
