@@ -527,12 +527,16 @@ def load_model(path: str) -> TanModel:
                     features = value.split()
             elif section.startswith("cutpoints "):
                 name = section.split(" ", 1)[1]
-                cutpoints[name] = tuple(float(v) for v in line.split())
+                # cutpoints and domains are searched by bisection in explain
+                # and in predict_many, which agree only on sorted values
+                cuts = cutpoints[name] = tuple(float(v) for v in line.split())
+                if not (np.all(np.isfinite(cuts)) and np.all(np.diff(cuts) > 0)):
+                    raise ValueError(f"[{section}] is not strictly increasing and finite")
             elif section.startswith("domain "):
                 name = section.split(" ", 1)[1]
                 domains[name] = np.array([int(v) for v in line.split()], dtype=int)
-                if np.any(np.diff(domains[name]) <= 0):  # coded by binary search
-                    raise ValueError(f"[domain {name}] is not strictly increasing")
+                if not np.all(np.diff(domains[name]) > 0):
+                    raise ValueError(f"[{section}] is not strictly increasing")
             elif section == "tree":
                 f, p = line.split()
                 parent[f] = None if p == "-" else p

@@ -242,6 +242,10 @@ class TestInputErrors:
         # explain, wrote nan, or failed as an internal error
         (lambda text: re.sub(r"(\[domain skill\]\n)(\S+) (\S+)", r"\1\3 \2", text),
          "tan_ikt3.model:{domain_row}: [domain skill] is not strictly increasing"),
+        (lambda text: re.sub(r"(\[cutpoints mastery\]\n\S+)", r"\1 -0.5", text),
+         "tan_ikt3.model:{cut_row}: [cutpoints mastery] is not strictly increasing and finite"),
+        (lambda text: re.sub(r"(\[cutpoints mastery\]\n)\S+", r"\1nan", text),
+         "tan_ikt3.model:{cut_row}: [cutpoints mastery] is not strictly increasing and finite"),
         (lambda text: re.sub(r"\nmastery \S+\n", "\nmastery foo\n", text),
          "tan_ikt3.model: [tree] parent 'foo' of 'mastery' is not another listed feature"),
         (lambda text: re.sub(r"(\[cpt skill\]\n\S+ \S+) \S+", r"\1 -0.5", text),
@@ -252,7 +256,8 @@ class TestInputErrors:
          "tan_ikt3.model: features foo mastery profile difficulty, but feature set "
          "ikt3 is skill mastery profile difficulty"),
     ], ids=["no_class_prior", "cpt_index_outside_domain", "class_prior_not_numeric",
-            "cpt_row_with_three_fields", "domain_out_of_order", "tree_parent_not_a_feature",
+            "cpt_row_with_three_fields", "domain_out_of_order", "cutpoints_out_of_order",
+            "cutpoint_nan", "tree_parent_not_a_feature",
             "cpt_probability_negative", "class_prior_nan", "features_not_the_feature_set"])
     def test_malformed_model_exits_2(self, workspace, capsys, edit, message):
         tmp, raw, schema = workspace
@@ -268,7 +273,8 @@ class TestInputErrors:
         err = capsys.readouterr().err
         lines = text.splitlines()
         rows = {"cpt_row": lines.index("[cpt skill]") + 2,
-                "domain_row": lines.index("[domain skill]") + 2}
+                "domain_row": lines.index("[domain skill]") + 2,
+                "cut_row": lines.index("[cutpoints mastery]") + 2}
         assert message.format(**rows) in err and "internal" not in err
 
     @pytest.mark.parametrize("name", ["difficulty.tsv", "tan_ikt3.model"])
