@@ -17,9 +17,9 @@ skipped when read:
   not listed, then one row per rated problem, its id and its integer
   level from 0 to 10.
 
-Besides them, a ``tan_<feature set>.model`` per feature set
-(``tan.save_model``) and ``manifest.kv`` with the bundle format and the
-configuration.
+Besides them, a ``tan_<feature set>.model`` per feature set, in the
+layout ``tan.save_model`` describes and ``tan.load_model`` requires, and
+``manifest.kv`` with the bundle format and the configuration.
 
 All outputs are UTF-8 text. Exit codes: 0 success, 2 for input or
 configuration errors, 1 for internal failures, which also print their
@@ -272,10 +272,17 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
 
 def _formatted(values: np.ndarray, fmt, end: str = "\t") -> tuple:
     """Each distinct value of a column formatted once, followed by
-    ``end``, and each entry's index into those strings. Floats are told
-    apart by their bits, which keeps -0.0 apart from 0.0."""
-    key = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
-    unique, inverse = np.unique(key, return_inverse=True)
+    ``end``, and each entry's index into those strings.
+
+    An integer column (a position, profile, level or label, whose range
+    the rows bound) is coded by its offset from its least value, without
+    a sort. Floats are told apart by their bits, which keeps -0.0 apart
+    from 0.0."""
+    if values.dtype.kind in "iu":
+        low, high = (int(values.min()), int(values.max())) if values.size else (0, -1)
+        strings = [fmt(v) + end for v in range(low, high + 1)]
+        return np.array(strings, dtype=object), values - low
+    unique, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     strings = [fmt(v) + end for v in unique.view(values.dtype).tolist()]
     return np.array(strings, dtype=object), inverse
 
@@ -538,7 +545,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SchemaError, DataFormatError) as exc:
+    except (InputError, SchemaError, DataFormatError, OSError) as exc:
+        # an OSError is a path the user gave that cannot be read or written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:

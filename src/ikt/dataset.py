@@ -122,6 +122,8 @@ def load_schema(path: str) -> ColumnSchema:
     delim = kv.get("delimiter", ",")
     if delim.lower() in ("tab", "\\t"):
         delim = "\t"
+    if len(delim) != 1:  # csv.reader takes one character; '#' starts a comment
+        raise SchemaError(f"{path}: delimiter must be one character or tab, got {delim!r}")
     return ColumnSchema(
         student=kv["student"],
         problem=kv["problem"],

@@ -101,6 +101,8 @@ class ExperimentConfig:
             errors.append(f"alpha: must be > 0 and finite, got {self.alpha}")
         if self.workers < 1:
             errors.append(f"workers: must be >= 1, got {self.workers}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            errors.append(f"seed: must be >= 0, got {self.seed}")
         return errors
 
     def fit_grid(self) -> bkt.FitGrid:

@@ -461,7 +461,30 @@ _MAGIC = "ikt-tan-model v1"
 
 
 def save_model(model: TanModel, path: str) -> None:
-    """Plain-text, versioned, round-trip exact (floats stored as repr)."""
+    """Write ``model`` as UTF-8 text, round-trip exact: every float is
+    stored as its ``repr``. The layout, which ``load_model`` requires:
+
+    - the magic line ``ikt-tan-model v1``;
+    - a header of ``key = value`` lines: ``alpha``, ``class_prior`` (the
+      probabilities of an incorrect and of a correct answer) and
+      ``features`` (the names, in model order);
+    - for each continuous feature f, ``[cutpoints f]`` and a line of its
+      cutpoints, or no line when it has none;
+    - for each feature f, ``[domain f]`` and a line of its values;
+    - ``[tree]`` and one ``f parent`` line per feature, ``-`` for the
+      root;
+    - for each feature f, ``[cpt f]`` and one ``vi pi p0 p1`` row per
+      cell of its d x p table: the probabilities of f's vi-th domain
+      value given its parent's pi-th, under an incorrect and a correct
+      answer. ``vi`` counts up over f's d values and, within each,
+      ``pi`` over its parent's p (p = 1 at the root), so row k holds
+      cell ``divmod(k, p)``.
+
+    Values on a line are separated by one space; cutpoints and domains
+    are strictly increasing. ``load_model`` takes the sections in any
+    order and skips blank lines, but refuses a section with more or
+    fewer lines than this, and CPT rows out of this order.
+    """
     lines = [_MAGIC,
              f"alpha = {float(model.alpha)!r}",
              f"class_prior = {float(model.class_prior[0])!r} {float(model.class_prior[1])!r}",
@@ -482,14 +505,42 @@ def save_model(model: TanModel, path: str) -> None:
     for f in model.features:
         lines.append(f"[cpt {f}]")
         cpt = model.cpts[f]
-        for vi in range(cpt.shape[0]):
-            for pi in range(cpt.shape[1]):
-                lines.append(f"{vi} {pi} {float(cpt[vi, pi, 0])!r} {float(cpt[vi, pi, 1])!r}")
+        for vi, pi in np.ndindex(cpt.shape[:2]):
+            lines.append(f"{vi} {pi} {float(cpt[vi, pi, 0])!r} {float(cpt[vi, pi, 1])!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _header_entry(line: str) -> tuple:
+    key, _, value = line.partition(" = ")
+    if key == "class_prior":
+        return key, np.array([_probability(v) for v in value.split()])
+    return key, float(value) if key == "alpha" else value.split()
+
+
+def _tree_entry(line: str) -> tuple:
+    f, p = line.split()
+    return f, None if p == "-" else p
+
+
+def _cpt_row(line: str, cell: tuple) -> tuple:
+    vi, pi, p0, p1 = line.split()
+    if (int(vi), int(pi)) != cell:
+        raise ValueError(f"row {vi} {pi} where row {cell[0]} {cell[1]} belongs")
+    return _probability(p0), _probability(p1)
+
+
+def _increasing(line: str, dtype) -> np.ndarray:
+    # cutpoints and domains are searched by bisection in explain and in
+    # predict_many, which agree only on sorted values
+    values = np.array([dtype(v) for v in line.split()], dtype=dtype)
+    if not (np.all(np.isfinite(values)) and np.all(np.diff(values) > 0)):
+        raise ValueError("is not strictly increasing" + (" and finite" if dtype is float else ""))
+    return values
+
+
 def load_model(path: str) -> TanModel:
+    """The model ``save_model`` wrote to ``path``; a ``ValueError`` names the line at fault."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -497,79 +548,50 @@ def load_model(path: str) -> TanModel:
         raise ValueError(f"{path}: byte {_undecodable_offset(path)} is not valid UTF-8") from None
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a recognized model file")
-    alpha = None
-    class_prior = None
-    features: list[str] = []
-    cutpoints: dict = {}
-    domains: dict = {}
-    parent: dict = {}
-    cpt_rows: dict = {}
-    section = None
+    sections = {}
+    body = sections[""] = []  # the header lines, before any section
     for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section.startswith("cpt "):
-                cpt_rows[section.split(" ", 1)[1]] = []
-            elif section.startswith("cutpoints "):
-                # zero-cutpoint features still count as continuous
-                cutpoints[section.split(" ", 1)[1]] = ()
-            continue
-        try:
-            if section is None:
-                key, _, value = line.partition(" = ")
-                if key == "alpha":
-                    alpha = float(value)
-                elif key == "class_prior":
-                    class_prior = np.array([_probability(v) for v in value.split()])
-                elif key == "features":
-                    features = value.split()
-            elif section.startswith("cutpoints "):
-                name = section.split(" ", 1)[1]
-                # cutpoints and domains are searched by bisection in explain
-                # and in predict_many, which agree only on sorted values
-                cuts = cutpoints[name] = tuple(float(v) for v in line.split())
-                if not (np.all(np.isfinite(cuts)) and np.all(np.diff(cuts) > 0)):
-                    raise ValueError(f"[{section}] is not strictly increasing and finite")
-            elif section.startswith("domain "):
-                name = section.split(" ", 1)[1]
-                domains[name] = np.array([int(v) for v in line.split()], dtype=int)
-                if not np.all(np.diff(domains[name]) > 0):
-                    raise ValueError(f"[{section}] is not strictly increasing")
-            elif section == "tree":
-                f, p = line.split()
-                parent[f] = None if p == "-" else p
-            elif section.startswith("cpt "):
-                vi, pi, p0, p1 = line.split()
-                cpt_rows[section.split(" ", 1)[1]].append(
-                    (int(vi), int(pi), _probability(p0), _probability(p1)))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            body = sections.setdefault(line[1:-1], [])  # a repeat adds lines
+        elif line.strip():
+            body.append((lineno, line))
 
-    if class_prior is None or class_prior.shape != (2,):
+    def rows(name: str, parse, counts=None) -> list:
+        """The parsed lines of section ``name``, which number one of ``counts`` if given."""
+        numbered = sections.get(name, [])
+        if counts is not None and len(numbered) not in counts:
+            raise ValueError(f"{path}: [{name}] has {len(numbered)} lines, not "
+                             + " or ".join(map(str, counts)))
+        out = []
+        for lineno, line in numbered:
+            try:
+                out.append(parse(line))
+            except (ValueError, OverflowError) as exc:
+                where = f"[{name}] " if name else ""
+                raise ValueError(f"{path}:{lineno}: {where}{exc}") from None
+        return out
+
+    header = dict(rows("", _header_entry))
+    if "class_prior" not in header or header["class_prior"].shape != (2,):
         raise ValueError(f"{path}: needs a class_prior line of two probabilities")
+    features = header.get("features", [])
+    parent = dict(rows("tree", _tree_entry, (len(features),)))
+    domains = {f: rows(f"domain {f}", lambda line: _increasing(line, int), (1,))[0]
+               for f in features}
+    cutpoints, cpts = {}, {}
     for f in features:
-        missing = [sec for sec, table in (("domain", domains), ("tree", parent),
-                                          ("cpt", cpt_rows)) if f not in table]
-        if missing:
-            raise ValueError(f"{path}: feature {f!r} lacks its "
-                             f"{', '.join(missing)} section")
+        if f not in parent:
+            raise ValueError(f"{path}: [tree] has no entry for {f!r}")
         if parent[f] is not None and (parent[f] == f or parent[f] not in features):
             raise ValueError(f"{path}: [tree] parent {parent[f]!r} of {f!r} is not "
                              "another listed feature")
-    structure = TanStructure(features=tuple(features), parent=parent)
-    cpts = {}
-    for f in features:
-        d = len(domains[f])
-        p_feat = parent[f]
-        p = len(domains[p_feat]) if p_feat is not None else 1
-        cpt = np.zeros((d, p, 2))
-        for vi, pi, p0, p1 in cpt_rows[f]:
-            if not (0 <= vi < d and 0 <= pi < p):
-                raise ValueError(f"{path}: [cpt {f}] row {vi} {pi} is outside "
-                                 f"its {d}x{p} domain")
-            cpt[vi, pi] = p0, p1
-        cpts[f] = cpt
-    return TanModel(structure=structure, domains=domains, class_prior=class_prior,
-                    cpts=cpts, discretizer=Discretizer(cutpoints=cutpoints), alpha=alpha)
+        if f"cutpoints {f}" in sections:  # zero cutpoints still mean continuous
+            cuts = rows(f"cutpoints {f}", lambda line: _increasing(line, float), (0, 1))
+            cutpoints[f] = tuple(cuts[0].tolist()) if cuts else ()
+        d, p = len(domains[f]), len(domains[parent[f]]) if parent[f] is not None else 1
+        cells = np.ndindex(d, p)  # the order save_model writes the rows in
+        block = rows(f"cpt {f}", lambda line: _cpt_row(line, next(cells)), (d * p,))
+        cpts[f] = np.array(block).reshape(d, p, 2)
+    return TanModel(structure=TanStructure(features=tuple(features), parent=parent),
+                    domains=domains, class_prior=header["class_prior"], cpts=cpts,
+                    discretizer=Discretizer(cutpoints=cutpoints), alpha=header.get("alpha"))

@@ -65,21 +65,49 @@ class TestPreprocessCommand:
         assert (tmp_path / "out" / "preprocessed.csv").exists()
 
 
+SCHEMA_FAULTS = {
+    "incomplete": "student = user\n",
+    # csv.reader once refused these as an internal error; '#' starts a
+    # comment, so the second leaves an empty delimiter
+    "two_character_delimiter": SCHEMA_TEXT + "delimiter = ;;\n",
+    "comment_delimiter": SCHEMA_TEXT + "delimiter = #\n",
+}
+
+
 class TestInputErrors:
-    @pytest.mark.parametrize("fault", ["missing", "incomplete"])
+    @pytest.mark.parametrize("fault", ["missing", *SCHEMA_FAULTS])
     @pytest.mark.parametrize("command", ["preprocess", "evaluate", "fit", "predict"])
     def test_missing_schema_exits_2_naming_path(self, workspace, capsys, command, fault):
         tmp, raw, _ = workspace
         schema = tmp / f"{fault}.cfg"
-        if fault == "incomplete":
-            schema.write_text("student = user\n", encoding="utf-8")
+        if fault in SCHEMA_FAULTS:
+            schema.write_text(SCHEMA_FAULTS[fault], encoding="utf-8")
         argv = [command, "--data", raw, "--schema", str(schema)]
         if command == "predict":
             argv += ["--model-dir", str(tmp / "fitted"), "--out", str(tmp / "p.tsv")]
         else:
             argv += ["--out", str(tmp / "x")]
         assert run(argv) == 2
-        assert f"{fault}.cfg" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{fault}.cfg" in err and "internal" not in err
+
+    @pytest.mark.parametrize("command, option", [
+        ("preprocess", "--data"), ("predict", "--data"), ("predict", "--out")])
+    def test_directory_path_exits_2(self, workspace, capsys, command, option):
+        # opening a directory once failed as an internal error
+        tmp, raw, schema = workspace
+        fitted = tmp / "fitted"
+        if command == "predict":
+            assert run(["fit", "--data", raw, "--schema", schema, "--out", str(fitted)]) == 0
+            capsys.readouterr()
+        paths = {"--data": raw, "--out": str(tmp / ("x" if command == "preprocess" else "p.tsv"))}
+        paths[option] = str(tmp)
+        argv = [command, "--data", paths["--data"], "--schema", schema, "--out", paths["--out"]]
+        if command == "predict":
+            argv += ["--model-dir", str(fitted)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"Is a directory: '{tmp}'" in err and "internal" not in err
 
     @pytest.mark.parametrize("skip, code", [("true", 2), ("false", 0)])
     def test_single_class_fold_exits_2(self, tmp_path, capsys, monkeypatch, skip, code):
@@ -108,7 +136,9 @@ class TestInputErrors:
         # at alpha 0 a value unseen in both classes once gave nan predictions
         (b"alpha = 0\n", "alpha: must be > 0 and finite, got 0.0"),
         (b"alpha = inf\n", "alpha: must be > 0 and finite, got inf"),
-    ], ids=["no_equals_sign", "undecodable", "alpha_zero", "alpha_infinite"])
+        # numpy refused a negative seed as an internal error
+        (b"seed = -1\n", "seed: must be >= 0, got -1"),
+    ], ids=["no_equals_sign", "undecodable", "alpha_zero", "alpha_infinite", "seed_negative"])
     def test_bad_config_file_exits_2(self, workspace, capsys, content, message):
         tmp, raw, schema = workspace
         config = tmp / "bad.kv"
@@ -117,6 +147,14 @@ class TestInputErrors:
                     "--config", str(config), "--out", str(tmp / "x")]) == 2
         err = capsys.readouterr().err
         assert message in err and "internal" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    def test_negative_seed_option_exits_2(self, workspace, capsys, command):
+        tmp, raw, schema = workspace
+        assert run([command, "--data", raw, "--schema", schema, "--seed", "-1",
+                    "--out", str(tmp / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "seed: must be >= 0, got -1" in err and "internal" not in err
 
     @pytest.mark.parametrize("command", ["preprocess", "evaluate"])
     def test_undecodable_data_exits_2(self, workspace, capsys, command):
@@ -226,18 +264,18 @@ class TestInputErrors:
                     "profile=1", "difficulty=5"]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert "tan_ikt3.model: feature" in err and "tree" in err
+        assert "tan_ikt3.model: [tree] has 0 lines, not 4" in err
         assert "internal" not in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda text: re.sub(r"class_prior = .*\n", "", text),
          "tan_ikt3.model: needs a class_prior line"),
         (lambda text: text.replace("[cpt skill]\n0 0 ", "[cpt skill]\n99 0 "),
-         "tan_ikt3.model: [cpt skill] row 99 0 is outside"),
+         "tan_ikt3.model:{cpt_row}: [cpt skill] row 99 0 where row 0 0 belongs"),
         (lambda text: re.sub(r"class_prior = (\S+) .*\n", r"class_prior = \1 x\n", text),
          "tan_ikt3.model:3: could not convert string to float: 'x'"),
         (lambda text: re.sub(r"(\[cpt skill\]\n\S+ \S+ \S+) \S+\n", r"\1\n", text),
-         "tan_ikt3.model:{cpt_row}: not enough values to unpack"),
+         "tan_ikt3.model:{cpt_row}: [cpt skill] not enough values to unpack"),
         # each below once loaded: predict wrote other probabilities than
         # explain, wrote nan, or failed as an internal error
         (lambda text: re.sub(r"(\[domain skill\]\n)(\S+) (\S+)", r"\1\3 \2", text),
@@ -249,16 +287,28 @@ class TestInputErrors:
         (lambda text: re.sub(r"\nmastery \S+\n", "\nmastery foo\n", text),
          "tan_ikt3.model: [tree] parent 'foo' of 'mastery' is not another listed feature"),
         (lambda text: re.sub(r"(\[cpt skill\]\n\S+ \S+) \S+", r"\1 -0.5", text),
-         "tan_ikt3.model:{cpt_row}: '-0.5' is not a probability in [0, 1]"),
+         "tan_ikt3.model:{cpt_row}: [cpt skill] '-0.5' is not a probability in [0, 1]"),
         (lambda text: re.sub(r"class_prior = \S+", "class_prior = nan", text),
          "tan_ikt3.model:3: 'nan' is not a probability in [0, 1]"),
         (lambda text: re.sub(r"\bskill\b", "foo", text),
          "tan_ikt3.model: features foo mastery profile difficulty, but feature set "
          "ikt3 is skill mastery profile difficulty"),
+        # each below once loaded: a missing cell read 0 and predict wrote
+        # nan, and of two rows for one cell, or of two sections, the last won
+        (lambda text: re.sub(r"(\[cpt skill\]\n)\S+ \S+ \S+ \S+\n", r"\1", text),
+         "tan_ikt3.model: [cpt skill] has 2 lines, not 3"),
+        (lambda text: text.replace("[cpt skill]\n", "[cpt skill]\n0 0 0.5 0.5\n"),
+         "tan_ikt3.model: [cpt skill] has 4 lines, not 3"),
+        (lambda text: re.sub(r"(\[cpt skill\]\n)(.*\n)(.*\n)", r"\1\3\2", text),
+         "tan_ikt3.model:{cpt_row}: [cpt skill] row 1 0 where row 0 0 belongs"),
+        (lambda text: re.sub(r"(\[domain skill\]\n.*\n)", r"\1\1", text),
+         "tan_ikt3.model: [domain skill] has 2 lines, not 1"),
     ], ids=["no_class_prior", "cpt_index_outside_domain", "class_prior_not_numeric",
             "cpt_row_with_three_fields", "domain_out_of_order", "cutpoints_out_of_order",
             "cutpoint_nan", "tree_parent_not_a_feature",
-            "cpt_probability_negative", "class_prior_nan", "features_not_the_feature_set"])
+            "cpt_probability_negative", "class_prior_nan", "features_not_the_feature_set",
+            "cpt_cell_missing", "cpt_cell_repeated", "cpt_rows_out_of_order",
+            "domain_section_repeated"])
     def test_malformed_model_exits_2(self, workspace, capsys, edit, message):
         tmp, raw, schema = workspace
         fitted = tmp / "fitted"
@@ -268,14 +318,17 @@ class TestInputErrors:
         assert edit(text) != text
         model.write_text(edit(text))
         capsys.readouterr()
-        assert run(["predict", "--data", raw, "--schema", schema,
-                    "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
-        err = capsys.readouterr().err
         lines = text.splitlines()
         rows = {"cpt_row": lines.index("[cpt skill]") + 2,
                 "domain_row": lines.index("[domain skill]") + 2,
                 "cut_row": lines.index("[cutpoints mastery]") + 2}
+        assert run(["predict", "--data", raw, "--schema", schema,
+                    "--model-dir", str(fitted), "--out", str(tmp / "p.tsv")]) == 2
+        err = capsys.readouterr().err
         assert message.format(**rows) in err and "internal" not in err
+        assert run(["explain", "--model-dir", str(fitted), "skill=s1", "mastery=0.4",
+                    "profile=1", "difficulty=5"]) == 2
+        assert message.format(**rows) in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["difficulty.tsv", "tan_ikt3.model"])
     def test_undecodable_artifact_named(self, workspace, capsys, name):

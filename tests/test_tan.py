@@ -70,11 +70,12 @@ def uniform_model(prior=(0.5, 0.5), cpt_b=None):
 
 
 @st.composite
-def tree_models_and_rows(draw):
+def tree_models_and_rows(draw, continuous=False):
     """A small model whose tree joins its nodes in a drawn order, so a
     parent may come later in the feature tuple, with integer domains
     holding gaps and negative values, and rows of values drawn in and
-    out of every domain."""
+    out of every domain. With ``continuous``, each node may also be
+    continuous, with zero or more cutpoints and float row values."""
     n = draw(st.integers(2, 5))
     features = tuple(f"f{i}" for i in range(n))
     joined = draw(st.permutations(features))
@@ -90,11 +91,17 @@ def tree_models_and_rows(draw):
         cpt = rng.random((len(domains[f]), p, 2)) + 0.01
         cpts[f] = cpt / cpt.sum(axis=0, keepdims=True)
     prior = rng.random(2) + 0.1
+    cutpoints = {}
+    if continuous:
+        for f in features:
+            if draw(st.booleans()):
+                cuts = draw(st.sets(st.floats(-6, 6), max_size=3))
+                cutpoints[f] = tuple(sorted(cuts))
     model = TanModel(structure=TanStructure(features=features, parent=parent),
                      domains=domains, class_prior=prior / prior.sum(), cpts=cpts,
-                     discretizer=Discretizer())
-    rows = draw(st.lists(st.fixed_dictionaries({f: st.integers(-6, 6) for f in features}),
-                         min_size=1, max_size=20))
+                     discretizer=Discretizer(cutpoints))
+    values = {f: st.floats(-7, 7) if f in cutpoints else st.integers(-6, 6) for f in features}
+    rows = draw(st.lists(st.fixed_dictionaries(values), min_size=1, max_size=20))
     return model, rows
 
 
@@ -452,6 +459,25 @@ class TestSerialization:
         assert loaded.discretizer.cutpoints["mastery"] == ()
         assert explain(loaded, {"skill": 1, "mastery": 0.3}) == \
             explain(model, {"skill": 1, "mastery": 0.3})
+
+    @settings(max_examples=50, deadline=None)
+    @given(tree_models_and_rows(continuous=True))
+    def test_round_trip_of_drawn_models(self, tmp_path_factory, drawn):
+        # the reader takes each CPT as save_model's rows in write order;
+        # every model it writes must load back to the same tables
+        model, rows = drawn
+        columns = {f: np.array([r[f] for r in rows]) for f in model.features}
+        path = tmp_path_factory.getbasetemp() / "drawn.model"  # one file, rewritten
+        save_model(model, str(path))
+        written = path.read_bytes()
+        loaded = load_model(str(path))
+        save_model(loaded, str(path))
+        assert path.read_bytes() == written
+        for f in model.features:
+            assert loaded.cpts[f].tobytes() == model.cpts[f].tobytes()
+        assert _log_odds(loaded, columns).tobytes() == _log_odds(model, columns).tobytes()
+        for row in rows:
+            assert explain(loaded, row) == explain(model, row)
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.model"
