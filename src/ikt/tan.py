@@ -12,9 +12,9 @@ Scalar and batch inference read one table: a fitted model holds, per
 node, log P(value | parent value, correct) - log P(value | parent value,
 incorrect), padded with a last row and column of zeros that a value
 outside the domain, coded -1 in both paths, reads: the uniform fallback.
-``predict_many`` gathers whole columns from it and ``explain`` looks up
-one entry per node, in the same order, so the contributions explain
-reports are exactly the terms the batch log-odds sums.
+Both take their nodes from the model's walk, built with it: ``explain``
+looks up one entry per node and ``predict_many`` gathers whole columns,
+in the same order, so explain's contributions are the batch's terms.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,7 +271,10 @@ class TanModel:
     ``log_ratio[f][v, p]`` is node f's log-likelihood ratio for domain
     index v under parent domain index p, and 0 at the pad index -1 of an
     out-of-domain v or p; ``codes[f]`` maps a value of f's domain to its
-    index; ``prior_log_odds`` is the class term.
+    index; ``prior_log_odds`` is the class term. ``walk`` holds one
+    ``(feature, parent, parent position in walk or None, codes[feature],
+    cutpoints or None, log_ratio[feature] as nested lists)`` entry per
+    node, in feature order.
     """
 
     structure: TanStructure
@@ -282,6 +286,7 @@ class TanModel:
     log_ratio: dict = field(init=False, repr=False)
     codes: dict = field(init=False, repr=False)
     prior_log_odds: float = field(init=False, repr=False)
+    walk: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -292,6 +297,10 @@ class TanModel:
         p0, p1 = (float(p) for p in self.class_prior)
         self.prior_log_odds = ((math.log(p1) if p1 > 0.0 else -math.inf)
                                - (math.log(p0) if p0 > 0.0 else -math.inf))
+        position = {f: i for i, f in enumerate(self.features)}
+        self.walk = tuple((f, p, position.get(p), self.codes[f],
+                           self.discretizer.cutpoints.get(f), self.log_ratio[f].tolist())
+                          for f in self.features for p in (self.structure.parent[f],))
 
     @property
     def features(self) -> tuple:
@@ -362,16 +371,14 @@ def fit_nested_tans(columns: dict, labels, sizes, alpha: float = 1.0) -> list:
     return models
 
 
-@dataclass(frozen=True)
-class NodeContribution:
+class NodeContribution(NamedTuple):
     feature: str
     value: object
     parent_value: object
     log_ratio: float
 
 
-@dataclass(frozen=True)
-class ExplanationRecord:
+class ExplanationRecord(NamedTuple):
     """Additive decomposition of the posterior log-odds.
 
     prior_log_odds + sum of node log_ratios equals log_odds, and the
@@ -399,47 +406,40 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
     domain contributes 0 (the uniform fallback); ``out_of_domain`` names
     each such feature once, in the order the nodes are walked.
     """
-    cutpoints = model.discretizer.cutpoints
-    values = {f: (bisect.bisect_right(cutpoints[f], evidence[f]) if f in cutpoints
-                  else int(evidence[f])) for f in model.features}
-    codes = {f: model.codes[f].get(v, -1) for f, v in values.items()}
+    values, codes = [], []
+    for f, _, _, index, cuts, _ in model.walk:
+        value = bisect.bisect_right(cuts, evidence[f]) if cuts is not None else int(evidence[f])
+        values.append(value)
+        codes.append(index.get(value, -1))
     contributions = []
     out_of_domain: list = []
     log_odds = model.prior_log_odds
-    for f in model.features:
-        p_feat = model.structure.parent[f]
-        code = codes[f]
-        pcode = codes[p_feat] if p_feat is not None else 0
+    for (f, p_feat, at, _, _, table), value, code in zip(model.walk, values, codes):
+        parent_value = values[at] if at is not None else None
+        pcode = codes[at] if at is not None else 0
         if code < 0 or pcode < 0:
             bad = f if code < 0 else p_feat
             if bad not in out_of_domain:
                 out_of_domain.append(bad)
-        ratio = model.log_ratio[f].item(code, pcode)
-        parent_value = values[p_feat] if p_feat is not None else None
-        contributions.append(NodeContribution(f, values[f], parent_value, ratio))
+        ratio = table[code][pcode]
+        contributions.append(NodeContribution(f, value, parent_value, ratio))
         log_odds += ratio
-    return ExplanationRecord(
-        posterior=_sigmoid(log_odds),
-        prior_log_odds=model.prior_log_odds,
-        log_odds=log_odds,
-        contributions=tuple(contributions),
-        out_of_domain=tuple(out_of_domain),
-    )
+    return ExplanationRecord(_sigmoid(log_odds), model.prior_log_odds, log_odds,
+                             tuple(contributions), tuple(out_of_domain))
 
 
 def _log_odds(model: TanModel, columns: dict) -> np.ndarray:
-    """Posterior log-odds for a column batch: the prior plus explain's terms, in order."""
-    codes = {}
-    for f in model.features:
+    """Posterior log-odds for a column batch: the prior plus explain's terms, in walk order."""
+    codes = []
+    for f, *_ in model.walk:
         values = model.discretizer.transform_column(f, columns[f])
         dom = model.domains[f]
         at = np.minimum(np.searchsorted(dom, values), len(dom) - 1)
-        codes[f] = np.where(dom[at] == values, at, -1)
+        codes.append(np.where(dom[at] == values, at, -1))
 
     log_odds = np.full(len(values), model.prior_log_odds)
-    for f in model.features:
-        p_feat = model.structure.parent[f]
-        log_odds += model.log_ratio[f][codes[f], codes[p_feat] if p_feat is not None else 0]
+    for (f, _, at, *_), code in zip(model.walk, codes):
+        log_odds += model.log_ratio[f][code, codes[at] if at is not None else 0]
     return log_odds
 
 
@@ -483,7 +483,9 @@ def save_model(model: TanModel, path: str) -> None:
     Values on a line are separated by one space; cutpoints and domains
     are strictly increasing. ``load_model`` takes the sections in any
     order and skips blank lines, but refuses a section with more or
-    fewer lines than this, and CPT rows out of this order.
+    fewer lines than this, CPT rows out of this order, a header key
+    missing, repeated or unknown, and a class prior or CPT column that
+    is not probabilities in (0, 1] summing to 1.
     """
     lines = [_MAGIC,
              f"alpha = {float(model.alpha)!r}",
@@ -511,11 +513,44 @@ def save_model(model: TanModel, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_HEADER = ("alpha", "class_prior", "features")
+
+
 def _header_entry(line: str) -> tuple:
-    key, _, value = line.partition(" = ")
+    key, equals, value = line.partition(" = ")
+    if not equals or key not in _HEADER:
+        raise ValueError(f"{line!r} is not an alpha, class_prior or features line")
+    if key == "alpha":
+        alpha = float(value)
+        if not 0.0 < alpha < math.inf:  # the rule ExperimentConfig.validate applies
+            raise ValueError(f"alpha must be > 0 and finite, got {value}")
+        return key, alpha
+    values = value.split()
     if key == "class_prior":
-        return key, np.array([_probability(v) for v in value.split()])
-    return key, float(value) if key == "alpha" else value.split()
+        if len(values) != 2:
+            raise ValueError("class_prior must be two probabilities")
+        return key, np.array([_probability(v) for v in values])
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"features repeats {repeated[0]!r}")
+    return key, values
+
+
+def _distribution_fault(table: np.ndarray) -> str:
+    """'' when each column of ``table`` over its first axis holds
+    probabilities in (0, 1] that sum to 1 within 1e-9, as smoothing with
+    alpha > 0 always gives; else what is wrong with the first that does not.
+    A 0 makes a log-ratio infinite, and two of them a log-odds nan."""
+    columns = table.reshape(len(table), -1)
+    sums = columns.sum(axis=0)
+    bad = np.flatnonzero((columns <= 0).any(axis=0) | (np.abs(sums - 1.0) > 1e-9))
+    if bad.size == 0:
+        return ""
+    k = int(bad[0])
+    where = "" if table.ndim == 1 else "column (parent index {}, class {}) ".format(*divmod(k, 2))
+    if columns[:, k].min() <= 0:
+        return f"{where}holds {float(columns[:, k].min())!r}, not a probability in (0, 1]"
+    return f"{where}sums to {float(sums[k])!r}, not 1"
 
 
 def _tree_entry(line: str) -> tuple:
@@ -571,10 +606,17 @@ def load_model(path: str) -> TanModel:
                 raise ValueError(f"{path}:{lineno}: {where}{exc}") from None
         return out
 
-    header = dict(rows("", _header_entry))
-    if "class_prior" not in header or header["class_prior"].shape != (2,):
-        raise ValueError(f"{path}: needs a class_prior line of two probabilities")
-    features = header.get("features", [])
+    header: dict = {}
+    for key, value in rows("", _header_entry):
+        if key in header:
+            raise ValueError(f"{path}: the {key} line is given more than once")
+        header[key] = value
+    for key in _HEADER:
+        if key not in header:
+            raise ValueError(f"{path}: has no {key} line")
+    if fault := _distribution_fault(header["class_prior"]):
+        raise ValueError(f"{path}: class_prior {fault}")
+    features = header["features"]
     parent = dict(rows("tree", _tree_entry, (len(features),)))
     domains = {f: rows(f"domain {f}", lambda line: _increasing(line, int), (1,))[0]
                for f in features}
@@ -592,6 +634,8 @@ def load_model(path: str) -> TanModel:
         cells = np.ndindex(d, p)  # the order save_model writes the rows in
         block = rows(f"cpt {f}", lambda line: _cpt_row(line, next(cells)), (d * p,))
         cpts[f] = np.array(block).reshape(d, p, 2)
+        if fault := _distribution_fault(cpts[f]):
+            raise ValueError(f"{path}: [cpt {f}] {fault}")
     return TanModel(structure=TanStructure(features=tuple(features), parent=parent),
                     domains=domains, class_prior=header["class_prior"], cpts=cpts,
-                    discretizer=Discretizer(cutpoints=cutpoints), alpha=header.get("alpha"))
+                    discretizer=Discretizer(cutpoints=cutpoints), alpha=header["alpha"])

@@ -3,6 +3,7 @@
 Everything here deliberately takes a different computational route from
 the code under test: matrix-form forward passes, a streaming per-attempt
 mastery tracker and feature replay, exhaustive joint-table enumeration,
+an explanation read off the probability tables by linear search,
 Prufer-sequence spanning-tree enumeration, quadratic pairwise AUC,
 k-means with every distance taken from the full point-by-centroid
 broadcast, profile labels from per-vector exact sums, a log loader that
@@ -22,7 +23,8 @@ from collections import Counter
 import numpy as np
 
 from ikt.dataset import DataFormatError, Dataset, SchemaError, _undecodable_offset
-from ikt.tan import Discretizer, TanModel, TanStructure
+from ikt.tan import (Discretizer, ExplanationRecord, NodeContribution, TanModel,
+                     TanStructure)
 
 
 def forward_oracle(params, seq):
@@ -438,6 +440,46 @@ def joint_oracle(model, evidence):
                 target[y] += p
     posterior = target[1] / (target[0] + target[1])
     return posterior, total[0] + total[1]
+
+
+def explain_oracle(model, evidence):
+    """``explain``'s record rebuilt from ``cpts``, ``class_prior``, ``domains``
+    and the cutpoints alone, none of the model's derived tables.
+
+    A continuous value's bin is the count of cutpoints at or below it; a
+    node's term is log P(value | parent value, correct) - log P(value |
+    parent value, incorrect), its domain indices found by linear search,
+    and 0 when its value or its parent's is outside the domain, which
+    names the node's own feature first. The terms are added to the prior
+    in feature order. Table logs are ``np.log`` of one float64, the prior's
+    ``math.log``, as in the model: the two differ in the last bit for some
+    arguments, and the record is compared bitwise.
+    """
+    cutpoints = model.discretizer.cutpoints
+    value = {f: (sum(1 for c in cutpoints[f] if c <= evidence[f]) if f in cutpoints
+                 else int(evidence[f])) for f in model.features}
+    domain = {f: [int(v) for v in model.domains[f]] for f in model.features}
+    index = {f: domain[f].index(value[f]) if value[f] in domain[f] else None
+             for f in model.features}
+    p0, p1 = (float(p) for p in model.class_prior)
+    prior = math.log(p1) - math.log(p0)
+    log_odds = prior
+    contributions, out_of_domain = [], []
+    for f in model.features:
+        parent = model.structure.parent[f]
+        outside = [g for g in (f, parent) if g is not None and index[g] is None]
+        if outside:
+            term = 0.0
+            if outside[0] not in out_of_domain:
+                out_of_domain.append(outside[0])
+        else:
+            cell = model.cpts[f][index[f], index[parent] if parent is not None else 0]
+            term = float(np.log(np.float64(cell[1])) - np.log(np.float64(cell[0])))
+        contributions.append(NodeContribution(
+            f, value[f], value[parent] if parent is not None else None, term))
+        log_odds += term
+    return ExplanationRecord(1.0 / (1.0 + math.exp(-log_odds)), prior, log_odds,
+                             tuple(contributions), tuple(out_of_domain))
 
 
 def random_tan_model(rng, n_features=4, max_domain=6):

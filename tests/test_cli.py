@@ -269,7 +269,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda text: re.sub(r"class_prior = .*\n", "", text),
-         "tan_ikt3.model: needs a class_prior line"),
+         "tan_ikt3.model: has no class_prior line"),
         (lambda text: text.replace("[cpt skill]\n0 0 ", "[cpt skill]\n99 0 "),
          "tan_ikt3.model:{cpt_row}: [cpt skill] row 99 0 where row 0 0 belongs"),
         (lambda text: re.sub(r"class_prior = (\S+) .*\n", r"class_prior = \1 x\n", text),
@@ -303,12 +303,34 @@ class TestInputErrors:
          "tan_ikt3.model:{cpt_row}: [cpt skill] row 1 0 where row 0 0 belongs"),
         (lambda text: re.sub(r"(\[domain skill\]\n.*\n)", r"\1\1", text),
          "tan_ikt3.model: [domain skill] has 2 lines, not 1"),
+        # each below once loaded: predict wrote nan for every row or for
+        # some, or probabilities from a column that is no distribution
+        (lambda text: re.sub(r"class_prior = .*", "class_prior = 0.0 0.0", text),
+         "tan_ikt3.model: class_prior holds 0.0, not a probability in (0, 1]"),
+        (lambda text: re.sub(r"(\[cpt skill\]\n0 0) .*", r"\1 0.0 0.0", text),
+         "tan_ikt3.model: [cpt skill] column (parent index 0, class 0) holds 0.0, "
+         "not a probability in (0, 1]"),
+        (lambda text: re.sub(r"(\[cpt skill\]\n0 0) .*", r"\1 0.9 0.9", text),
+         "tan_ikt3.model: [cpt skill] column (parent index 0, class 0) sums to "),
+        # each below once loaded: alpha read as None or as given, and a
+        # line of no or an unknown key was ignored
+        (lambda text: re.sub(r"alpha = .*\n", "", text), "tan_ikt3.model: has no alpha line"),
+        (lambda text: re.sub(r"alpha = .*", "alpha = -3", text),
+         "tan_ikt3.model:2: alpha must be > 0 and finite, got -3"),
+        (lambda text: re.sub(r"(alpha = .*\n)", r"\1\1", text),
+         "tan_ikt3.model: the alpha line is given more than once"),
+        (lambda text: re.sub(r"(alpha = .*\n)", r"\1foo = 1\n", text),
+         "tan_ikt3.model:3: 'foo = 1' is not an alpha, class_prior or features line"),
+        (lambda text: text.replace("alpha = ", "alpha "),
+         "tan_ikt3.model:2: 'alpha 1.0' is not an alpha, class_prior or features line"),
     ], ids=["no_class_prior", "cpt_index_outside_domain", "class_prior_not_numeric",
             "cpt_row_with_three_fields", "domain_out_of_order", "cutpoints_out_of_order",
             "cutpoint_nan", "tree_parent_not_a_feature",
             "cpt_probability_negative", "class_prior_nan", "features_not_the_feature_set",
             "cpt_cell_missing", "cpt_cell_repeated", "cpt_rows_out_of_order",
-            "domain_section_repeated"])
+            "domain_section_repeated", "class_prior_zero", "cpt_column_zero",
+            "cpt_column_sum_above_one", "alpha_missing", "alpha_negative", "alpha_repeated",
+            "header_key_unknown", "header_line_without_separator"])
     def test_malformed_model_exits_2(self, workspace, capsys, edit, message):
         tmp, raw, schema = workspace
         fitted = tmp / "fitted"

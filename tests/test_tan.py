@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ikt.tan import (Discretizer, TanModel, TanStructure, _log_odds, estimate_cp
                      load_model, max_spanning_parents, mdlp_cutpoints, predict_many,
                      save_model)
 
-from oracles import enumerate_spanning_tree_weights, joint_oracle, random_tan_model
+from oracles import (enumerate_spanning_tree_weights, explain_oracle, joint_oracle,
+                     random_tan_model)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +422,26 @@ class TestExplain:
             assert record.posterior == pytest.approx(p, abs=1e-12)
             assert record.log_odds == _log_odds(model, {f: [v] for f, v in evidence.items()})[0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(tree_models_and_rows(continuous=True))
+    def test_matches_the_oracle_bitwise(self, drawn):
+        # the oracle reads the probability tables, not the walk explain reads
+        model, rows = drawn
+        for row in rows:
+            got, want = explain(model, row), explain_oracle(model, row)
+            # repr tells apart what == does not: -0.0 from 0.0, an int from np.int64
+            assert repr(got[1:]) == repr(want[1:])
+            assert got.posterior == pytest.approx(want.posterior, abs=1e-15)
+
+    def test_records_are_immutable_and_compare_by_value(self):
+        record = explain(uniform_model(), {"a": 0, "b": 1})
+        with pytest.raises(AttributeError):
+            record.posterior = 1.0
+        with pytest.raises(AttributeError):
+            record.contributions[0].log_ratio = 1.0
+        assert record == explain(uniform_model(), {"a": 0, "b": 1})
+        assert record != explain(uniform_model(), {"a": 1, "b": 1})
+
     def test_dominant_node_has_largest_contribution(self):
         strong = np.empty((2, 3, 2))
         strong[:, :, 1] = np.array([[0.95] * 3, [0.05] * 3])
@@ -478,6 +500,34 @@ class TestSerialization:
         assert _log_odds(loaded, columns).tobytes() == _log_odds(model, columns).tobytes()
         for row in rows:
             assert explain(loaded, row) == explain(model, row)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("features = a b", "features = a a"),
+         ":4: features repeats 'a'"),
+        (lambda text: re.sub(r"features = .*\n", "", text), ": has no features line"),
+        (lambda text: re.sub(r"alpha = .*", "alpha = inf", text),
+         ":2: alpha must be > 0 and finite, got inf"),
+        (lambda text: re.sub(r"alpha = .*", "alpha = nan", text),
+         ":2: alpha must be > 0 and finite, got nan"),
+        (lambda text: re.sub(r"alpha = .*", "alpha = 0.0", text),
+         ":2: alpha must be > 0 and finite, got 0.0"),
+        (lambda text: re.sub(r"class_prior = .*", "class_prior = 0.3 0.3", text),
+         ": class_prior sums to 0.6, not 1"),
+        (lambda text: re.sub(r"class_prior = .*", "class_prior = 0.5", text),
+         ":3: class_prior must be two probabilities"),
+        (lambda text: text.replace("\n0 2 0.5 ", "\n0 2 1.0 "),
+         ": [cpt b] column (parent index 2, class 0) sums to 1.5, not 1"),
+    ], ids=["features_repeated", "features_missing", "alpha_inf", "alpha_nan", "alpha_zero",
+            "class_prior_sum", "class_prior_one_value", "cpt_column_sum"])
+    def test_header_and_probabilities_checked(self, tmp_path, edit, message):
+        # load_model alone; test_cli's malformed-model cases go through predict and explain
+        path = tmp_path / "m.model"
+        save_model(uniform_model(), str(path))
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            load_model(str(path))
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.model"
