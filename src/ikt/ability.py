@@ -124,8 +124,6 @@ def _screen(x: np.ndarray, k: int):
     second-order terms.
     """
     n, d = x.shape
-    if k == 1:
-        return lambda centroids: np.zeros(n, dtype=np.intp)
     xt = np.ascontiguousarray(x.T)
     xx = (x ** 2).sum(axis=1)
     xx_max = xx.max()

@@ -47,7 +47,8 @@ class BktParams:
 
 @dataclass(frozen=True)
 class FitGrid:
-    """Search grid: every parameter in {step, 2*step, ...} up to its cap.
+    """Search grid: every parameter in {step, 2*step, ...} up to the
+    multiple of step nearest its cap, which may lie above the cap.
 
     Each axis is built once per instance and kept as a read-only array.
     """

@@ -122,7 +122,9 @@ def _write(path: str, text: str) -> None:
 
 def _load_dataset(path: str, schema_path: str | None):
     """Load and clean a log; without a schema it must be canonical csv. An
-    id holding a tab or line break is refused: the outputs are TSV lines."""
+    id holding a tab or line break is refused: the outputs are TSV lines.
+    So is the problem id ``# default``, which difficulty.tsv's default
+    line already holds."""
     if schema_path is not None and not os.path.exists(schema_path):
         raise InputError(f"schema file not found: {schema_path}")
     if not os.path.exists(path):
@@ -134,6 +136,9 @@ def _load_dataset(path: str, schema_path: str | None):
         for name in ids:
             if "\t" in name or "\r" in name or "\n" in name:
                 raise InputError(f"{path}: {column} id {name!r} holds a tab or a line break")
+    if "# default" in data.problem_index:
+        raise InputError(f"{path}: problem id '# default' is the name of difficulty.tsv's "
+                         "default line")
     return data
 
 
@@ -237,7 +242,7 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
     manifest, bkt_path = artifact("manifest.kv"), artifact("bkt_params.tsv")
     centroids_path = artifact("centroids.tsv")
     try:
-        entries = _parse_keyvalue(manifest)
+        entries = _parse_keyvalue(manifest, repeatable=("artifact",))
         if entries.get("bundle_format", _BUNDLE_FORMAT) != _BUNDLE_FORMAT:
             raise InputError(f"{manifest}: unknown bundle_format {entries['bundle_format']!r}")
         feature_set = entries.get("config.feature_set")

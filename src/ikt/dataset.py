@@ -45,8 +45,9 @@ class DataFormatError(Exception):
     """A cell value cannot be interpreted (e.g. non-binary correctness)."""
 
 
-def _parse_keyvalue(path: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+def _parse_keyvalue(path: str, repeatable=()) -> dict[str, str]:
+    """Parse a flat ``key = value`` file; '#' starts a comment. A key
+    given twice is refused unless ``repeatable``, where the last wins."""
     out: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -57,8 +58,10 @@ def _parse_keyvalue(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise SchemaError(f"{path}:{lineno}: expected 'key = value', "
                                       f"got {raw.strip()!r}")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in out and key not in repeatable:
+                    raise SchemaError(f"{path}:{lineno}: {key} is given more than once")
+                out[key] = value
     except UnicodeDecodeError:
         raise SchemaError(f"{path}: byte {_undecodable_offset(path)} is not valid UTF-8") from None
     return out
@@ -124,6 +127,10 @@ def load_schema(path: str) -> ColumnSchema:
         delim = "\t"
     if len(delim) != 1:  # csv.reader takes one character; '#' starts a comment
         raise SchemaError(f"{path}: delimiter must be one character or tab, got {delim!r}")
+    for given, needed in (("scaffold_column", "scaffold_keep"),
+                          ("scaffold_keep", "scaffold_column")):
+        if given in kv and needed not in kv:
+            raise SchemaError(f"{path}: {given} is set but {needed} is missing")
     return ColumnSchema(
         student=kv["student"],
         problem=kv["problem"],

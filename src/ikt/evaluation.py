@@ -91,12 +91,12 @@ class ExperimentConfig:
         if 0.0 < self.grid_step < 0.5:
             grid = self.fit_grid()
             for name, values in (("guess_cap", grid.g_values), ("slip_cap", grid.s_values)):
-                # the grid rounds the cap to a multiple of the step, which
-                # may reach 1 (a degenerate emission) or leave no value
-                top = float(values.max(initial=0.0))
-                if 0.0 < getattr(self, name) < 1.0 and not 0.0 < top < 1.0:
+                # the grid rounds the cap to the nearest multiple of the
+                # step, which may lie above it or leave no value
+                cap, top = getattr(self, name), float(values.max(initial=0.0))
+                if 0.0 < cap < 1.0 and not 0.0 < top <= cap + 1e-9:
                     errors.append(f"{name}: at grid_step {self.grid_step} the largest "
-                                  f"grid value is {top}, which must be in (0, 1)")
+                                  f"grid value is {top}, which must be in (0, {cap}]")
         if not 0.0 < self.alpha < np.inf:  # else some log-ratios are nan
             errors.append(f"alpha: must be > 0 and finite, got {self.alpha}")
         if self.workers < 1:
@@ -468,7 +468,6 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
             outputs = list(pool.map(_fold_job, jobs))
     else:
         outputs = [_run_fold(*job) for job in jobs]
-    outputs.sort(key=lambda o: o.fold.fold_id)
 
     labels = [o.test_table.label[o.keep] for o in outputs]
     all_labels = np.concatenate(labels)

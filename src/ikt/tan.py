@@ -200,14 +200,6 @@ class TanStructure:
     parent: dict
     weight: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def prefix(self, n: int) -> "TanStructure":
-        """The tree ``learn_structure`` grows over the first n features:
-        a pair's CMI depends on that pair alone, so its weights are the
-        leading n x n block of this tree's."""
-        if n == len(self.features):
-            return self
-        return _spanning_structure(self.features[:n], self.weight[:n, :n])
-
 
 def max_spanning_parents(weight: np.ndarray) -> list:
     """Parent index per node for the maximum spanning tree of a weight
@@ -270,11 +262,10 @@ class TanModel:
 
     ``log_ratio[f][v, p]`` is node f's log-likelihood ratio for domain
     index v under parent domain index p, and 0 at the pad index -1 of an
-    out-of-domain v or p; ``codes[f]`` maps a value of f's domain to its
-    index; ``prior_log_odds`` is the class term. ``walk`` holds one
-    ``(feature, parent, parent position in walk or None, codes[feature],
-    cutpoints or None, log_ratio[feature] as nested lists)`` entry per
-    node, in feature order.
+    out-of-domain v or p; ``prior_log_odds`` is the class term. ``walk``
+    holds one ``(feature, parent, parent position in walk or None, a dict
+    from each value of f's domain to its index, cutpoints or None,
+    log_ratio[feature] as nested lists)`` entry per node, in feature order.
     """
 
     structure: TanStructure
@@ -284,21 +275,17 @@ class TanModel:
     discretizer: Discretizer
     alpha: float = 1.0
     log_ratio: dict = field(init=False, repr=False)
-    codes: dict = field(init=False, repr=False)
     prior_log_odds: float = field(init=False, repr=False)
     walk: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.log_ratio = {f: np.pad(np.log(cpt[..., 1]) - np.log(cpt[..., 0]), (0, 1))
-                              for f, cpt in self.cpts.items()}
-        self.codes = {f: {int(v): i for i, v in enumerate(dom)}
-                      for f, dom in self.domains.items()}
+        self.log_ratio = {f: np.pad(np.log(cpt[..., 1]) - np.log(cpt[..., 0]), (0, 1))
+                          for f, cpt in self.cpts.items()}
+        codes = {f: {int(v): i for i, v in enumerate(dom)} for f, dom in self.domains.items()}
         p0, p1 = (float(p) for p in self.class_prior)
-        self.prior_log_odds = ((math.log(p1) if p1 > 0.0 else -math.inf)
-                               - (math.log(p0) if p0 > 0.0 else -math.inf))
+        self.prior_log_odds = math.log(p1) - math.log(p0)
         position = {f: i for i, f in enumerate(self.features)}
-        self.walk = tuple((f, p, position.get(p), self.codes[f],
+        self.walk = tuple((f, p, position.get(p), codes[f],
                            self.discretizer.cutpoints.get(f), self.log_ratio[f].tolist())
                           for f in self.features for p in (self.structure.parent[f],))
 
@@ -309,12 +296,13 @@ class TanModel:
 
 def estimate_cpts(coded: dict, labels, structure: TanStructure,
                   alpha: float = 1.0, discretizer: Discretizer | None = None) -> TanModel:
-    """Smoothed conditional probability tables for a fixed structure,
-    from ``coded``: each feature's ``_domain_codes`` pair (domain, codes).
-
-    alpha=0 gives maximum-likelihood frequencies; contexts never seen in
-    training fall back to a uniform column either way.
+    """Laplace-smoothed conditional probability tables for a fixed
+    structure, from ``coded``: each feature's ``_domain_codes`` pair
+    (domain, codes). ``alpha`` must be positive and finite; a context
+    never seen in training gets the uniform column.
     """
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
     y = np.asarray(labels, dtype=int)
     n = y.size
     domains = {f: coded[f][0] for f in structure.features}
@@ -331,12 +319,7 @@ def estimate_cpts(coded: dict, labels, structure: TanStructure,
         pcodes = codes[p_feat] if p_feat is not None else np.zeros(n, dtype=int)
         counts = np.bincount((codes[f] * p + pcodes) * 2 + y,
                              minlength=d * p * 2).reshape(d, p, 2).astype(float)
-        totals = counts.sum(axis=0, keepdims=True)
-        smoothed = counts + alpha
-        denom = totals + alpha * d
-        with np.errstate(invalid="ignore"):
-            cpt = np.where(denom > 0, smoothed / np.where(denom > 0, denom, 1.0), 1.0 / d)
-        cpts[f] = cpt
+        cpts[f] = (counts + alpha) / (counts.sum(axis=0, keepdims=True) + alpha * d)
     return TanModel(structure=structure, domains=domains, class_prior=class_prior,
                     cpts=cpts, discretizer=discretizer or Discretizer(), alpha=alpha)
 
@@ -353,10 +336,10 @@ def fit_nested_tans(columns: dict, labels, sizes, alpha: float = 1.0) -> list:
     The work that does not depend on n runs once: MDLP cuts each feature
     against the labels alone, and a pair's CMI depends on that pair
     alone, so the discretizer, the coded columns and the CMI matrix of
-    all features serve every prefix, whose tree comes from the matrix's
-    leading block (``TanStructure.prefix``). Each discretized column is
-    coded once, as the ``_domain_codes`` pair ``learn_structure`` and
-    each model's ``estimate_cpts`` take; only the tables are per model.
+    all features serve every prefix, whose tree is spanned over the
+    matrix's leading n x n block. Each discretized column is coded once,
+    as the ``_domain_codes`` pair ``learn_structure`` and each model's
+    ``estimate_cpts`` take; only the trees and tables are per model.
     """
     disc = fit_discretizer(columns, labels)
     coded = {f: _domain_codes(disc.transform_column(f, column))
@@ -364,7 +347,7 @@ def fit_nested_tans(columns: dict, labels, sizes, alpha: float = 1.0) -> list:
     structure = learn_structure(coded, labels)
     models = []
     for n in sizes:
-        tree = structure.prefix(n)
+        tree = _spanning_structure(structure.features[:n], structure.weight[:n, :n])
         cuts = {f: c for f, c in disc.cutpoints.items() if f in tree.features}
         models.append(estimate_cpts(coded, labels, tree, alpha=alpha,
                                     discretizer=Discretizer(cuts)))

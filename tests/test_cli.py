@@ -65,12 +65,22 @@ class TestPreprocessCommand:
         assert (tmp_path / "out" / "preprocessed.csv").exists()
 
 
+# each fault's schema text, and what the error names after the path
 SCHEMA_FAULTS = {
-    "incomplete": "student = user\n",
+    "incomplete": ("student = user\n", ": missing required schema keys: problem, skill"),
     # csv.reader once refused these as an internal error; '#' starts a
     # comment, so the second leaves an empty delimiter
-    "two_character_delimiter": SCHEMA_TEXT + "delimiter = ;;\n",
-    "comment_delimiter": SCHEMA_TEXT + "delimiter = #\n",
+    "two_character_delimiter": (SCHEMA_TEXT + "delimiter = ;;\n",
+                                ": delimiter must be one character or tab, got ';;'"),
+    "comment_delimiter": (SCHEMA_TEXT + "delimiter = #\n",
+                          ": delimiter must be one character or tab, got ''"),
+    # the last of two values was once taken silently
+    "key_repeated": (SCHEMA_TEXT + "skill = kc\n", ":6: skill is given more than once"),
+    # either scaffold key alone once applied no filter, silently
+    "scaffold_column_alone": (SCHEMA_TEXT + "scaffold_column = kc\n",
+                              ": scaffold_column is set but scaffold_keep is missing"),
+    "scaffold_keep_alone": (SCHEMA_TEXT + "scaffold_keep = 1\n",
+                            ": scaffold_keep is set but scaffold_column is missing"),
 }
 
 
@@ -80,8 +90,10 @@ class TestInputErrors:
     def test_missing_schema_exits_2_naming_path(self, workspace, capsys, command, fault):
         tmp, raw, _ = workspace
         schema = tmp / f"{fault}.cfg"
+        named = ""
         if fault in SCHEMA_FAULTS:
-            schema.write_text(SCHEMA_FAULTS[fault], encoding="utf-8")
+            text, named = SCHEMA_FAULTS[fault]
+            schema.write_text(text, encoding="utf-8")
         argv = [command, "--data", raw, "--schema", str(schema)]
         if command == "predict":
             argv += ["--model-dir", str(tmp / "fitted"), "--out", str(tmp / "p.tsv")]
@@ -89,7 +101,7 @@ class TestInputErrors:
             argv += ["--out", str(tmp / "x")]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert f"{fault}.cfg" in err and "internal" not in err
+        assert f"{fault}.cfg{named}" in err and "internal" not in err
 
     @pytest.mark.parametrize("command, option", [
         ("preprocess", "--data"), ("predict", "--data"), ("predict", "--out")])
@@ -138,7 +150,10 @@ class TestInputErrors:
         (b"alpha = inf\n", "alpha: must be > 0 and finite, got inf"),
         # numpy refused a negative seed as an internal error
         (b"seed = -1\n", "seed: must be >= 0, got -1"),
-    ], ids=["no_equals_sign", "undecodable", "alpha_zero", "alpha_infinite", "seed_negative"])
+        # the last of two values was once taken silently
+        (b"seed = 1\nfolds = 3\nseed = 2\n", "bad.kv:3: seed is given more than once"),
+    ], ids=["no_equals_sign", "undecodable", "alpha_zero", "alpha_infinite", "seed_negative",
+            "key_repeated"])
     def test_bad_config_file_exits_2(self, workspace, capsys, content, message):
         tmp, raw, schema = workspace
         config = tmp / "bad.kv"
@@ -383,6 +398,19 @@ class TestInputErrors:
         assert f"{column} id {bad!r} holds a tab or a line break" in capsys.readouterr().err
         assert not (fitted / "bkt_params.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    def test_problem_id_of_the_default_line_exits_2(self, workspace, capsys, command):
+        # difficulty.tsv's default line holds this id, so such a bundle
+        # was once written, then refused by predict
+        tmp, raw, schema = workspace
+        first = CLI_ROWS[0][1]
+        write_raw_csv([row[:1] + ("# default" if row[1] == first else row[1],) + row[2:]
+                       for row in CLI_ROWS], raw)
+        assert run([command, "--data", raw, "--schema", schema, "--out", str(tmp / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "problem id '# default'" in err and "internal" not in err
+        assert not (tmp / "x").exists()
+
     def test_internal_value_error_exits_1_with_traceback(self, workspace, capsys,
                                                          monkeypatch):
         def broken(*args):
@@ -462,6 +490,17 @@ class TestEvaluateCommand:
                     "--out", str(tmp / "x")])
         assert code == 2
         assert line.split()[0] + ": at grid_step 0.05" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
+    def test_cap_below_its_rounded_grid_exits_2(self, preprocessed, capsys):
+        # 0.30 / 0.04 = 7.5 rounds to 8 steps, so g was once searched up to 0.32
+        tmp, data = preprocessed
+        bad = tmp / "cap.cfg"
+        bad.write_text("grid_step = 0.04\nguess_cap = 0.30\n", encoding="utf-8")
+        assert run(["evaluate", "--data", data, "--config", str(bad),
+                    "--out", str(tmp / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "guess_cap: at grid_step 0.04 the largest grid value is 0.32" in err
         assert not (tmp / "x").exists()
 
     def test_every_config_field_can_be_set_from_a_file(self, tmp_path):

@@ -61,3 +61,25 @@ def test_every_exported_name_has_a_caller_outside_the_tests(name):
     used = _names_used(package, Path(__file__).resolve().parents[1] / "perfbench")
     module = importlib.import_module(f"ikt.{name}")
     assert [n for n in getattr(module, "__all__", ()) if n not in used] == []
+
+
+# the data types, the error classes and the byte-offset helper: the
+# references in oracles.py take nothing else from the code they check
+ORACLE_IMPORTS = {
+    "ikt.dataset": {"DataFormatError", "Dataset", "SchemaError", "_undecodable_offset"},
+    "ikt.tan": {"Discretizer", "ExplanationRecord", "NodeContribution", "TanModel",
+                "TanStructure"},
+}
+
+
+def test_oracles_import_only_data_types_and_errors_from_ikt():
+    path = Path(__file__).with_name("oracles.py")
+    taken = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            taken += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "ikt"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ikt":
+            taken += [(node.module, alias.name) for alias in node.names]
+    assert [(module, name) for module, name in taken
+            if name not in ORACLE_IMPORTS.get(module, ())] == []

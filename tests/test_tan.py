@@ -257,14 +257,14 @@ class TestEstimateCpts:
         # zero observations for y=0 -> uniform
         assert model.cpts["a"][0, 0, 0] == pytest.approx(1 / 2)
 
-    def test_alpha_zero_maximum_likelihood(self):
+    def test_alpha_not_positive_and_finite_raises(self):
+        # unsmoothed tables hold zeros, whose log-ratios are infinite
         cols = {"b": np.zeros(4, int), "a": np.array([0, 0, 0, 1])}
         labels = np.ones(4, int)
         st = TanStructure(features=("b", "a"), parent={"b": None, "a": "b"})
-        model = estimate_cpts(coded(cols), labels, st, alpha=0.0)
-        assert model.cpts["a"][0, 0, 1] == pytest.approx(3 / 4)
-        # empty context stays uniform even without smoothing
-        assert model.cpts["a"][0, 0, 0] == pytest.approx(1 / 2)
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be > 0 and finite"):
+                estimate_cpts(coded(cols), labels, st, alpha=alpha)
 
     def test_columns_normalized_and_positive(self):
         rng = np.random.default_rng(10)
@@ -500,6 +500,24 @@ class TestSerialization:
         assert _log_odds(loaded, columns).tobytes() == _log_odds(model, columns).tobytes()
         for row in rows:
             assert explain(loaded, row) == explain(model, row)
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(20, 300))
+    def test_every_fitted_model_reloads_bitwise(self, tmp_path_factory, alpha, seed, n):
+        # fit_tan's tables hold no zeros at any alpha > 0, so load_model
+        # takes back every model save_model writes of them
+        rng = np.random.default_rng(seed)
+        cols = {"skill": rng.integers(0, 6, n), "mastery": rng.random(n),
+                "profile": rng.integers(1, 5, n), "difficulty": rng.integers(0, 11, n)}
+        labels = (rng.random(n) < 0.2 + 0.6 * cols["mastery"]).astype(int)
+        model = fit_tan(cols, labels, alpha=alpha)
+        path = tmp_path_factory.getbasetemp() / "fitted.model"  # one file, rewritten
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        for f in model.features:
+            assert loaded.cpts[f].tobytes() == model.cpts[f].tobytes()
+        assert _log_odds(loaded, cols).tobytes() == _log_odds(model, cols).tobytes()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda text: text.replace("features = a b", "features = a a"),
