@@ -512,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value experiment configuration")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument("--workers", type=int, help="parallel fold workers")
+    p.add_argument("--workers", type=int,
+                   help="parallel fold workers, capped at the number of folds")
     p.add_argument("--feature-set", choices=list(FEATURE_SETS), dest="feature_set")
     p.add_argument("--ablation", action="store_true",
                    help="evaluate all three feature sets on shared folds")

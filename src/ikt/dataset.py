@@ -35,6 +35,8 @@ __all__ = [
 
 
 _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
+# a '#' inside a value, as in a column named item#a, is part of it
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 class SchemaError(Exception):
@@ -46,13 +48,14 @@ class DataFormatError(Exception):
 
 
 def _parse_keyvalue(path: str, repeatable=()) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' starts a comment. A key
-    given twice is refused unless ``repeatable``, where the last wins."""
+    """Parse a flat ``key = value`` file; a '#' at a line's start or
+    after whitespace starts a comment. A key given twice is refused
+    unless ``repeatable``, where the last wins."""
     out: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
+                line = _COMMENT.sub("", raw, count=1).strip()
                 if not line:
                     continue
                 if "=" not in line:

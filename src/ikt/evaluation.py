@@ -22,7 +22,6 @@ those of its own independent fits.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -464,7 +463,10 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
     jobs = [(data, fold, config, tuple(feature_sets), params)
             for fold, params in zip(folds, _fold_params(data, folds, config))]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # imported here so that a serial run loads no multiprocessing;
+        # under fork the pool starts all its workers at once, so at most one per fold
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
             outputs = list(pool.map(_fold_job, jobs))
     else:
         outputs = [_run_fold(*job) for job in jobs]

@@ -152,8 +152,10 @@ class TestInputErrors:
         (b"seed = -1\n", "seed: must be >= 0, got -1"),
         # the last of two values was once taken silently
         (b"seed = 1\nfolds = 3\nseed = 2\n", "bad.kv:3: seed is given more than once"),
+        # a '#' not after whitespace once started a comment, so this read 3
+        (b"seed = 3#x\n", "seed: expected int, got '3#x'"),
     ], ids=["no_equals_sign", "undecodable", "alpha_zero", "alpha_infinite", "seed_negative",
-            "key_repeated"])
+            "key_repeated", "hash_inside_value"])
     def test_bad_config_file_exits_2(self, workspace, capsys, content, message):
         tmp, raw, schema = workspace
         config = tmp / "bad.kv"
@@ -516,6 +518,13 @@ class TestEvaluateCommand:
         assert dataclasses.asdict(config) == values and ablation is False
         assert all(v != f.default for v, f in zip(values.values(),
                                                   dataclasses.fields(ExperimentConfig)))
+
+    def test_comments_in_a_config_file(self, tmp_path):
+        path = tmp_path / "notes.cfg"
+        path.write_text("# a comment line\n  # an indented one\nseed = 3  # note\n"
+                        "folds = 4\t# tab\n", encoding="utf-8")
+        config, _ = load_config(str(path))
+        assert (config.seed, config.folds) == (3, 4)
 
     def test_unknown_config_key_named(self, preprocessed, capsys):
         tmp, data = preprocessed

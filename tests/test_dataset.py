@@ -371,6 +371,19 @@ class TestSchemaFile:
         with pytest.raises(SchemaError, match="problem"):
             load_schema(path)
 
+    @pytest.mark.parametrize("header", ["user,item#a,kc,outcome", "user,item,item#a,kc,outcome"],
+                             ids=["alone", "beside_item"])
+    def test_hash_inside_a_value_is_part_of_it(self, tmp_path, header):
+        # every '#' once started a comment, so item#a read as item
+        schema = load_schema(write(tmp_path, "# columns\nstudent = user\nproblem = item#a\n"
+                                             "skill = kc  # note\ncorrect = outcome\t# tab\n",
+                                   name="schema.cfg"))
+        assert (schema.problem, schema.skill, schema.correct) == ("item#a", "kc", "outcome")
+        cells = {"user": "a", "item": "wrong", "item#a": "p1", "kc": "s1", "outcome": "1"}
+        names = header.split(",")
+        path = write(tmp_path, f"{header}\n" + ",".join(cells[n] for n in names) + "\n")
+        assert problem_ids(load_csv(path, schema), "a") == ["p1"]
+
 
 class TestPreprocess:
     def test_first_attempt_kept(self, tmp_path):

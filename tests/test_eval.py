@@ -230,6 +230,32 @@ class TestRunCv:
             for fs in FEATURE_SETS:
                 assert_same_model(a.models[fs], b.models[fs])
 
+    def test_pool_is_capped_at_the_number_of_folds(self, small_data, monkeypatch):
+        # under fork every worker starts up front, so idle ones would be
+        # forked for nothing; the fake starts no process
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        data, _ = small_data
+        par = evaluate_feature_sets(data, ExperimentConfig(seed=4, workers=50), ["ikt3"])[0]
+        seq = evaluate_feature_sets(data, ExperimentConfig(seed=4), ["ikt3"])[0]
+        assert made == [5]
+        assert par["ikt3"].render_kv() == seq["ikt3"].render_kv()
+
     def test_mean_is_arithmetic_mean_of_folds(self, small_data):
         data, _ = small_data
         report = evaluate_feature_sets(data, ExperimentConfig(seed=4), ["ikt3"])[0]["ikt3"]

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,3 +85,23 @@ def test_oracles_import_only_data_types_and_errors_from_ikt():
             taken += [(node.module, alias.name) for alias in node.names]
     assert [(module, name) for module, name in taken
             if name not in ORACLE_IMPORTS.get(module, ())] == []
+
+
+def _fresh_modules(code):
+    # a fresh interpreter, since this one has imported everything already
+    src = str(Path(ikt.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", f"import sys\n{code}\nprint(*sys.modules)"],
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             filter(None, [src, os.environ.get("PYTHONPATH")]))},
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_import_loads_only_the_layers_used():
+    loaded = _fresh_modules("import ikt, ikt.dataset")
+    assert {"ikt.ability", "ikt.bkt", "ikt.evaluation", "ikt.tan",
+            "concurrent.futures"} & loaded == set()
+    # the fold pool's modules load only when a pool is made
+    assert {"concurrent.futures.process", "multiprocessing"} & _fresh_modules("import ikt.cli") \
+        == set()
+    assert "ikt.tan" in _fresh_modules("import ikt\nikt.tan.explain")
