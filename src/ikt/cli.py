@@ -375,17 +375,16 @@ def cmd_evaluate(args) -> int:
 
     inputs = _input_entries(args.data)
     for output in outputs:
-        fold_dir = os.path.join(args.out, "artifacts", f"fold{output.fold.fold_id}")
-        train = ",".join(sorted(output.fold.train_students))
-        fold_entries = {**inputs, "fold": output.fold.fold_id,
+        fold_dir = os.path.join(args.out, "artifacts", f"fold{output.fold_id}")
+        train = ",".join(sorted(data.by_student.keys() - output.test_data.by_student))
+        fold_entries = {**inputs, "fold": output.fold_id,
                         "train_students.sha256": hashlib.sha256(train.encode()).hexdigest()}
         artifact_paths.extend(_write_bundle(fold_dir, config, fold_entries,
                                             output.artifacts, output.models))
         if args.dump_predictions:
-            test_data = data.restricted_to(output.fold.test_students)
             for fs in feature_sets:
-                p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold.fold_id}.tsv")
-                _dump_predictions(p, test_data, output.test_table, output.keep,
+                p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold_id}.tsv")
+                _dump_predictions(p, output.test_data, output.test_table, output.keep,
                                   output.scores[fs])
                 artifact_paths.append(p)
 

@@ -25,7 +25,6 @@ __all__ = [
     "DataFormatError",
     "ColumnSchema",
     "Dataset",
-    "FoldSplit",
     "load_schema",
     "load_csv",
     "preprocess",
@@ -195,15 +194,15 @@ class Dataset:
         counts = self.row_counts()
         return np.arange(self.n_records) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    def restricted_to(self, students) -> "Dataset":
-        """Subset to the given students. The skill and problem indexes keep
-        only what those students attempted, in this dataset's order,
-        renumbered densely."""
-        members = set(students)
-        counts = dict(zip(self.by_student, self.row_counts().tolist()))
-        lengths = {s: n for s, n in counts.items() if s in members}
-        chosen = np.array([s in members for s in counts], dtype=bool)
-        keep = np.repeat(chosen, list(counts.values()))
+    def restricted_to(self, chosen: np.ndarray) -> "Dataset":
+        """Subset to the students ``chosen`` flags, a boolean array in
+        ``by_student`` order. The skill and problem indexes keep only what
+        those students attempted, in this dataset's order, renumbered
+        densely."""
+        counts = self.row_counts()
+        keep = np.repeat(chosen, counts)
+        lengths = {s: n for s, n, c in zip(self.by_student, counts.tolist(), chosen.tolist())
+                   if c}
         skill, skill_index = _recode(self.skill[keep], self.skill_index, in_index_order=True)
         problem, problem_index = _recode(self.problem[keep], self.problem_index,
                                          in_index_order=True)
@@ -487,32 +486,23 @@ def preprocess(raw: Dataset) -> Dataset:
                    problem_index, drops)
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    fold_id: int
-    train_students: frozenset[str]
-    test_students: frozenset[str]
+def split_folds(data: Dataset, k: int = 5, seed: int = 0) -> np.ndarray:
+    """Each student's test fold, 0 to k - 1, in ``by_student`` order.
 
-
-def split_folds(data: Dataset, k: int = 5, seed: int = 0) -> list[FoldSplit]:
-    """Partition students into k disjoint test groups, deterministically.
-
-    Student ids are shuffled with a seeded generator and dealt
-    round-robin, so fold test sizes differ by at most one.
+    The sorted student ids are shuffled with a seeded generator and dealt
+    round-robin, so the k test groups are disjoint, cover every student
+    and differ in size by at most one.
     """
-    students = sorted(data.by_student)
+    students = list(data.by_student)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if len(students) < k:
         raise ValueError(f"need at least {k} students for {k} folds, have {len(students)}")
     rng = np.random.default_rng(seed)
-    shuffled = [students[i] for i in rng.permutation(len(students))]
-    folds = []
-    all_students = set(students)
-    for fold_id in range(k):
-        test = frozenset(shuffled[fold_id::k])
-        folds.append(FoldSplit(fold_id, frozenset(all_students - test), test))
-    return folds
+    ranked = np.array(sorted(range(len(students)), key=students.__getitem__), dtype=np.intp)
+    held_out = np.empty(len(students), dtype=np.intp)
+    held_out[ranked[rng.permutation(len(students))]] = np.arange(len(students)) % k
+    return held_out
 
 
 def render_drop_report(drops: Counter, n_records: int, n_students: int,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ability, bkt, tan
-from .dataset import Dataset, FoldSplit, split_folds
+from .dataset import Dataset, split_folds
 from .difficulty import DifficultyTable, build_difficulty_table
 
 __all__ = [
@@ -122,14 +122,9 @@ def auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("need both classes to compute AUC")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks = np.empty(scores.size)
-    boundaries = np.nonzero(np.diff(sorted_scores))[0]
-    starts = np.concatenate(([0], boundaries + 1))
-    ends = np.concatenate((boundaries, [scores.size - 1]))
-    avg = (starts + ends) / 2.0 + 1.0
-    ranks[order] = np.repeat(avg, ends - starts + 1)
+    # each score's rank, tied scores sharing the mean of their 1-based ranks
+    _, tie, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie]
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -211,7 +206,7 @@ def _skill_sequences(data: Dataset) -> tuple[dict, dict]:
     return sequences, students
 
 
-def _fold_params(data: Dataset, folds, config: ExperimentConfig) -> list[dict]:
+def _fold_params(data: Dataset, held_out: np.ndarray, config: ExperimentConfig) -> list[dict]:
     """Every fold's skill parameters from one BKT fit over the whole log.
 
     A (skill, student) sequence weighs 1 in each fold that trains on its
@@ -220,14 +215,12 @@ def _fold_params(data: Dataset, folds, config: ExperimentConfig) -> list[dict]:
     ``fit_fold_artifacts`` fits on f's training students, keyed in their
     skill order: a skill only f's test students attempted is left out.
     """
-    test_fold = {s: i for i, fold in enumerate(folds) for s in fold.test_students}
-    held_out = np.array([test_fold[s] for s in data.by_student], dtype=np.intp)
-    train_weight = (held_out[:, None] != np.arange(len(folds))).astype(float)
+    train_weight = (held_out[:, None] != np.arange(config.folds)).astype(float)
     sequences, students = _skill_sequences(data)
     fitted = bkt.fit_all_skills(sequences, config.fit_grid(),
                                 {skill: train_weight[students[skill]] for skill in sequences})
     return [{skill: fits[i] for skill, fits in fitted.items() if fits[i] is not None}
-            for i in range(len(folds))]
+            for i in range(config.folds)]
 
 
 def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
@@ -339,7 +332,11 @@ def _warmup_len(config: ExperimentConfig) -> int:
 
 @dataclass
 class FoldOutput:
-    fold: FoldSplit
+    """One fold's fit and scores; ``test_data`` is the log restricted to
+    the fold's test students, the rows of ``test_table``."""
+
+    fold_id: int
+    test_data: Dataset
     artifacts: FoldArtifacts
     models: dict
     scores: dict
@@ -347,12 +344,11 @@ class FoldOutput:
     test_table: FeatureTable
 
 
-def _fold_digest(folds) -> str:
+def _fold_digest(data: Dataset, held_out: np.ndarray, k: int) -> str:
+    students = np.array(list(data.by_student), dtype=object)
     h = hashlib.sha256()
-    for f in folds:
-        h.update(f"fold{f.fold_id}:".encode())
-        h.update(",".join(sorted(f.test_students)).encode())
-        h.update(b";")
+    for fold_id in range(k):
+        h.update(f"fold{fold_id}:{','.join(sorted(students[held_out == fold_id]))};".encode())
     return h.hexdigest()
 
 
@@ -416,12 +412,12 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_fold(data: Dataset, fold: FoldSplit, config: ExperimentConfig,
+def _run_fold(data: Dataset, fold_id: int, held_out: np.ndarray, config: ExperimentConfig,
               feature_sets, params: dict) -> FoldOutput:
-    train_data = data.restricted_to(fold.train_students)
-    artifacts = fit_fold_artifacts(train_data, config, fold.fold_id, params)
-    train, test = build_feature_rows(artifacts, config.interval_len, train_data,
-                                     data.restricted_to(fold.test_students))
+    tested = held_out == fold_id
+    train_data, test_data = data.restricted_to(~tested), data.restricted_to(tested)
+    artifacts = fit_fold_artifacts(train_data, config, fold_id, params)
+    train, test = build_feature_rows(artifacts, config.interval_len, train_data, test_data)
     keep = test.position >= _warmup_len(config)
     # the feature sets are nested, so each is a prefix of the largest
     sizes = [len(FEATURE_SETS[fs]) for fs in feature_sets]
@@ -431,7 +427,7 @@ def _run_fold(data: Dataset, fold: FoldSplit, config: ExperimentConfig,
     models = dict(zip(feature_sets, fitted))
     scores = {fs: tan.predict_many(model, {f: getattr(test, f)[keep] for f in model.features})
               for fs, model in models.items()}
-    return FoldOutput(fold=fold, artifacts=artifacts, models=models,
+    return FoldOutput(fold_id=fold_id, test_data=test_data, artifacts=artifacts, models=models,
                       scores=scores, keep=keep, test_table=test)
 
 
@@ -445,23 +441,24 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
     the other artifacts and one nested TAN fit, one model per feature set.
 
     Returns reports keyed by feature set plus the per-fold outputs
-    (fitted artifacts, models, scores) for artifact serialization.
+    (test rows, fitted artifacts, models, scores) for serialization.
     """
     errors = config.validate()
     if errors:
         raise ValueError("; ".join(errors))
-    folds = split_folds(data, k=config.folds, seed=config.seed)
-    digest = _fold_digest(folds)
-    for fold in folds:
-        test = data.restricted_to(fold.test_students)
-        scored = test.correct[test.row_position() >= _warmup_len(config)]
-        if np.unique(scored).size < 2:
-            raise SingleClassError(f"fold {fold.fold_id}: the scored test labels hold "
+    held_out = split_folds(data, k=config.folds, seed=config.seed)
+    digest = _fold_digest(data, held_out, config.folds)
+    row_fold = np.repeat(held_out, data.row_counts())
+    scored = data.row_position() >= _warmup_len(config)
+    for fold_id in range(config.folds):
+        labels = data.correct[scored & (row_fold == fold_id)]
+        if labels.size == 0 or labels.min() == labels.max():
+            raise SingleClassError(f"fold {fold_id}: the scored test labels hold "
                                    "fewer than two classes, so AUC is undefined; "
                                    "use fewer folds")
 
-    jobs = [(data, fold, config, tuple(feature_sets), params)
-            for fold, params in zip(folds, _fold_params(data, folds, config))]
+    jobs = [(data, fold_id, held_out, config, tuple(feature_sets), params)
+            for fold_id, params in enumerate(_fold_params(data, held_out, config))]
     if config.workers > 1:
         # imported here so that a serial run loads no multiprocessing;
         # under fork the pool starts all its workers at once, so at most one per fold

@@ -13,11 +13,12 @@ from ikt.ability import ClusterModel
 from ikt.bkt import BktParams
 from ikt.cli import (_dump_predictions, _load_bundle, _load_dataset, _write_bundle,
                      load_config, main)
-from ikt.dataset import split_folds
+from ikt.dataset import Dataset, split_folds
 from ikt.difficulty import DifficultyTable
 from ikt.evaluation import ExperimentConfig, FeatureTable, FoldArtifacts
 
 from synth import mixed_process_rows, to_dataset, write_raw_csv
+from test_exports import _fresh_modules
 
 CLI_ROWS = mixed_process_rows(n_students=25, n_skills=3, attempts=50, seed=9)
 
@@ -63,6 +64,31 @@ class TestPreprocessCommand:
         captured = capsys.readouterr()
         assert "warning" in captured.err
         assert (tmp_path / "out" / "preprocessed.csv").exists()
+
+    def test_report_counts_each_drop_reason(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("user,item,kc,outcome,ts\n"
+                       "a,p1,s1,1,1\na,p1,s1,1,1\n"  # a duplicate row
+                       "a,p1,s1,0,2\na,p1,s1,1,6\n"  # two repeat attempts
+                       "a,,s1,1,3\na,p2,,1,4\na,p3,s1,,5\n"  # a blank cell each
+                       "b,p2,s1,0,1\nb,p3,s1,1,2\n", encoding="utf-8")
+        schema = tmp_path / "schema.cfg"
+        schema.write_text(SCHEMA_TEXT, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["preprocess", "--data", str(raw), "--schema", str(schema),
+                    "--out", str(out)]) == 0
+        text = (out / "preprocess_report.txt").read_text()
+        assert text.splitlines()[2:] == [
+            "records kept:   3", "students:       2", "skills:         1",
+            "problems:       3", "rows dropped:   6",
+            "  1 dropped: duplicate row", "  1 dropped: missing correctness",
+            "  1 dropped: missing problem", "  1 dropped: missing skill",
+            "  2 dropped: repeat attempt"]
+        assert (out / "preprocess_report.kv").read_text().splitlines()[4:] == [
+            "rows_dropped = 6", "dropped.duplicate_row = 1",
+            "dropped.missing_correctness = 1", "dropped.missing_problem = 1",
+            "dropped.missing_skill = 1", "dropped.repeat_attempt = 2"]
+        assert capsys.readouterr().out == text
 
 
 # each fault's schema text, and what the error names after the path
@@ -154,8 +180,13 @@ class TestInputErrors:
         (b"seed = 1\nfolds = 3\nseed = 2\n", "bad.kv:3: seed is given more than once"),
         # a '#' not after whitespace once started a comment, so this read 3
         (b"seed = 3#x\n", "seed: expected int, got '3#x'"),
+        (b"kmeans_restarts = 0\n", "kmeans_restarts: must be >= 1, got 0"),
+        (b"grid_step = 0.5\n", "grid_step: must be in (0, 0.5), got 0.5"),
+        (b"guess_cap = 1.5\n", "guess_cap: must be in (0, 1), got 1.5"),
+        (b"workers = 0\n", "workers: must be >= 1, got 0"),
     ], ids=["no_equals_sign", "undecodable", "alpha_zero", "alpha_infinite", "seed_negative",
-            "key_repeated", "hash_inside_value"])
+            "key_repeated", "hash_inside_value", "restarts_zero", "grid_step_half",
+            "cap_above_one", "workers_zero"])
     def test_bad_config_file_exits_2(self, workspace, capsys, content, message):
         tmp, raw, schema = workspace
         config = tmp / "bad.kv"
@@ -568,6 +599,44 @@ class TestEvaluateCommand:
                                        "profile", "difficulty", "probability", "label"]
         assert len(dump) > 1
 
+    def test_restricts_the_log_twice_per_fold(self, preprocessed, monkeypatch):
+        # once to each fold's training students and once to its test
+        # students; the single-class check and the dumps restrict nothing
+        calls = []
+        restricted_to = Dataset.restricted_to
+        monkeypatch.setattr(Dataset, "restricted_to",
+                            lambda self, chosen: calls.append(1) or restricted_to(self, chosen))
+        tmp, data = preprocessed
+        assert run(["evaluate", "--data", data, "--out", str(tmp / "dump"),
+                    "--dump-predictions"]) == 0
+        assert len(calls) == 2 * 5
+
+    def test_fresh_evaluate_never_imports_numpy_ma(self, preprocessed):
+        # a plain np.unique imports numpy.ma, about 5 ms of a fresh process
+        tmp, data = preprocessed
+        argv = ["evaluate", "--data", data, "--ablation", "--out", str(tmp / "x")]
+        loaded = _fresh_modules(f"from ikt.cli import main\nassert main({argv!r}) == 0")
+        assert "ikt.evaluation" in loaded and "numpy.ma" not in loaded
+
+    def test_same_bytes_under_another_blas_kernel(self, preprocessed):
+        # numpy's OpenBLAS picks its kernels for the CPU as it loads, unless
+        # OPENBLAS_CORETYPE names them (an empty value picks as if unset);
+        # k-means and the BKT fit multiply matrices through it
+        tmp, data = preprocessed
+        written = []
+        for coretype in ("", "Prescott"):
+            out = tmp / f"blas_{coretype or 'default'}"
+            argv = ["evaluate", "--data", data, "--ablation", "--dump-predictions",
+                    "--out", str(out)]
+            _fresh_modules(f"from ikt.cli import main\nassert main({argv!r}) == 0",
+                           OPENBLAS_CORETYPE=coretype)
+            # the manifests name their own output paths
+            written.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                            if p.is_file() and p.name != "manifest.kv"})
+        # the summary, the metrics, the dumps and the fold bundles' tables
+        assert len(written[0]) == 1 + 3 * 2 + 3 * 5 + 5 * 6
+        assert written[0] == written[1]
+
 
 def reference_dump(path, data, table, keep, scores):
     """The predictions file written one cell at a time."""
@@ -653,6 +722,28 @@ class TestFitPredictExplain:
         assert "posterior" in out
         assert out.count("): ") == 4  # one contribution line per evidence node
         assert "sum of contributions" in out
+
+    def test_bundle_without_centroids(self, preprocessed):
+        # no student completes a 100000-attempt interval, so no clusters are
+        # fitted and every attempt keeps the initial profile
+        tmp, data = preprocessed
+        config = tmp / "long.cfg"
+        config.write_text("interval_len = 100000\n", encoding="utf-8")
+        fitted, out, preds = tmp / "fitted", tmp / "eval", tmp / "preds.tsv"
+        for command, target in (("fit", fitted), ("evaluate", out)):
+            assert run([command, "--data", data, "--config", str(config),
+                        "--out", str(target)]) == 0
+        for bundle in [fitted, *sorted((out / "artifacts").iterdir())]:
+            assert (bundle / "centroids.tsv").read_text() == "", bundle.name
+        profiles = (fitted / "profiles.tsv").read_text().splitlines()
+        assert len(profiles) == 1 + 25
+        assert {ln.split("\t")[2] for ln in profiles[1:]} == {"1"}
+        assert run(["predict", "--data", data, "--model-dir", str(fitted),
+                    "--out", str(preds)]) == 0
+        lines = preds.read_text().splitlines()
+        column = lines[0].split("\t").index("profile")
+        assert len(lines) == 1251
+        assert {ln.split("\t")[column] for ln in lines[1:]} == {"1"}
 
     def test_explain_out_of_domain_flagged(self, preprocessed, capsys):
         tmp, data = preprocessed
@@ -930,9 +1021,10 @@ class TestPredictUsesTheBundle:
         table = (fitted / "bkt_params.tsv").read_text().splitlines()[1:]
         assert [ln.split("\t")[0] for ln in table] == list(data.skill_index)
         assert list(data.skill_index) == ["kc_b", "kc_c", "kc_a"]
-        for fold in split_folds(data, k=5, seed=0):
-            fold_dir = out / "artifacts" / f"fold{fold.fold_id}"
-            codes = list(data.restricted_to(fold.train_students).skill_index)
+        held_out = split_folds(data, k=5, seed=0)
+        for fold_id in range(5):
+            fold_dir = out / "artifacts" / f"fold{fold_id}"
+            codes = list(data.restricted_to(held_out != fold_id).skill_index)
             table = (fold_dir / "bkt_params.tsv").read_text().splitlines()[1:]
             assert [ln.split("\t")[0] for ln in table] == codes, fold_dir.name
             widths = {len(ln.split("\t")) for ln in

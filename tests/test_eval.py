@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,17 @@ class TestAuc:
                 labels[0] = 1 - labels[0]
             assert auc(scores, labels) == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-12)
+
+    def test_ties_and_signed_zeros_equal_the_pairwise_count_exactly(self):
+        # every rank is a whole or half number, so the rank sum is exact and
+        # so is the AUC; -0.0 and 0.0 tie
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            n = int(rng.integers(2, 120))
+            scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], n)
+            labels = rng.integers(0, 2, n)
+            labels[:2] = 0, 1
+            assert auc(scores, labels) == pairwise_auc(scores, labels)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -85,19 +98,23 @@ def small_data():
     return to_dataset(rows), params
 
 
-def fold_tables(data, fold, config):
-    train_data = data.restricted_to(fold.train_students)
-    artifacts = fit_fold_artifacts(train_data, config, fold.fold_id)
+def fold_tables(data, fold_id, held_out, config):
+    train_data = data.restricted_to(held_out != fold_id)
+    artifacts = fit_fold_artifacts(train_data, config, fold_id)
     return artifacts, build_feature_rows(artifacts, config.interval_len, train_data,
-                                         data.restricted_to(fold.test_students))
+                                         data.restricted_to(held_out == fold_id))
+
+
+def students_of(data, chosen):
+    return {s for s, c in zip(data.by_student, chosen.tolist()) if c}
 
 
 class TestFoldPipeline:
     def test_first_attempt_row_uses_l0_and_initial_profile(self, small_data):
         data, _ = small_data
         config = ExperimentConfig(seed=1)
-        fold = split_folds(data, k=5, seed=1)[0]
-        artifacts, (train, test) = fold_tables(data, fold, config)
+        held_out = split_folds(data, k=5, seed=1)
+        artifacts, (train, test) = fold_tables(data, 0, held_out, config)
         for table in (train, test):
             first_rows = np.nonzero(table.position == 0)[0]
             for r in first_rows:
@@ -109,12 +126,12 @@ class TestFoldPipeline:
     def test_row_count_matches_interactions(self, small_data):
         data, _ = small_data
         config = ExperimentConfig(seed=1)
-        fold = split_folds(data, k=5, seed=1)[0]
-        _, (train, test) = fold_tables(data, fold, config)
+        held_out = split_folds(data, k=5, seed=1)
+        _, (train, test) = fold_tables(data, 0, held_out, config)
         n_train = sum(data.by_student[s].stop - data.by_student[s].start
-                      for s in fold.train_students)
+                      for s in students_of(data, held_out != 0))
         n_test = sum(data.by_student[s].stop - data.by_student[s].start
-                     for s in fold.test_students)
+                     for s in students_of(data, held_out == 0))
         assert len(train) == n_train
         assert len(test) == n_test
 
@@ -128,9 +145,10 @@ class TestFoldPipeline:
         data = to_dataset(rows)
         config = ExperimentConfig(seed=1)
         found = 0
-        for fold in split_folds(data, k=5, seed=1):
-            artifacts, (_, test) = fold_tables(data, fold, config)
-            test_data = data.restricted_to(fold.test_students)  # the table's rows
+        held_out = split_folds(data, k=5, seed=1)
+        for fold_id in range(5):
+            artifacts, (_, test) = fold_tables(data, fold_id, held_out, config)
+            test_data = data.restricted_to(held_out == fold_id)  # the table's rows
             names = list(test_data.problem_index)
             for i, code in enumerate(test_data.problem.tolist()):
                 if names[code] not in artifacts.difficulty.levels:
@@ -141,9 +159,9 @@ class TestFoldPipeline:
     def test_no_test_leakage_into_artifacts(self, small_data):
         data, _ = small_data
         config = ExperimentConfig(seed=1)
-        fold = split_folds(data, k=5, seed=1)[1]
+        tested = students_of(data, split_folds(data, k=5, seed=1) == 1)
         # flip every test-student answer; the fold's artifacts must not move
-        flipped = to_dataset([(s, p, k, 1 - c if s in fold.test_students else c)
+        flipped = to_dataset([(s, p, k, 1 - c if s in tested else c)
                               for s, p, k, c in records(data)])
         # through evaluate, whose BKT fit covers every fold's students at once
         full = evaluate_feature_sets(data, config, ["ikt3"])[1][1].artifacts
@@ -215,6 +233,14 @@ class TestRunCv:
         assert a.render_kv() == b.render_kv()
         assert a.render_text() == b.render_text()
 
+    def test_fold_without_scored_rows_raises(self, small_data):
+        # every student's 60 attempts fall in the skipped first interval
+        data, _ = small_data
+        config = ExperimentConfig(interval_len=100, skip_first_interval=True)
+        with pytest.raises(SingleClassError, match="^fold 0: the scored test labels hold "
+                           "fewer than two classes, so AUC is undefined; use fewer folds$"):
+            evaluate_feature_sets(data, config, ["ikt3"])
+
     def test_parallel_workers_match_sequential(self, small_data):
         data, _ = small_data
         seq, seq_out = evaluate_feature_sets(data, ExperimentConfig(seed=4, workers=1),
@@ -224,7 +250,8 @@ class TestRunCv:
         for fs in FEATURE_SETS:
             assert seq[fs].render_kv() == par[fs].render_kv()
         for a, b in zip(seq_out, par_out, strict=True):
-            assert a.fold == b.fold
+            assert a.fold_id == b.fold_id
+            assert list(a.test_data.by_student) == list(b.test_data.by_student)
             assert list(a.artifacts.params_by_skill.items()) == \
                 list(b.artifacts.params_by_skill.items())
             for fs in FEATURE_SETS:
@@ -286,14 +313,16 @@ def assert_same_model(a, b):
     assert np.array_equal(a.class_prior, b.class_prior)
 
 
-def reference_fold_params(data, fold, grid):
+def reference_fold_params(data, trained, grid):
     """``fit_skill`` on each skill's sequences among the fold's training
-    students, gathered row by row, keyed in the training skill order."""
+    students, flagged by ``trained``, gathered row by row, keyed in the
+    training skill order."""
+    train_students = students_of(data, trained)
     seqs: dict = {}
     for student, _, skill, correct in records(data):
-        if student in fold.train_students:
+        if student in train_students:
             seqs.setdefault(skill, {}).setdefault(student, []).append(correct)
-    train = data.restricted_to(fold.train_students)
+    train = data.restricted_to(trained)
     return {skill: fit_skill(list(seqs[skill].values()), grid) for skill in train.skill_index}
 
 
@@ -318,21 +347,23 @@ class TestSharedFits:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bkt_params_equal_each_folds_own_fit(self, data, seed):
         config = ExperimentConfig(seed=seed)
-        folds = split_folds(data, k=config.folds, seed=seed)
-        shared = _fold_params(data, folds, config)
-        assert len(shared) == len(folds)
-        for fold, params in zip(folds, shared):
-            want = reference_fold_params(data, fold, config.fit_grid())
+        held_out = split_folds(data, k=config.folds, seed=seed)
+        shared = _fold_params(data, held_out, config)
+        assert len(shared) == config.folds
+        for fold_id, params in enumerate(shared):
+            trained = held_out != fold_id
+            want = reference_fold_params(data, trained, config.fit_grid())
             assert params == want
-            assert list(params) == list(data.restricted_to(fold.train_students).skill_index)
-            assert ("s_solo" in params) == ("u_solo" in fold.train_students)
+            assert list(params) == list(data.restricted_to(trained).skill_index)
+            assert ("s_solo" in params) == ("u_solo" in students_of(data, trained))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nested_tans_equal_independent_fits(self, data, seed):
         config = ExperimentConfig(seed=seed)
         _, outputs = evaluate_feature_sets(data, config, FEATURE_SETS)
         for output in outputs:
-            train_data = data.restricted_to(output.fold.train_students)
+            train_data = data.restricted_to(split_folds(data, k=config.folds, seed=seed)
+                                            != output.fold_id)
             train, = build_feature_rows(output.artifacts, config.interval_len, train_data)
             for fs, feats in FEATURE_SETS.items():
                 alone = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
@@ -347,6 +378,17 @@ class TestAblation:
         assert len(digests) == 1
         ns = {tuple(r.fold_n) for r in reports.values()}
         assert len(ns) == 1
+
+    def test_fold_digest_hashes_each_folds_sorted_test_ids(self):
+        # ids reversed, so the log meets its students out of sorted order
+        rows, _ = mastery_process_rows(n_students=12, n_skills=2, attempts=20, seed=2)
+        data = to_dataset([(s[::-1], p, k, c) for s, p, k, c in rows])
+        assert list(data.by_student) != sorted(data.by_student)
+        report = evaluate_feature_sets(data, ExperimentConfig(seed=5), ["ikt1"])[0]["ikt1"]
+        held_out = split_folds(data, k=5, seed=5).tolist()
+        text = "".join(f"fold{f}:" + ",".join(sorted(s for s, g in zip(data.by_student, held_out)
+                                                     if g == f)) + ";" for f in range(5))
+        assert report.fold_digest == hashlib.sha256(text.encode()).hexdigest()
 
     def test_feature_ordering_on_difficulty_driven_data(self):
         data = to_dataset(mixed_process_rows(n_students=60, n_skills=5,

@@ -87,11 +87,12 @@ def test_oracles_import_only_data_types_and_errors_from_ikt():
             if name not in ORACLE_IMPORTS.get(module, ())] == []
 
 
-def _fresh_modules(code):
-    # a fresh interpreter, since this one has imported everything already
+def _fresh_modules(code, **env):
+    # a fresh interpreter, since this one has imported everything already;
+    # ``env`` adds to its environment
     src = str(Path(ikt.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", f"import sys\n{code}\nprint(*sys.modules)"],
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                         env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(
                              filter(None, [src, os.environ.get("PYTHONPATH")]))},
                          capture_output=True, text=True, check=True).stdout
     return set(out.split())

@@ -489,10 +489,14 @@ class TestSerialization:
         # every model it writes must load back to the same tables
         model, rows = drawn
         columns = {f: np.array([r[f] for r in rows]) for f in model.features}
-        path = tmp_path_factory.getbasetemp() / "drawn.model"  # one file, rewritten
+        path = tmp_path_factory.getbasetemp() / "drawn.model"
+        # a new file each save: rewriting one in place can stall on a
+        # flush of the old data (ext4's auto_da_alloc)
+        path.unlink(missing_ok=True)
         save_model(model, str(path))
         written = path.read_bytes()
         loaded = load_model(str(path))
+        path.unlink()
         save_model(loaded, str(path))
         assert path.read_bytes() == written
         for f in model.features:
@@ -512,7 +516,8 @@ class TestSerialization:
                 "profile": rng.integers(1, 5, n), "difficulty": rng.integers(0, 11, n)}
         labels = (rng.random(n) < 0.2 + 0.6 * cols["mastery"]).astype(int)
         model = fit_tan(cols, labels, alpha=alpha)
-        path = tmp_path_factory.getbasetemp() / "fitted.model"  # one file, rewritten
+        path = tmp_path_factory.getbasetemp() / "fitted.model"
+        path.unlink(missing_ok=True)  # a new file each example, as above
         save_model(model, str(path))
         loaded = load_model(str(path))
         for f in model.features:
@@ -535,8 +540,10 @@ class TestSerialization:
          ":3: class_prior must be two probabilities"),
         (lambda text: text.replace("\n0 2 0.5 ", "\n0 2 1.0 "),
          ": [cpt b] column (parent index 2, class 0) sums to 1.5, not 1"),
+        # the [tree] line count is right, but one feature is named twice
+        (lambda text: text.replace("\nb a\n", "\na -\n"), ": [tree] has no entry for 'b'"),
     ], ids=["features_repeated", "features_missing", "alpha_inf", "alpha_nan", "alpha_zero",
-            "class_prior_sum", "class_prior_one_value", "cpt_column_sum"])
+            "class_prior_sum", "class_prior_one_value", "cpt_column_sum", "tree_entry_missing"])
     def test_header_and_probabilities_checked(self, tmp_path, edit, message):
         # load_model alone; test_cli's malformed-model cases go through predict and explain
         path = tmp_path / "m.model"
