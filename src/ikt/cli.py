@@ -21,9 +21,10 @@ Besides them, a ``tan_<feature set>.model`` per feature set, in the
 layout ``tan.save_model`` describes and ``tan.load_model`` requires, and
 ``manifest.kv`` with the bundle format and the configuration.
 
-All outputs are UTF-8 text. Exit codes: 0 success, 2 for input or
-configuration errors, 1 for internal failures, which also print their
-traceback.
+``dataset`` opens every text file: the inputs through ``load_csv`` and
+``_read_lines``, the outputs, UTF-8 text, through ``_open_output``. Exit
+codes: 0 success, 2 for input or configuration errors (a missing input
+among them), 1 for internal failures, which also print their traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .ability import ClusterModel
 from .bkt import BktParams
 from .dataset import (CANONICAL_SCHEMA, DataFormatError, SchemaError, load_csv,
                       load_schema, preprocess, render_drop_report, save_canonical,
-                      _parse_keyvalue, _probability, _undecodable_offset)
+                      _open_output, _parse_keyvalue, _probability, _read_lines)
 from .difficulty import DEFAULT_LEVEL, DifficultyTable
 from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
                          SingleClassError, evaluate_feature_sets, render_ablation_text)
@@ -60,7 +61,7 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ExperimentC
 
 
 class InputError(Exception):
-    """User-facing problem: bad path, bad schema, bad config."""
+    """User-facing problem: bad input, bad config, bad bundle."""
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -82,8 +83,6 @@ def load_config(path: str | None, args=None) -> tuple[ExperimentConfig, bool]:
     values: dict = {}
     errors: list[str] = []
     if path is not None:
-        if not os.path.exists(path):
-            raise InputError(f"config file not found: {path}")
         for key, raw in _parse_keyvalue(path).items():
             typ = bool if key == "ablation" else _CONFIG_TYPES.get(key)
             if typ is None:
@@ -116,7 +115,7 @@ def _input_entries(path: str) -> dict:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write(text)
 
 
@@ -125,10 +124,6 @@ def _load_dataset(path: str, schema_path: str | None):
     id holding a tab or line break is refused: the outputs are TSV lines.
     So is the problem id ``# default``, which difficulty.tsv's default
     line already holds."""
-    if schema_path is not None and not os.path.exists(schema_path):
-        raise InputError(f"schema file not found: {schema_path}")
-    if not os.path.exists(path):
-        raise InputError(f"data file not found: {path}")
     schema = load_schema(schema_path) if schema_path else CANONICAL_SCHEMA
     data = preprocess(load_csv(path, schema))
     for column, ids in (("student", data.by_student), ("skill", data.skill_index),
@@ -200,27 +195,24 @@ def _read_rows(path: str, parse, width: int | None = None, header: str | None = 
     naming ``path:lineno``.
     """
     rows, seen = [], set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if header is not None and not fh.readline().startswith(header):
-                raise ValueError(f"{path}:1: expected a {header!r} header")
-            for lineno, line in enumerate(fh, 1 + (header is not None)):
-                if not line.strip():
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                width = width or len(fields)
-                try:
-                    if len(fields) != width:
-                        raise ValueError(f"{len(fields)} fields, expected {width}")
-                    if key is not None:
-                        if fields[0] in seen:
-                            raise ValueError(f"{key} {fields[0]!r} listed twice")
-                        seen.add(fields[0])
-                    rows.append(parse(*fields))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: byte {_undecodable_offset(path)} is not valid UTF-8") from None
+    lines = enumerate(_read_lines(path), 1)
+    if header is not None and not next(lines, (1, ""))[1].startswith(header):
+        raise ValueError(f"{path}:1: expected a {header!r} header")
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        width = width or len(fields)
+        try:
+            if len(fields) != width:
+                raise ValueError(f"{len(fields)} fields, expected {width}")
+            if key is not None:
+                if fields[0] in seen:
+                    raise ValueError(f"{key} {fields[0]!r} listed twice")
+                seen.add(fields[0])
+            rows.append(parse(*fields))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 
@@ -233,14 +225,8 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
     feature set, which names the model file, come from ``manifest.kv``.
     A manifest without ``bundle_format`` predates the key: format 1.
     """
-    def artifact(name):
-        p = os.path.join(model_dir, name)
-        if not os.path.exists(p):
-            raise InputError(f"artifact not found: {p}")
-        return p
-
-    manifest, bkt_path = artifact("manifest.kv"), artifact("bkt_params.tsv")
-    centroids_path = artifact("centroids.tsv")
+    manifest, bkt_path, centroids_path = (os.path.join(model_dir, name) for name in (
+        "manifest.kv", "bkt_params.tsv", "centroids.tsv"))
     try:
         entries = _parse_keyvalue(manifest, repeatable=("artifact",))
         if entries.get("bundle_format", _BUNDLE_FORMAT) != _BUNDLE_FORMAT:
@@ -251,7 +237,7 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
                 and int(interval_len) >= 1):
             raise ValueError(f"{manifest}: needs config.feature_set and a positive "
                              "config.interval_len")
-        model_path = artifact(f"tan_{feature_set}.model")
+        model_path = os.path.join(model_dir, f"tan_{feature_set}.model")
         model = tan.load_model(model_path)
         if model.features != FEATURE_SETS[feature_set]:
             raise ValueError(f"{model_path}: features {' '.join(model.features)}, but "
@@ -261,10 +247,10 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
             bkt_path, lambda skill, *p: (skill, BktParams(*map(_probability, p))),
             width=5, header="skill_id", key="skill"))
         centroids = _read_rows(centroids_path, lambda *row: list(map(_probability, row)))
-        levels = dict(_read_rows(artifact("difficulty.tsv"),
+        levels = dict(_read_rows(os.path.join(model_dir, "difficulty.tsv"),
                                  lambda problem, level: (problem, _level(level)),
                                  width=2, key="problem"))
-    except (SchemaError, ValueError) as exc:
+    except (SchemaError, DataFormatError, ValueError) as exc:
         raise InputError(f"malformed artifact: {exc}") from exc
     if centroids and len(centroids[0]) != len(params):
         raise InputError(f"{centroids_path}: centroids have dimension {len(centroids[0])}, "
@@ -315,7 +301,7 @@ def _dump_predictions(path: str, data, table, keep, scores) -> None:
     )
     chunk = 4096
     block = np.empty((chunk, len(columns)), dtype=object)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write("student\tposition\tskill\tmastery\tprofile\tdifficulty\t"
                  "probability\tlabel\n")
         for lo in range(0, rows.size, chunk):
@@ -409,7 +395,7 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     profile_path = os.path.join(args.out, "profiles.tsv")
     students, row_student = list(data.by_student), data.row_student()
-    with open(profile_path, "w", encoding="utf-8") as fh:
+    with _open_output(profile_path) as fh:
         fh.write("student\tinterval\tlabel\n")
         for row in np.nonzero(train.position % config.interval_len == 0)[0]:
             z = train.position[row] // config.interval_len + 1

@@ -8,13 +8,17 @@ rows with missing fields and tallies every drop by reason.
 A ``Dataset`` holds the log as columns: one integer array per field,
 one entry per attempt, with skills and problems coded by dense indexes.
 This module alone knows the row format; every other layer reads the
-columns.
+columns. It also opens every text file ikt owns: ``_read_lines`` reads
+the line-oriented ones and ``_open_output`` creates each output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -51,22 +55,43 @@ def _parse_keyvalue(path: str, repeatable=()) -> dict[str, str]:
     after whitespace starts a comment. A key given twice is refused
     unless ``repeatable``, where the last wins."""
     out: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = _COMMENT.sub("", raw, count=1).strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise SchemaError(f"{path}:{lineno}: expected 'key = value', "
-                                      f"got {raw.strip()!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key in out and key not in repeatable:
-                    raise SchemaError(f"{path}:{lineno}: {key} is given more than once")
-                out[key] = value
-    except UnicodeDecodeError:
-        raise SchemaError(f"{path}: byte {_undecodable_offset(path)} is not valid UTF-8") from None
+    for lineno, raw in enumerate(_read_lines(path), 1):
+        line = _COMMENT.sub("", raw, count=1).strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out and key not in repeatable:
+            raise SchemaError(f"{path}:{lineno}: {key} is given more than once")
+        out[key] = value
     return out
+
+
+def _read_lines(path: str) -> list[str]:
+    """The lines of the UTF-8 file ``path``, ended as in text mode by
+    ``\\n``, ``\\r\\n`` or ``\\r``; a leading byte-order mark is skipped, and
+    a byte that is not UTF-8 raises ``DataFormatError`` naming its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start} is not valid UTF-8") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines  # "" follows the last line end
+
+
+def _open_output(path: str):
+    """``path`` opened to write UTF-8 text with the line ends the writer
+    puts there. A regular file there is unlinked first, so a hard link to
+    it keeps its bytes and no rewrite waits on ext4 flushing the old data
+    (auto_da_alloc); a symlink, device or FIFO, or a file that cannot be
+    unlinked, is written through."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _undecodable_offset(path: str) -> int:
@@ -379,7 +404,8 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     cell that is not 0/1 raises ``DataFormatError`` because it signals a
     mis-mapped column; so does a byte that is not valid UTF-8, which is
     never replaced, and a line the csv reader cannot split, such as one
-    with a cell over its field size limit. Students keep their order of
+    with a cell over its field size limit. A leading byte-order mark is
+    skipped. Students keep their order of
     first appearance, and each student's rows are sorted by (order key,
     file row), or by file row when the schema maps no order column.
 
@@ -399,7 +425,7 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     coders = [_Coder() for _ in range(5)]
     columns = [[] for _ in range(6)]
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh, delimiter=schema.delimiter)
             header = next(reader, needed)  # an empty file is an empty log
             position = {name: i for i, name in enumerate(header)}
@@ -533,7 +559,7 @@ def save_canonical(data: Dataset, path: str) -> None:
     """Write a cleaned dataset in the canonical comma-separated layout."""
     students, skills, problems = (list(index) for index in (
         data.by_student, data.skill_index, data.problem_index))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "problem_id", "skill_id", "correct", "order"])
         writer.writerows(zip(

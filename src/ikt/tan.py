@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import _probability, _undecodable_offset
+from .dataset import _open_output, _probability, _read_lines
 
 __all__ = [
     "CONTINUOUS",
@@ -492,7 +492,7 @@ def save_model(model: TanModel, path: str) -> None:
         cpt = model.cpts[f]
         for vi, pi in np.ndindex(cpt.shape[:2]):
             lines.append(f"{vi} {pi} {float(cpt[vi, pi, 0])!r} {float(cpt[vi, pi, 1])!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -558,12 +558,9 @@ def _increasing(line: str, dtype) -> np.ndarray:
 
 
 def load_model(path: str) -> TanModel:
-    """The model ``save_model`` wrote to ``path``; a ``ValueError`` names the line at fault."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: byte {_undecodable_offset(path)} is not valid UTF-8") from None
+    """The model ``save_model`` wrote to ``path``; a ``ValueError`` names the
+    line at fault, and ``DataFormatError`` a byte that is not valid UTF-8."""
+    lines = _read_lines(path)
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a recognized model file")
     sections = {}

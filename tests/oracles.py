@@ -170,6 +170,8 @@ def load_csv_oracle(path, schema):
     keep_flag = schema.scaffold_keep if schema.scaffold_column is not None else None
     try:
         with open(path, encoding="utf-8", newline="") as fh:
+            if fh.read(1) != "\ufeff":  # a byte-order mark is not part of the header
+                fh.seek(0)
             reader = csv.reader(fh, delimiter=schema.delimiter)
             header = next(reader, needed)
             position = {name: i for i, name in enumerate(header)}

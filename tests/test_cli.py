@@ -1,6 +1,8 @@
 import dataclasses
 import os
 import re
+import runpy
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from ikt import ability, evaluation
 from ikt.ability import ClusterModel
 from ikt.bkt import BktParams
-from ikt.cli import (_dump_predictions, _load_bundle, _load_dataset, _write_bundle,
-                     load_config, main)
-from ikt.dataset import Dataset, split_folds
+from ikt.cli import (InputError, _dump_predictions, _load_bundle, _load_dataset,
+                     _write_bundle, load_config, main)
+from ikt.dataset import Dataset, SchemaError, split_folds
 from ikt.difficulty import DifficultyTable
 from ikt.evaluation import ExperimentConfig, FeatureTable, FoldArtifacts
 
@@ -26,6 +28,9 @@ SCHEMA_TEXT = "student = user\nproblem = item\nskill = kc\ncorrect = outcome\nor
 
 PARAMS_HEADER = "skill_id\tl0\tt\tg\ts\n"
 PARAMS_ROWS = "s1\t0.5\t0.1\t0.2\t0.1\ns2\t0.5\t0.1\t0.2\t0.1\n"
+FAST_CONFIG = "grid_step = 0.25\nkmeans_restarts = 1\n"
+BUNDLE_FILES = ["manifest.kv", "bkt_params.tsv", "centroids.tsv", "difficulty.tsv",
+                "tan_ikt3.model"]
 
 
 @pytest.fixture()
@@ -184,9 +189,14 @@ class TestInputErrors:
         (b"grid_step = 0.5\n", "grid_step: must be in (0, 0.5), got 0.5"),
         (b"guess_cap = 1.5\n", "guess_cap: must be in (0, 1), got 1.5"),
         (b"workers = 0\n", "workers: must be >= 1, got 0"),
+        (b"skip_first_interval = maybe\n",
+         "skip_first_interval: expected true/false, got 'maybe'"),
+        # a byte-order mark is skipped, but counts in the byte offset
+        (b"\xef\xbb\xbfseed = 1\nfolds = \xff\n", "bad.kv: byte 20 is not valid UTF-8"),
     ], ids=["no_equals_sign", "undecodable", "alpha_zero", "alpha_infinite", "seed_negative",
             "key_repeated", "hash_inside_value", "restarts_zero", "grid_step_half",
-            "cap_above_one", "workers_zero"])
+            "cap_above_one", "workers_zero", "bool_not_true_or_false",
+            "undecodable_after_byte_order_mark"])
     def test_bad_config_file_exits_2(self, workspace, capsys, content, message):
         tmp, raw, schema = workspace
         config = tmp / "bad.kv"
@@ -444,6 +454,94 @@ class TestInputErrors:
         assert "problem id '# default'" in err and "internal" not in err
         assert not (tmp / "x").exists()
 
+    @pytest.mark.parametrize("command, option", [
+        ("preprocess", "--data"), ("evaluate", "--data"), ("fit", "--data"),
+        ("predict", "--data"), ("evaluate", "--config"), ("fit", "--config"),
+        ("fit", "--schema")])
+    def test_missing_input_file_exits_2_naming_path(self, workspace, capsys, command,
+                                                    option):
+        # the open reports it, before any output is made
+        tmp, raw, schema = workspace
+        missing = str(tmp / "missing.in")
+        given = {"--data": raw, "--schema": schema, option: missing}
+        out = tmp / ("p.tsv" if command == "predict" else "x")
+        argv = [command, *(part for pair in given.items() for part in pair), "--out", str(out)]
+        if command == "predict":
+            argv += ["--model-dir", str(tmp / "fitted")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", BUNDLE_FILES)
+    def test_missing_bundle_file_exits_2_naming_path(self, bundle, tmp_path, capsys, name):
+        schema, fitted, _ = bundle
+        copy = copy_bundle(fitted, tmp_path / "copy")
+        (copy / name).unlink()
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(CLI_ROWS, str(raw))
+        out = tmp_path / "p.tsv"
+        assert run(["predict", "--data", str(raw), "--schema", schema,
+                    "--model-dir", str(copy), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{copy / name}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("name", BUNDLE_FILES)
+    def test_bundle_file_with_other_line_ends_reads_the_same(self, bundle, tmp_path, name,
+                                                             end):
+        schema, fitted, expected = bundle
+        copy = copy_bundle(fitted, tmp_path / "copy")
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(CLI_ROWS, str(raw))
+        text = (fitted / name).read_text(encoding="utf-8")
+        (copy / name).write_bytes(text.replace("\n", end).encode())
+        assert predict_rows(raw, schema, copy, tmp_path / "p.tsv") == expected
+        # a fault on the last line is named at that line either way
+        lines = text.split("\n")[:-1]
+        faulty = "\n".join(lines[:-1] + ["x\ty"]) + "\n"
+        errors = []
+        for ending in ("\n", end):
+            (copy / name).write_bytes(faulty.replace("\n", ending).encode())
+            with pytest.raises(InputError) as exc:
+                _load_bundle(str(copy))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"malformed artifact: {copy / name}:{len(lines)}: ")
+
+    @pytest.mark.parametrize("name", ["schema", "config", "data"])
+    def test_byte_order_mark_changes_no_output(self, workspace, name):
+        # Excel's "CSV UTF-8" and Notepad start a file with one; it was
+        # once read as part of the first key or column name
+        tmp, raw, schema = workspace
+        config = tmp / "run.cfg"
+        config.write_text(FAST_CONFIG, encoding="utf-8")
+        given = {"data": raw, "schema": schema, "config": str(config)}
+        marked = tmp / f"marked_{os.path.basename(given[name])}"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(given[name]).read_bytes())
+        written = []
+        for out, path in ((tmp / "plain", given[name]), (tmp / "marked", str(marked))):
+            argv = ["fit", *(f"--{key}={value}" for key, value in {**given, name: path}.items())]
+            assert run(argv + ["--out", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.kv"}
+            config_lines = [ln for ln in (out / "manifest.kv").read_text().splitlines()
+                            if ln.startswith("config.")]
+            written.append((files, config_lines))
+        assert written[0] == written[1]
+        assert "config.grid_step = 0.25" in written[0][1]
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    def test_log_without_usable_records_exits_2(self, tmp_path, capsys, command):
+        raw = tmp_path / "blank.csv"
+        raw.write_text("user,item,kc,outcome,ts\na,,s1,1,1\n", encoding="utf-8")
+        schema = tmp_path / "schema.cfg"
+        schema.write_text(SCHEMA_TEXT, encoding="utf-8")
+        assert run([command, "--data", str(raw), "--schema", str(schema),
+                    "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {raw}: no usable records\n"
+        assert not (tmp_path / "x").exists()
+
     def test_internal_value_error_exits_1_with_traceback(self, workspace, capsys,
                                                          monkeypatch):
         def broken(*args):
@@ -556,6 +654,21 @@ class TestEvaluateCommand:
                         "folds = 4\t# tab\n", encoding="utf-8")
         config, _ = load_config(str(path))
         assert (config.seed, config.folds) == (3, 4)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_config_with_other_line_ends_reads_the_same(self, tmp_path, end):
+        path = tmp_path / "run.cfg"
+        configs, errors = [], []
+        for ending in ("\n", end):
+            path.write_bytes(f"# note{ending}seed = 3{ending}{ending}folds = 4  # x{ending}"
+                             .encode())
+            configs.append(load_config(str(path)))
+            path.write_bytes(f"seed = 1{ending}folds = 3{ending}seed = 2{ending}".encode())
+            with pytest.raises(SchemaError) as exc:
+                load_config(str(path))
+            errors.append(str(exc.value))
+        assert configs[0] == configs[1] == (ExperimentConfig(seed=3, folds=4), False)
+        assert errors == [f"{path}:3: seed is given more than once"] * 2
 
     def test_unknown_config_key_named(self, preprocessed, capsys):
         tmp, data = preprocessed
@@ -763,6 +876,11 @@ class TestFitPredictExplain:
         assert code == 2
         assert "mastery" in capsys.readouterr().err
 
+    def test_explain_evidence_without_equals_sign_exits_2(self, bundle, capsys):
+        _, fitted, _ = bundle
+        assert run(["explain", "--model-dir", str(fitted), "skill=s1", "mastery"]) == 2
+        assert capsys.readouterr().err == "error: evidence must be name=value, got 'mastery'\n"
+
     def test_explain_missing_model_exits_2(self, tmp_path, capsys):
         code = run(["explain", "--model-dir", str(tmp_path / "none"), "skill=s1"])
         assert code == 2
@@ -876,6 +994,13 @@ def bundle(tmp_path_factory):
     return str(schema), fitted, predict_rows(raw, str(schema), fitted, tmp / "p.tsv")
 
 
+def copy_bundle(fitted, copy):
+    copy.mkdir()
+    for path in fitted.iterdir():
+        (copy / path.name).write_bytes(path.read_bytes())
+    return copy
+
+
 def rows_by_student(rows):
     out: dict = {}
     for row in rows:
@@ -924,6 +1049,71 @@ class TestBundleTables:
         assert _load_bundle(str(out))[0].clusters.k == 0
 
 
+    def test_blank_lines_in_the_tables_are_skipped(self, bundle, tmp_path):
+        schema, fitted, expected = bundle
+        copy = copy_bundle(fitted, tmp_path / "copy")
+        for name in ("bkt_params.tsv", "centroids.tsv", "difficulty.tsv"):
+            text = (copy / name).read_text(encoding="utf-8")
+            (copy / name).write_text(text.replace("\n", "\n \n\n"), encoding="utf-8")
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(CLI_ROWS, str(raw))
+        assert predict_rows(raw, schema, copy, tmp_path / "p.tsv") == expected
+
+
+class TestOutputFiles:
+    """Every output is created anew: ``dataset._open_output``."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "fit", "evaluate", "predict"])
+    def test_rerun_leaves_a_hard_link_to_each_old_output_its_bytes(self, workspace, bundle,
+                                                                    command):
+        # the same run twice into one --out; a truncating rewrite would put
+        # the new bytes in both names of the file
+        tmp, raw, schema = workspace
+        config = tmp / "run.cfg"
+        config.write_text(FAST_CONFIG, encoding="utf-8")
+        out = tmp / "out"
+        argv = [command, "--data", raw, "--schema", schema, "--out", str(out)]
+        if command == "evaluate":
+            argv += ["--config", str(config), "--ablation", "--dump-predictions"]
+        if command == "predict":
+            out.mkdir()
+            argv[-1] = str(out / "p.tsv")
+            argv += ["--model-dir", str(bundle[1])]
+        assert run(argv) == 0
+        first = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        links = tmp / "links"
+        links.mkdir()
+        for i, path in enumerate(first):
+            os.link(path, links / str(i))
+            (links / str(i)).write_bytes(b"old")
+        assert run(argv) == 0
+        assert sorted(p for p in out.rglob("*") if p.is_file()) == list(first)
+        for i, (path, data) in enumerate(first.items()):
+            assert (links / str(i)).read_bytes() == b"old", path
+            assert path.read_bytes() == data, path
+
+    def test_symlinked_predictions_are_written_through(self, bundle, tmp_path):
+        schema, fitted, expected = bundle
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(CLI_ROWS, str(raw))
+        target, link = tmp_path / "target.tsv", tmp_path / "p.tsv"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target)
+        assert predict_rows(raw, schema, fitted, link) == expected
+        assert link.is_symlink() and link.resolve() == target
+
+
+@pytest.mark.filterwarnings("ignore:'ikt.cli' found in sys.modules:RuntimeWarning")
+def test_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ikt", "explain", "--model-dir", str(tmp_path),
+                                      "skill=s1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ikt.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"error: [Errno 2] No such file or directory: "
+                                       f"'{tmp_path / 'manifest.kv'}'\n")
+
+
 class TestPredictUsesTheBundle:
     """A student's predictions depend on the bundle and that student only."""
 
@@ -931,10 +1121,7 @@ class TestPredictUsesTheBundle:
         schema, fitted, expected = bundle
         manifest = (fitted / "manifest.kv").read_text(encoding="utf-8")
         assert "\nbundle_format = 1\n" in manifest
-        copy = tmp_path / "copy"
-        copy.mkdir()
-        for path in fitted.iterdir():
-            (copy / path.name).write_bytes(path.read_bytes())
+        copy = copy_bundle(fitted, tmp_path / "copy")
         raw = tmp_path / "raw.csv"
         write_raw_csv(CLI_ROWS, str(raw))
         # a manifest written before the key existed reads as format 1

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ikt.dataset import (CANONICAL_SCHEMA, ColumnSchema, DataFormatError,
-                         SchemaError, _recode, load_csv, load_schema, preprocess,
-                         save_canonical, split_folds)
+                         SchemaError, _read_lines, _recode, _undecodable_offset, load_csv,
+                         load_schema, preprocess, save_canonical, split_folds)
 
 from oracles import load_csv_oracle, preprocess_oracle
 from synth import mastery_process_rows, records, to_dataset
@@ -57,6 +57,12 @@ class TestLoadCsv:
         path.write_bytes(b"user,item,kc,outcome\na,p1,s1,1\nb,p\xe91,s1,0\n")
         with pytest.raises(DataFormatError, match=r"data\.csv: byte 34 is not valid UTF-8"):
             load_csv(str(path), SCHEMA)
+
+    def test_undecodable_offset_of_a_decodable_file_raises(self, tmp_path):
+        # it is called only after a decode failed; it never invents an offset
+        path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,1\n")
+        with pytest.raises(AssertionError, match="decodes as UTF-8"):
+            _undecodable_offset(path)
 
     def test_unparseable_correctness(self, tmp_path):
         path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,maybe\n")
@@ -194,7 +200,7 @@ def raw_logs(draw):
     the delimiter, repeated header names, non-finite and ISO order cells,
     scaffold flags, comma or tab delimited; in some logs also blank cells
     in any column, short rows and blank lines, or bad correctness or
-    order cells."""
+    order cells; some start with a byte-order mark."""
     order = draw(st.sampled_from([None, "numeric", "iso"]))
     keep = draw(st.sampled_from([None, "absent", "1", ""]))
     header = ["user", "item", "kc", "outcome"] + ["ts"] * bool(order)
@@ -221,7 +227,7 @@ def raw_logs(draw):
                           order="ts" if order else None, delimiter=delimiter,
                           scaffold_column=None if keep == "absent" else "orig",
                           scaffold_keep=None if keep == "absent" else keep)
-    return out.getvalue(), schema
+    return "\ufeff" * draw(st.booleans()) + out.getvalue(), schema
 
 
 class TestLoaderOracle:
@@ -389,6 +395,38 @@ class TestSchemaFile:
         names = header.split(",")
         path = write(tmp_path, f"{header}\n" + ",".join(cells[n] for n in names) + "\n")
         assert problem_ids(load_csv(path, schema), "a") == ["p1"]
+
+
+class TestReadLines:
+    """``_read_lines``, the reader of every line-oriented file."""
+
+    @pytest.mark.parametrize("data", [
+        b"", b"a", b"a\n", b"\n\n", b"a\r\nb\rc\n\r\n", b"a\rb", b"k = v\r\n\r\n",
+        # only the three line ends end a line, unlike str.splitlines
+        b"x\x0cy\x1cz\xc2\x85w\xe2\x80\xa8v\n",
+        b"\xef\xbb\xbfkey = value\n", b"a\xef\xbb\xbf\n"])
+    def test_lines_as_text_mode_reads_them(self, tmp_path, data):
+        path = tmp_path / "file.txt"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8-sig") as fh:
+            assert _read_lines(str(path)) == [line.removesuffix("\n") for line in fh]
+
+    @pytest.mark.parametrize("data, offset", [
+        (b"\xff", 0), (b"a\r\nb\xe9c\n", 4), (b"\xef\xbb\xbfa\n\xff", 5),
+        (b"a" * 20000 + b"\n\xc3", 20001)],
+        ids=["first_byte", "after_crlf", "after_byte_order_mark", "past_a_reader_buffer"])
+    def test_undecodable_byte_named_by_its_offset_in_the_file(self, tmp_path, data, offset):
+        path = tmp_path / "file.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: byte {offset} is not valid UTF-8")):
+            _read_lines(str(path))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_schema_with_a_byte_order_mark_or_other_line_ends(self, tmp_path, end):
+        text = "\ufeffstudent = user\nproblem = item\n\nskill = kc\ncorrect = outcome\n"
+        path = write(tmp_path, text.replace("\n", end), name="schema.cfg")
+        assert load_schema(path) == SCHEMA
 
 
 class TestPreprocess:

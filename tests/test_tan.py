@@ -145,6 +145,10 @@ class TestMdlp:
     def test_constant_column(self):
         assert mdlp_cutpoints(np.full(100, 0.4), np.arange(100) % 2) == []
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_values(self, n):
+        assert mdlp_cutpoints(np.full(n, 0.4), np.ones(n, dtype=int)) == []
+
     def test_cutpoints_strictly_increasing(self):
         rng = np.random.default_rng(2)
         values = rng.random(2000)
@@ -193,6 +197,10 @@ class TestConditionalMutualInformation:
         b = rng.integers(0, 3, 3000)
         y = rng.integers(0, 2, 3000)
         assert cmi(a, b, y) == cmi(b, a, y)
+
+    def test_no_rows_weigh_zero(self):
+        empty = np.zeros(0, dtype=int)
+        assert cmi(empty, empty, empty) == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
