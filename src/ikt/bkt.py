@@ -9,8 +9,9 @@ entry per (parameter combination, response pattern); each carries the
 three live entries of its upper-triangular running product, advanced a
 segment of steps at a time by a product built directly, its off-diagonal
 entry by one matrix product over the steps at which learning can happen.
-One pass can serve several fits at once, one weight column each (every
-cross-validation fold, say), since a pattern's likelihood does not
+Every fit is weighted: one pass serves several fits at once, one weight
+column each (every cross-validation fold, say, or a single column in
+which every sequence weighs 1), since a pattern's likelihood does not
 depend on who else is fitted with it.
 """
 
@@ -82,8 +83,8 @@ class FitGrid:
 
 def _dedup_sequences(sequences, weights=None) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Canonicalize to sorted unique response patterns, each with its row
-    of ``weights`` (one row per sequence, one column per fit) summed over
-    the sequences that show it: by default one column of multiplicities.
+    of ``weights`` (one row per sequence, one column per fit; by default a
+    single column of 1s) summed over the sequences that show it.
 
     Sorting makes the fit exactly invariant to input order; grouping
     identical patterns avoids recomputing their likelihood.
@@ -126,16 +127,22 @@ def _segment_len(*values: np.ndarray) -> int:
 
 
 def grid_log_likelihoods(sequences, grid: FitGrid, weights=None) -> np.ndarray:
-    """Total log-likelihood at every grid point.
+    """Each fit's weighted total log-likelihood at every grid point.
 
-    Returns an array of shape (|l0|, |t|, |g|, |s|). With ``weights``, one
-    row per sequence and one column per fit, it returns each column's
-    weighted total instead, along a last axis. A sequence's
-    log-likelihood depends on its responses and the grid alone, so one
-    forward pass over the unique patterns serves every column; a
-    pattern's weight in a column is the sum of its sequences' weights
-    there. Cross-validation weighs a student's sequence 1 in each fold
-    that trains on the student and 0 in the fold that tests it.
+    ``weights`` has one row per sequence and one column per fit (by
+    default one column in which every sequence weighs 1); the result has
+    shape (|l0|, |t|, |g|, |s|, columns). A sequence's log-likelihood
+    depends on its responses and the grid alone, so one forward pass over
+    the unique patterns serves every column; a pattern's weight in a
+    column is the sum of its sequences' weights there. Cross-validation
+    weighs a student's sequence 1 in each fold that trains on the student
+    and 0 in the fold that tests it.
+    """
+    return _pattern_totals(*_dedup_sequences(sequences, weights), grid)
+
+
+def _pattern_totals(patterns, weight_matrix: np.ndarray, grid: FitGrid) -> np.ndarray:
+    """``grid_log_likelihoods`` of ``_dedup_sequences``' patterns and weights.
 
     Per (t, g, s) combination the forward pass multiplies 2x2 step
     matrices: E(r) = diag(P(r|learned), P(r|unlearned)) for the first
@@ -165,7 +172,6 @@ def grid_log_likelihoods(sequences, grid: FitGrid, weights=None) -> np.ndarray:
     (combination, pattern) block and reduced over the (pattern, column)
     weight matrix W by one matrix product, ``ll @ W``.
     """
-    patterns, weight_matrix = _dedup_sequences(sequences, weights)
     if not patterns:
         raise NoSkillDataError("no non-empty response sequences")
 
@@ -239,40 +245,34 @@ def grid_log_likelihoods(sequences, grid: FitGrid, weights=None) -> np.ndarray:
             np.log(ll, out=ll)
             total[i] += ll @ w
 
-    total = total.reshape((l0.size,) + shape + (-1,))
-    return total if weights is not None else total[..., 0]
+    return total.reshape((l0.size,) + shape + (-1,))
 
 
-def fit_skill(sequences, grid: FitGrid | None = None, weights=None):
-    """Best grid point by total log-likelihood over all sequences.
+def fit_skill(sequences, grid: FitGrid | None = None, weights=None) -> list:
+    """Each weight column's best grid point by total log-likelihood (see
+    ``grid_log_likelihoods``), or None for a column that gives no
+    non-empty sequence any weight; without ``weights``, a list of one.
 
     Ties resolve to the lexicographically smallest (l0, t, g, s), which
     also makes the result deterministic and independent of input order.
-    With ``weights`` (see ``grid_log_likelihoods``) it returns a list with
-    each column's best point, or None for a column that gives no
-    non-empty sequence any weight.
     """
     grid = grid or FitGrid()
-    total = grid_log_likelihoods(sequences, grid, weights)
+    patterns, weight_matrix = _dedup_sequences(sequences, weights)
+    total = _pattern_totals(patterns, weight_matrix, grid)
     axes = (grid.l0_values, grid.t_values, grid.g_values, grid.s_values)
-
-    def best(column) -> BktParams:
-        at = np.unravel_index(int(np.argmax(column)), column.shape)
-        return BktParams(*(float(values[i]) for values, i in zip(axes, at)))
-
-    if weights is None:
-        return best(total)
-    nonempty = np.array([len(seq) > 0 for seq in sequences], dtype=bool)
-    fitted = np.asarray(weights, dtype=float)[nonempty].sum(axis=0) > 0
-    return [best(total[..., f]) if fitted[f] else None for f in range(fitted.size)]
+    fitted = (weight_matrix.sum(axis=0) > 0).tolist()  # the weight of non-empty sequences
+    at = np.unravel_index(total.reshape(-1, len(fitted)).argmax(axis=0), total.shape[:-1])
+    best = np.stack([values[i] for values, i in zip(axes, at)], axis=1).tolist()
+    return [BktParams(*point) if ok else None for point, ok in zip(best, fitted)]
 
 
 def fit_all_skills(sequences_by_skill: dict, grid: FitGrid | None = None,
                    weights_by_skill: dict | None = None) -> dict:
-    """Fit every skill that has data; skills without data are omitted.
+    """Each skill's ``fit_skill`` list, one fit per weight column, for
+    every skill that has data; skills without data are omitted.
 
-    With ``weights_by_skill``, each skill's ``fit_skill`` takes its
-    weights, so each value is that skill's list of per-column fits.
+    ``weights_by_skill`` gives each skill's weights; without it every
+    skill is fitted once, each of its sequences weighing 1.
     """
     grid = grid or FitGrid()
     fitted = {}

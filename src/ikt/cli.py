@@ -223,7 +223,8 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
     The skill vocabulary is the row order of ``bkt_params.tsv``, which
     every bundle holds in skill-code order; ``interval_len`` and the
     feature set, which names the model file, come from ``manifest.kv``.
-    A manifest without ``bundle_format`` predates the key: format 1.
+    A manifest without ``bundle_format`` predates the key: format 1. The
+    model's skill, profile and difficulty domains must fit the tables.
     """
     manifest, bkt_path, centroids_path = (os.path.join(model_dir, name) for name in (
         "manifest.kv", "bkt_params.tsv", "centroids.tsv"))
@@ -255,6 +256,12 @@ def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
     if centroids and len(centroids[0]) != len(params):
         raise InputError(f"{centroids_path}: centroids have dimension {len(centroids[0])}, "
                          f"but {bkt_path} lists {len(params)} skills")
+    for feature, low, high in (("skill", 0, len(params) - 1),
+                               ("profile", 1, len(centroids) + 1), ("difficulty", 0, 10)):
+        domain = model.domains.get(feature, [low])
+        if not low <= domain[0] <= domain[-1] <= high:
+            raise InputError(f"{model_path}: [domain {feature}] holds {domain[0]}..{domain[-1]}, "
+                             f"outside {low}..{high} of this bundle")
     default = levels.pop("# default", DEFAULT_LEVEL)
     return (FoldArtifacts(params_by_skill=params, clusters=ClusterModel(np.array(centroids)),
                           difficulty=DifficultyTable(levels, default)),
@@ -278,8 +285,9 @@ def _formatted(values: np.ndarray, fmt, end: str = "\t") -> tuple:
     return np.array(strings, dtype=object), inverse
 
 
-def _dump_predictions(path: str, data, table, keep, scores) -> None:
-    """One line per kept row of ``table``, the feature rows of ``data``.
+def _dump_predictions(out, data, table, keep, scores) -> None:
+    """Write to the text file ``out`` one line per kept row of ``table``,
+    the feature rows of ``data``.
 
     Each column is coded by its distinct values, so that every id,
     count and probability is formatted once (``_formatted``); the lines
@@ -301,14 +309,12 @@ def _dump_predictions(path: str, data, table, keep, scores) -> None:
     )
     chunk = 4096
     block = np.empty((chunk, len(columns)), dtype=object)
-    with _open_output(path) as fh:
-        fh.write("student\tposition\tskill\tmastery\tprofile\tdifficulty\t"
-                 "probability\tlabel\n")
-        for lo in range(0, rows.size, chunk):
-            n = min(chunk, rows.size - lo)
-            for j, (strings, codes) in enumerate(columns):
-                block[:n, j] = strings[codes[lo:lo + n]]
-            fh.write("".join(block[:n].ravel().tolist()))
+    out.write("student\tposition\tskill\tmastery\tprofile\tdifficulty\tprobability\tlabel\n")
+    for lo in range(0, rows.size, chunk):
+        n = min(chunk, rows.size - lo)
+        for j, (strings, codes) in enumerate(columns):
+            block[:n, j] = strings[codes[lo:lo + n]]
+        out.write("".join(block[:n].ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +344,15 @@ def cmd_evaluate(args) -> int:
         raise InputError(f"{args.data}: need at least {config.folds} students for "
                          f"{config.folds} folds, have {len(data.by_student)}")
     feature_sets = list(FEATURE_SETS) if ablation else [config.feature_set]
+    made = not os.path.isdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     try:
         reports, outputs = evaluate_feature_sets(data, config, feature_sets)
     except SingleClassError as exc:
+        if made:
+            os.rmdir(args.out)
         raise InputError(str(exc)) from exc
 
-    os.makedirs(args.out, exist_ok=True)
     artifact_paths = []
     for fs in feature_sets:
         report = reports[fs]
@@ -370,8 +379,9 @@ def cmd_evaluate(args) -> int:
         if args.dump_predictions:
             for fs in feature_sets:
                 p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold_id}.tsv")
-                _dump_predictions(p, output.test_data, output.test_table, output.keep,
-                                  output.scores[fs])
+                with _open_output(p) as out:
+                    _dump_predictions(out, output.test_data, output.test_table,
+                                      output.keep, output.scores[fs])
                 artifact_paths.append(p)
 
     _write_bundle(args.out, config,
@@ -387,12 +397,12 @@ def cmd_fit(args) -> int:
     if data.n_records == 0:
         raise InputError(f"{args.data}: no usable records")
 
-    artifacts = evaluation.fit_fold_artifacts(data, config)
+    os.makedirs(args.out, exist_ok=True)
+    params, = evaluation.skill_params(data, np.ones((len(data.by_student), 1)), config)
+    artifacts = evaluation.fit_fold_artifacts(data, config, 0, params)
     train, = evaluation.build_feature_rows(artifacts, config.interval_len, data)
     feats = FEATURE_SETS[config.feature_set]
     model = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
-
-    os.makedirs(args.out, exist_ok=True)
     profile_path = os.path.join(args.out, "profiles.tsv")
     students, row_student = list(data.by_student), data.row_student()
     with _open_output(profile_path) as fh:
@@ -409,9 +419,10 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     data = _load_dataset(args.data, args.schema)
     artifacts, interval_len, model = _load_bundle(args.model_dir)
-    table, = evaluation.build_feature_rows(artifacts, interval_len, data)
-    scores = tan.predict_many(model, table.columns(model.features))
-    _dump_predictions(args.out, data, table, np.ones(len(table), dtype=bool), scores)
+    with _open_output(args.out) as out:
+        table, = evaluation.build_feature_rows(artifacts, interval_len, data)
+        scores = tan.predict_many(model, table.columns(model.features))
+        _dump_predictions(out, data, table, np.ones(len(table), dtype=bool), scores)
     unseen = int((table.skill == len(artifacts.skill_index)).sum())
     levels = artifacts.difficulty.levels
     rated = np.array([p in levels for p in data.problem_index], dtype=bool)
@@ -491,33 +502,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("evaluate", help="cross-validated metrics (optionally ablation)")
-    p.add_argument("--data", required=True, help="preprocessed dataset (canonical csv)")
-    p.add_argument("--schema", help="schema file when --data is a raw log")
-    p.add_argument("--config", help="key=value experiment configuration")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the configured seed")
+    # the options evaluate, fit and predict share
+    log, run = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    log.add_argument("--data", required=True, help="canonical csv, or a raw log with --schema")
+    log.add_argument("--schema", help="key=value file naming the columns of a raw --data log")
+    run.add_argument("--config", help="key=value experiment configuration")
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--seed", type=int, help="override the configured seed")
+    run.add_argument("--feature-set", choices=list(FEATURE_SETS), dest="feature_set",
+                     help="override the configured feature set")
+
+    p = sub.add_parser("evaluate", parents=[log, run],
+                       help="cross-validated metrics (optionally ablation)")
     p.add_argument("--workers", type=int,
                    help="parallel fold workers, capped at the number of folds")
-    p.add_argument("--feature-set", choices=list(FEATURE_SETS), dest="feature_set")
     p.add_argument("--ablation", action="store_true",
                    help="evaluate all three feature sets on shared folds")
     p.add_argument("--dump-predictions", action="store_true",
                    help="write per-prediction rows for each fold")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("fit", help="fit all artifacts on the full dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--feature-set", choices=list(FEATURE_SETS), dest="feature_set")
+    p = sub.add_parser("fit", parents=[log, run], help="fit all artifacts on the full dataset")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="score a dataset with fitted artifacts")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema")
+    p = sub.add_parser("predict", parents=[log], help="score a dataset with fitted artifacts")
     p.add_argument("--model-dir", required=True, help=_MODEL_DIR_HELP)
     p.add_argument("--out", required=True, help="predictions tsv path")
     p.set_defaults(func=cmd_predict)

@@ -11,12 +11,12 @@ folds are dispatched, one BKT fit serves them all: each skill's
 sequences over the whole log are grouped into unique patterns once, and
 a (pattern, fold) weight matrix, each pattern's count among the fold's
 training students, turns one forward pass into every fold's totals
-(``bkt.grid_log_likelihoods``). Each fold then fits the discretizer,
-codes the columns and computes the pairwise CMI once for the largest
-feature set; the smaller sets, its prefixes, take their trees from the
-matrix's leading blocks and estimate only their own tables
-(``tan.fit_nested_tans``). Every fold's parameters and models equal
-those of its own independent fits.
+(``skill_params``, which ``ikt fit`` runs with one column of 1s). Each
+fold then fits the discretizer, codes the columns and computes the
+pairwise CMI once for the largest feature set; the smaller sets, its
+prefixes, take their trees from the matrix's leading blocks and estimate
+only their own tables (``tan.fit_nested_tans``). Every fold's parameters
+and models equal those of its own independent fits.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "SingleClassError",
     "auc",
     "rmse",
+    "skill_params",
     "fit_fold_artifacts",
     "build_feature_rows",
     "evaluate_feature_sets",
@@ -206,33 +207,27 @@ def _skill_sequences(data: Dataset) -> tuple[dict, dict]:
     return sequences, students
 
 
-def _fold_params(data: Dataset, held_out: np.ndarray, config: ExperimentConfig) -> list[dict]:
-    """Every fold's skill parameters from one BKT fit over the whole log.
+def skill_params(data: Dataset, train_weight: np.ndarray, config: ExperimentConfig) -> list[dict]:
+    """Each fit's skill parameters from one BKT pass over the whole log.
 
-    A (skill, student) sequence weighs 1 in each fold that trains on its
-    student and 0 in the fold that tests it, so each pattern's likelihood
-    is computed once for all folds, and fold f's parameters are those
-    ``fit_fold_artifacts`` fits on f's training students, keyed in their
-    skill order: a skill only f's test students attempted is left out.
+    ``train_weight`` has one row per student and one column per fit: a
+    fold weighs its training students 1 and its test students 0, and
+    ``ikt fit`` weighs every student 1. A fit's parameters are keyed in
+    the data's skill order, without the skills no student it weighs tried.
     """
-    train_weight = (held_out[:, None] != np.arange(config.folds)).astype(float)
     sequences, students = _skill_sequences(data)
     fitted = bkt.fit_all_skills(sequences, config.fit_grid(),
                                 {skill: train_weight[students[skill]] for skill in sequences})
     return [{skill: fits[i] for skill, fits in fitted.items() if fits[i] is not None}
-            for i in range(config.folds)]
+            for i in range(train_weight.shape[1])]
 
 
-def fit_fold_artifacts(train: Dataset, config: ExperimentConfig,
-                       fold_id: int = 0, params: dict | None = None) -> FoldArtifacts:
-    """Fit skill parameters, clusters and difficulty on ``train``, the
-    training students' rows; their dataset's skill index becomes the
-    artifacts' skill coding, as the order of ``params_by_skill``.
-    ``params``, when given, are those skill parameters, already fitted.
+def fit_fold_artifacts(train: Dataset, config: ExperimentConfig, fold_id: int,
+                       params: dict) -> FoldArtifacts:
+    """Fit clusters and difficulty on ``train``, the training students'
+    rows, beside ``params``, their skill parameters from ``skill_params``
+    keyed in the dataset's skill index: the artifacts' skill coding.
     """
-    if params is None:
-        params = bkt.fit_all_skills(_skill_sequences(train)[0], config.fit_grid())
-
     vectors, _ = ability.interval_vectors(train.skill, train.correct, train.row_counts(),
                                           train.n_skills, config.interval_len)
     k_eff = min(config.clusters, len(vectors))
@@ -457,8 +452,9 @@ def evaluate_feature_sets(data: Dataset, config: ExperimentConfig,
                                    "fewer than two classes, so AUC is undefined; "
                                    "use fewer folds")
 
+    train_weight = held_out[:, None] != np.arange(config.folds)
     jobs = [(data, fold_id, held_out, config, tuple(feature_sets), params)
-            for fold_id, params in enumerate(_fold_params(data, held_out, config))]
+            for fold_id, params in enumerate(skill_params(data, train_weight, config))]
     if config.workers > 1:
         # imported here so that a serial run loads no multiprocessing;
         # under fork the pool starts all its workers at once, so at most one per fold

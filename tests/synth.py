@@ -4,7 +4,8 @@ Two processes: a pure mastery process (hidden learned/unlearned state
 per skill drives correctness) and a mixed process where per-problem
 quality dominates, used to demonstrate the feature-ablation ordering.
 Also ``bundle_round_trip``, which passes given tables through the
-bundle writer and loader.
+bundle writer and loader beside a ``small_model``, and
+``fit_artifacts``, which fits a log's artifacts as ``ikt fit`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from ikt.cli import _load_bundle, _write_bundle
 from ikt.dataset import Dataset
 from ikt.bkt import BktParams
 from ikt.difficulty import DifficultyTable
-from ikt.evaluation import ExperimentConfig, FoldArtifacts
+from ikt.evaluation import (ExperimentConfig, FoldArtifacts, fit_fold_artifacts,
+                            skill_params)
 
 ROW_FIELDS = ("student_id", "problem_id", "skill_id", "correct")
 
@@ -158,18 +160,32 @@ def shuffle_labels(rows, seed=0):
     return [(s, p, k, int(c)) for (s, p, k, _), c in zip(rows, labels)]
 
 
-def bundle_round_trip(outdir, params, centroids=(), levels=None) -> FoldArtifacts:
-    """Write a bundle holding these tables and a small ikt3 classifier,
-    then load it; returns the loaded artifacts. The tables are files of
-    ``outdir``. ``centroids`` needs one value per skill of ``params``.
-    """
+def fit_artifacts(data: Dataset, config: ExperimentConfig, fold_id: int = 0) -> FoldArtifacts:
+    """The artifacts of every student of ``data``, their skill parameters
+    from the single all-students column ``ikt fit`` passes."""
+    params, = skill_params(data, np.ones((len(data.by_student), 1)), config)
+    return fit_fold_artifacts(data, config, fold_id, params)
+
+
+def small_model(n_skills: int, k: int) -> tan.TanModel:
+    """A small ikt3 classifier fitted on skill codes and profile labels
+    drawn within the ranges of a bundle of ``n_skills`` skills and ``k``
+    clusters: codes 0..n_skills-1 and labels 1..k+1."""
     rng = np.random.default_rng(0)
-    cols = {"skill": rng.integers(0, 3, 200), "mastery": rng.random(200),
-            "profile": rng.integers(1, 4, 200), "difficulty": rng.integers(0, 11, 200)}
+    cols = {"skill": rng.integers(0, n_skills, 200), "mastery": rng.random(200),
+            "profile": rng.integers(1, k + 2, 200), "difficulty": rng.integers(0, 11, 200)}
     labels = (rng.random(200) < 0.2 + 0.6 * cols["mastery"]).astype(int)
+    return tan.fit_tan(cols, labels)
+
+
+def bundle_round_trip(outdir, params, centroids=(), levels=None) -> FoldArtifacts:
+    """Write a bundle holding these tables and a ``small_model`` over
+    them, then load it; returns the loaded artifacts. The tables are files
+    of ``outdir``. ``centroids`` needs one value per skill of ``params``.
+    """
     artifacts = FoldArtifacts(params_by_skill=params,
                               clusters=ClusterModel(np.array(centroids, dtype=float)),
                               difficulty=DifficultyTable(levels=dict(levels or {})))
     _write_bundle(str(outdir), ExperimentConfig(), {}, artifacts,
-                  {"ikt3": tan.fit_tan(cols, labels)})
+                  {"ikt3": small_model(len(params), len(centroids))})
     return _load_bundle(str(outdir))[0]

@@ -40,7 +40,7 @@ def segment_len(grid):
 def assert_matches_oracle(grid, seqs, rng, n_random=4, corner_stride=1):
     """Grid totals at the grid's corners (every ``corner_stride``-th) and
     at random points equal the summed ``forward_oracle`` log-likelihoods."""
-    total = grid_log_likelihoods(seqs, grid)
+    total = grid_log_likelihoods(seqs, grid)[..., 0]
     corners = list(itertools.product(*[(0, n - 1) for n in total.shape]))
     randoms = [tuple(int(rng.integers(n)) for n in total.shape) for _ in range(n_random)]
     for idx in corners[::corner_stride] + randoms:
@@ -136,7 +136,7 @@ class TestTrace:
 class TestSequenceLogLikelihood:
     def test_single_emission(self):
         # l0 = 0.5, g = 0.2, s = 0.1; t does not act on a single response
-        total = grid_log_likelihoods([[1]], FitGrid())
+        total = grid_log_likelihoods([[1]], FitGrid())[..., 0]
         assert np.allclose(total[9, :, 3, 1], math.log(0.55), atol=1e-12, rtol=0)
 
     def test_order_sensitivity(self):
@@ -150,7 +150,7 @@ class TestSequenceLogLikelihood:
         for _ in range(20):
             seqs = [list(rng.integers(0, 2, rng.integers(1, 51)))
                     for _ in range(int(rng.integers(1, 6)))]
-            total = grid_log_likelihoods(seqs, grid)
+            total = grid_log_likelihoods(seqs, grid)[..., 0]
             for _ in range(10):
                 idx = tuple(int(rng.integers(n)) for n in total.shape)
                 p = grid_point(grid, idx)
@@ -165,7 +165,7 @@ class TestSequenceLogLikelihood:
         seqs += seqs[:15]
         assert len({tuple(s) for s in seqs}) > 256
         grid = FitGrid()
-        total = grid_log_likelihoods(seqs, grid)
+        total = grid_log_likelihoods(seqs, grid)[..., 0]
         corners = list(itertools.product(*[(0, n - 1) for n in total.shape]))
         randoms = [tuple(int(rng.integers(n)) for n in total.shape) for _ in range(4)]
         for idx in corners + randoms:
@@ -250,18 +250,18 @@ class TestFitSkill:
         rng = np.random.default_rng(4)
         grid = FitGrid()
         seqs = [list(rng.integers(0, 2, rng.integers(1, 25))) for _ in range(30)]
-        total = grid_log_likelihoods(seqs, grid)
+        total = grid_log_likelihoods(seqs, grid)[..., 0]
         for idx in [(0, 0, 0, 0), (18, 18, 5, 5), (7, 3, 1, 4)]:
             direct = sum(forward_oracle(grid_point(grid, idx), s)[1] for s in seqs)
             assert total[idx] == pytest.approx(direct, abs=1e-8)
 
     def test_all_correct_pushes_l0_to_grid_max(self):
-        fitted = fit_skill([[1] * 20 for _ in range(30)])
+        fitted, = fit_skill([[1] * 20 for _ in range(30)])
         assert fitted.l0 == pytest.approx(0.95)
 
     def test_single_short_sequence_deterministic(self):
-        a = fit_skill([[1]])
-        b = fit_skill([[1]])
+        a, = fit_skill([[1]])
+        b, = fit_skill([[1]])
         assert a == b
         # every lone [1] likelihood is t-independent; ties resolve low
         assert a.t == pytest.approx(0.05)
@@ -276,7 +276,7 @@ class TestFitSkill:
     def test_recovery_within_one_step(self):
         rng = np.random.default_rng(6)
         true = BktParams(0.40, 0.15, 0.25, 0.10)
-        fitted = fit_skill(simulate_bkt(true, 500, 50, rng))
+        fitted, = fit_skill(simulate_bkt(true, 500, 50, rng))
         for name in ("l0", "t", "g", "s"):
             assert abs(getattr(fitted, name) - getattr(true, name)) <= 0.05 + 1e-9
 
@@ -290,9 +290,9 @@ class TestFitSkill:
             if i % 60 < keep[i // 60]:
                 seqs.setdefault(skill, {}).setdefault(student, []).append(correct)
         fitted = fit_all_skills({k: list(v.values()) for k, v in seqs.items()})
-        assert fitted == {"s0": BktParams(l0=0.4, t=0.15, g=0.2, s=0.05),
-                          "s1": BktParams(l0=0.3, t=0.15, g=0.1, s=0.1),
-                          "s2": BktParams(l0=0.4, t=0.1, g=0.15, s=0.05)}
+        assert fitted == {"s0": [BktParams(l0=0.4, t=0.15, g=0.2, s=0.05)],
+                          "s1": [BktParams(l0=0.3, t=0.15, g=0.1, s=0.1)],
+                          "s2": [BktParams(l0=0.4, t=0.1, g=0.15, s=0.05)]}
 
     def test_no_data(self):
         with pytest.raises(NoSkillDataError):
@@ -316,7 +316,7 @@ class TestWeightedColumns:
         for f in range(3):
             # weight w counts as w copies of the sequence
             repeated = [s for s, w in zip(seqs, weights[:, f].tolist()) for _ in range(int(w))]
-            assert fits[f] == fit_skill(repeated)
+            assert [fits[f]] == fit_skill(repeated)
 
     def test_totals_match_the_oracle_per_column(self):
         rng = np.random.default_rng(10)
@@ -331,14 +331,23 @@ class TestWeightedColumns:
                     for f in range(3)]
             assert total[idx] == pytest.approx(want, abs=1e-9)
 
+    def test_default_is_one_column_in_which_every_sequence_weighs_1(self):
+        seqs = [[1, 0, 1], [], [0, 0], [1, 0, 1]]
+        grid = FitGrid(step=0.1, guess_cap=0.2, slip_cap=0.25)
+        total = grid_log_likelihoods(seqs, grid)
+        assert total.shape == (9, 9, 2, 2, 1)
+        assert np.array_equal(total, grid_log_likelihoods(seqs, grid, np.ones((4, 1))))
+        assert fit_skill(seqs, grid) == fit_skill(seqs, grid, [[1.0]] * 4)
+        assert fit_all_skills({"a": seqs}, grid) == {"a": fit_skill(seqs, grid)}
+
     def test_fit_all_skills_returns_each_skills_columns(self):
         seqs = {"a": [[1, 0, 1], [0, 0]], "b": [[1, 1]], "c": [[]]}
         weights = {"a": np.array([[1.0, 0.0], [1.0, 1.0]]), "b": np.array([[0.0, 1.0]]),
                    "c": np.ones((1, 2))}
         fitted = fit_all_skills(seqs, FitGrid(), weights)
         assert list(fitted) == ["a", "b"]
-        assert fitted["a"] == [fit_skill([[1, 0, 1], [0, 0]]), fit_skill([[0, 0]])]
-        assert fitted["b"] == [None, fit_skill([[1, 1]])]
+        assert fitted["a"] == fit_skill([[1, 0, 1], [0, 0]]) + fit_skill([[0, 0]])
+        assert fitted["b"] == [None] + fit_skill([[1, 1]])
 
 
 class TestParamsTable:

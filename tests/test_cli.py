@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ikt import ability, evaluation
+from ikt import ability, evaluation, tan
 from ikt.ability import ClusterModel
 from ikt.bkt import BktParams
 from ikt.cli import (InputError, _dump_predictions, _load_bundle, _load_dataset,
                      _write_bundle, load_config, main)
-from ikt.dataset import Dataset, SchemaError, split_folds
+from ikt.dataset import Dataset, SchemaError, _open_output, split_folds
 from ikt.difficulty import DifficultyTable
 from ikt.evaluation import ExperimentConfig, FeatureTable, FoldArtifacts
 
-from synth import mixed_process_rows, to_dataset, write_raw_csv
+from synth import (fit_artifacts, mixed_process_rows, small_model, to_dataset,
+                   write_raw_csv)
 from test_exports import _fresh_modules
 
 CLI_ROWS = mixed_process_rows(n_students=25, n_skills=3, attempts=50, seed=9)
@@ -166,12 +167,53 @@ class TestInputErrors:
         config.write_text("folds = 10\ngrid_step = 0.25\nkmeans_restarts = 1\n"
                           f"skip_first_interval = {skip}\n", encoding="utf-8")
         if code == 2:
-            for name in ("_fold_params", "_run_fold"):  # a fit would exit 1
+            for name in ("skill_params", "_run_fold"):  # a fit would exit 1
                 monkeypatch.setattr(f"ikt.evaluation.{name}", None)
         assert run(["evaluate", "--data", str(raw), "--schema", str(schema),
                     "--config", str(config), "--out", str(tmp_path / "x")]) == code
         err = capsys.readouterr().err
         assert ("fold" in err and "two classes" in err) == (code == 2)
+        # the run made --out before the check, and removes it again; a
+        # directory that was there before stays, as does what it holds
+        assert (tmp_path / "x").exists() == (code == 0)
+        if code == 2:
+            (tmp_path / "empty").mkdir()
+            (tmp_path / "full").mkdir()
+            (tmp_path / "full" / "old.txt").write_text("old\n")
+            for kept in (tmp_path / "empty", tmp_path / "full"):
+                assert run(["evaluate", "--data", str(raw), "--schema", str(schema),
+                            "--config", str(config), "--out", str(kept)]) == 2
+                assert kept.is_dir()
+            assert (tmp_path / "full" / "old.txt").read_text() == "old\n"
+
+    @pytest.mark.parametrize("command, layer", [
+        ("fit", "fit_fold_artifacts"), ("evaluate", "_run_fold"),
+        ("predict", "build_feature_rows")])
+    def test_unusable_output_path_exits_2_before_the_work(self, workspace, capsys,
+                                                          monkeypatch, command, layer):
+        # the output was once made only after the fit or the replay, so a
+        # bad path cost the whole run; here that work raises, exiting 1
+        tmp, raw, schema = workspace
+        argv = [command, "--data", raw, "--schema", schema]
+        if command == "predict":
+            fitted = tmp / "fitted"
+            assert run(["fit", *argv[1:], "--out", str(fitted)]) == 0
+            out = tmp / "missing" / "p.tsv"
+            argv += ["--model-dir", str(fitted)]
+            message = f"[Errno 2] No such file or directory: '{out}'"
+        else:
+            out = tmp / "taken"
+            out.write_text("")
+            argv += ["--ablation"] if command == "evaluate" else []
+            message = f"[Errno 17] File exists: '{out}'"
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("the work ran")
+
+        monkeypatch.setattr(evaluation, layer, broken)
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("content, message", [
         (b"folds 3\n", "bad.kv:1: expected 'key = value'"),
@@ -244,7 +286,7 @@ class TestInputErrors:
         tmp, raw, schema = workspace
         config = tmp / "many.cfg"
         config.write_text("folds = 26\n", encoding="utf-8")
-        for name in ("_fold_params", "_run_fold"):  # a fit would exit 1
+        for name in ("skill_params", "_run_fold"):  # a fit would exit 1
             monkeypatch.setattr(f"ikt.evaluation.{name}", None)
         assert run(["evaluate", "--data", raw, "--schema", schema,
                     "--config", str(config), "--out", str(tmp / "x")]) == 2
@@ -787,7 +829,8 @@ class TestDumpPredictions:
         scores = rng.choice([0.0, -0.0, 0.5, 0.9999995, 1e-9], keep.sum())
         scores[:200] = rng.random(200)
         got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
-        _dump_predictions(str(got), data, table, keep, scores)
+        with _open_output(str(got)) as out:
+            _dump_predictions(out, data, table, keep, scores)
         reference_dump(str(want), data, table, keep, scores)
         assert got.read_bytes() == want.read_bytes()
         text = got.read_text()
@@ -797,7 +840,8 @@ class TestDumpPredictions:
         data = to_dataset([("u0", "p0", "s0", 1)])
         table = FeatureTable(*(np.zeros(1, dtype=int) for _ in range(6)))
         path = tmp_path / "empty.tsv"
-        _dump_predictions(str(path), data, table, np.zeros(1, dtype=bool), np.zeros(0))
+        with _open_output(str(path)) as out:
+            _dump_predictions(out, data, table, np.zeros(1, dtype=bool), np.zeros(0))
         assert path.read_text().count("\n") == 1
 
 
@@ -1012,9 +1056,8 @@ class TestBundleTables:
     """The three tables of a bundle, as ``_write_bundle`` writes them and
     ``_load_bundle`` reads them."""
 
-    def test_round_trip(self, bundle, tmp_path):
-        _, fitted, _ = bundle
-        model = _load_bundle(str(fitted))[2]
+    def test_round_trip(self, tmp_path):
+        model = small_model(2, 0)  # within the tables' domains with and without clusters
         params = {"sk": BktParams(0.3, 0.1, 0.2, 0.05),
                   "s1": BktParams(0.35, 0.1, 0.25, 0.0500004)}
         centroids = np.array([[0.1234564, 0.5], [0.9, 0.25]])
@@ -1048,6 +1091,34 @@ class TestBundleTables:
         assert (out / "centroids.tsv").read_bytes() == b""
         assert _load_bundle(str(out))[0].clusters.k == 0
 
+
+    @pytest.mark.parametrize("feature, value", [
+        ("skill", 3), ("skill", -1), ("profile", 0), ("profile", 9), ("difficulty", 11)])
+    def test_model_outside_the_tables_domains_exits_2(self, bundle, tmp_path, capsys,
+                                                      feature, value):
+        # a model of another bundle once read its skill 3 as this bundle's
+        # unseen-skill code, and other values as whatever they coded there
+        schema, fitted, _ = bundle
+        copy = copy_bundle(fitted, tmp_path / "copy")
+        artifacts = _load_bundle(str(copy))[0]
+        assert (len(artifacts.skill_index), artifacts.clusters.k) == (3, 7)
+        rng = np.random.default_rng(1)
+        cols = {"skill": rng.integers(0, 3, 100), "mastery": rng.random(100),
+                "profile": rng.integers(1, 9, 100), "difficulty": rng.integers(0, 11, 100)}
+        cols[feature][0] = value
+        model_path = copy / "tan_ikt3.model"
+        tan.save_model(tan.fit_tan(cols, rng.integers(0, 2, 100)), str(model_path))
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(CLI_ROWS, str(raw))
+        capsys.readouterr()
+        assert run(["predict", "--data", str(raw), "--schema", schema,
+                    "--model-dir", str(copy), "--out", str(tmp_path / "p.tsv")]) == 2
+        low, high = {"skill": (0, 2), "profile": (1, 8), "difficulty": (0, 10)}[feature]
+        held = cols[feature]
+        assert capsys.readouterr().err == (
+            f"error: {model_path}: [domain {feature}] holds {held.min()}..{held.max()}, "
+            f"outside {low}..{high} of this bundle\n")
+        assert not (tmp_path / "p.tsv").exists()
 
     def test_blank_lines_in_the_tables_are_skipped(self, bundle, tmp_path):
         schema, fitted, expected = bundle
@@ -1101,6 +1172,32 @@ class TestOutputFiles:
         link.symlink_to(target)
         assert predict_rows(raw, schema, fitted, link) == expected
         assert link.is_symlink() and link.resolve() == target
+
+
+def test_shared_options_read_the_same_in_each_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = {}
+    for command in ("evaluate", "fit", "predict"):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        helps[command] = capsys.readouterr().out.splitlines()
+
+    def entry(command, option):
+        """The option's lines in the command's help: its own and those
+        continuing its help text."""
+        lines = helps[command]
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"  {option} "))
+        end = next((i for i in range(at + 1, len(lines))
+                    if not lines[i].startswith("    ")), len(lines))
+        return lines[at:end]
+
+    for option, commands in (("--data", "evaluate fit predict"),
+                             ("--schema", "evaluate fit predict"),
+                             ("--config", "evaluate fit"), ("--out", "evaluate fit"),
+                             ("--seed", "evaluate fit"), ("--feature-set", "evaluate fit")):
+        first, *others = (entry(command, option) for command in commands.split())
+        assert len(" ".join(first).split()) > 2, option  # it has help text
+        assert all(other == first for other in others), option
 
 
 @pytest.mark.filterwarnings("ignore:'ikt.cli' found in sys.modules:RuntimeWarning")
@@ -1194,7 +1291,7 @@ class TestPredictUsesTheBundle:
         write_raw_csv(CLI_ROWS, str(raw))
         data = _load_dataset(str(raw), schema)
         fitted_rows, = evaluation.build_feature_rows(
-            evaluation.fit_fold_artifacts(data, ExperimentConfig()), 20, data)
+            fit_artifacts(data, ExperimentConfig()), 20, data)
         artifacts, interval_len, _ = _load_bundle(str(fitted))
         loaded_rows, = evaluation.build_feature_rows(artifacts, interval_len, data)
         for f in ("skill", "mastery", "profile", "difficulty", "label", "position"):

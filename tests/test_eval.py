@@ -10,13 +10,12 @@ from ikt.bkt import BktParams, fit_skill
 from ikt.dataset import split_folds
 from ikt.difficulty import DifficultyTable
 from ikt.evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
-                            SingleClassError, _fold_params, auc,
-                            build_feature_rows, evaluate_feature_sets, fit_fold_artifacts,
-                            rmse)
+                            SingleClassError, auc, build_feature_rows,
+                            evaluate_feature_sets, rmse, skill_params)
 
 from oracles import feature_rows_oracle, pairwise_auc
-from synth import (mastery_process_rows, mixed_process_rows, records, shuffle_labels,
-                   to_dataset)
+from synth import (fit_artifacts, mastery_process_rows, mixed_process_rows, records,
+                   shuffle_labels, to_dataset)
 
 
 class TestAuc:
@@ -100,7 +99,7 @@ def small_data():
 
 def fold_tables(data, fold_id, held_out, config):
     train_data = data.restricted_to(held_out != fold_id)
-    artifacts = fit_fold_artifacts(train_data, config, fold_id)
+    artifacts = fit_artifacts(train_data, config, fold_id)
     return artifacts, build_feature_rows(artifacts, config.interval_len, train_data,
                                          data.restricted_to(held_out == fold_id))
 
@@ -175,7 +174,7 @@ class TestFoldPipeline:
     def test_skill_outside_vocabulary_gets_fallback(self, small_data):
         data, _ = small_data
         config = ExperimentConfig(seed=1)
-        artifacts = fit_fold_artifacts(data, config)
+        artifacts = fit_artifacts(data, config)
         rows = [("new", f"q{i}", "s_new" if i % 2 else "s0", i % 3 == 0)
                 for i in range(45)]
         table, = build_feature_rows(artifacts, config.interval_len, to_dataset(rows))
@@ -323,7 +322,8 @@ def reference_fold_params(data, trained, grid):
         if student in train_students:
             seqs.setdefault(skill, {}).setdefault(student, []).append(correct)
     train = data.restricted_to(trained)
-    return {skill: fit_skill(list(seqs[skill].values()), grid) for skill in train.skill_index}
+    return {skill: fit_skill(list(seqs[skill].values()), grid)[0]
+            for skill in train.skill_index}
 
 
 class TestSharedFits:
@@ -346,12 +346,16 @@ class TestSharedFits:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bkt_params_equal_each_folds_own_fit(self, data, seed):
+        # the columns evaluate passes, one per fold, and then fit's, in
+        # which every student weighs 1
         config = ExperimentConfig(seed=seed)
         held_out = split_folds(data, k=config.folds, seed=seed)
-        shared = _fold_params(data, held_out, config)
-        assert len(shared) == config.folds
-        for fold_id, params in enumerate(shared):
-            trained = held_out != fold_id
+        folds = held_out[:, None] != np.arange(config.folds)
+        shared = (skill_params(data, folds, config)
+                  + skill_params(data, np.ones((len(held_out), 1)), config))
+        assert len(shared) == config.folds + 1
+        for trained, params in zip(list(folds.T) + [np.ones(len(held_out), dtype=bool)],
+                                   shared):
             want = reference_fold_params(data, trained, config.fit_grid())
             assert params == want
             assert list(params) == list(data.restricted_to(trained).skill_index)
