@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import hashlib
 import os
 import sys
@@ -317,6 +318,22 @@ def _dump_predictions(out, data, table, keep, scores) -> None:
         out.write("".join(block[:n].ravel().tolist()))
 
 
+def _stale_outputs(out: str, written) -> list:
+    """The files under ``out`` that bear the name of an ``evaluate``
+    output but are not in ``written``, sorted: an earlier run's, with
+    other options or more folds. ``evaluate`` names them and removes
+    none: ``out`` may hold the user's own files."""
+    written = {os.path.normpath(p) for p in written}
+    root = glob.escape(out)
+    found = [path for pattern in ("metrics_ikt*", "ablation_summary.txt",
+                                  "predictions_*_fold*.tsv")
+             for path in glob.glob(os.path.join(root, pattern))]
+    found += [path for fold in glob.glob(os.path.join(root, "artifacts", "fold*"))
+              if os.path.basename(fold)[len("fold"):].isdecimal()
+              for path in glob.glob(os.path.join(glob.escape(fold), "*"))]
+    return sorted(p for p in found if not os.path.isdir(p) and os.path.normpath(p) not in written)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -344,13 +361,17 @@ def cmd_evaluate(args) -> int:
         raise InputError(f"{args.data}: need at least {config.folds} students for "
                          f"{config.folds} folds, have {len(data.by_student)}")
     feature_sets = list(FEATURE_SETS) if ablation else [config.feature_set]
-    made = not os.path.isdir(args.out)
+    made = []  # the directories makedirs creates, leaf first
+    path = os.path.abspath(args.out)
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
     try:
         reports, outputs = evaluate_feature_sets(data, config, feature_sets)
     except SingleClassError as exc:
-        if made:
-            os.rmdir(args.out)
+        for path in made:
+            os.rmdir(path)
         raise InputError(str(exc)) from exc
 
     artifact_paths = []
@@ -369,8 +390,10 @@ def cmd_evaluate(args) -> int:
         sys.stdout.write(render_ablation_text(reports))
 
     inputs = _input_entries(args.data)
+    manifests = []
     for output in outputs:
         fold_dir = os.path.join(args.out, "artifacts", f"fold{output.fold_id}")
+        manifests.append(os.path.join(fold_dir, "manifest.kv"))
         train = ",".join(sorted(data.by_student.keys() - output.test_data.by_student))
         fold_entries = {**inputs, "fold": output.fold_id,
                         "train_students.sha256": hashlib.sha256(train.encode()).hexdigest()}
@@ -388,6 +411,8 @@ def cmd_evaluate(args) -> int:
                   {**inputs, "ablation": ablation,
                    "fold_digest": reports[feature_sets[0]].fold_digest},
                   paths=artifact_paths)
+    for path in _stale_outputs(args.out, artifact_paths + manifests):
+        sys.stderr.write(f"note: {path} was not written by this run; an earlier run left it\n")
     return EXIT_OK
 
 

@@ -12,9 +12,11 @@ Scalar and batch inference read one table: a fitted model holds, per
 node, log P(value | parent value, correct) - log P(value | parent value,
 incorrect), padded with a last row and column of zeros that a value
 outside the domain, coded -1 in both paths, reads: the uniform fallback.
-Both take their nodes from the model's walk, built with it: ``explain``
-looks up one entry per node and ``predict_many`` gathers whole columns,
-in the same order, so explain's contributions are the batch's terms.
+Both take their nodes from the model's walk, built with it:
+``predict_many`` gathers whole columns, and ``explain`` looks up each
+node's entry as a ``NodeContribution`` in ``terms``, built on its first
+call, giving a node outside the domain the pad's 0.0. Both add the same
+terms in the same order, so explain's contributions are the batch's terms.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -258,14 +261,15 @@ class TanModel:
 
     ``cpts[f]`` has shape (|domain(f)|, |domain(parent(f))| or 1, 2) and
     every column over the first axis sums to 1. Immutable in use: the
-    inference tables below are derived once, at construction.
+    inference tables below are derived once, at construction, and
+    ``terms`` at the first ``explain``.
 
     ``log_ratio[f][v, p]`` is node f's log-likelihood ratio for domain
     index v under parent domain index p, and 0 at the pad index -1 of an
     out-of-domain v or p; ``prior_log_odds`` is the class term. ``walk``
     holds one ``(feature, parent, parent position in walk or None, a dict
-    from each value of f's domain to its index, cutpoints or None,
-    log_ratio[feature] as nested lists)`` entry per node, in feature order.
+    from each value of f's domain to its index, cutpoints or None)`` entry
+    per node, in feature order; ``terms`` is built from it on first use.
     """
 
     structure: TanStructure
@@ -285,13 +289,23 @@ class TanModel:
         p0, p1 = (float(p) for p in self.class_prior)
         self.prior_log_odds = math.log(p1) - math.log(p0)
         position = {f: i for i, f in enumerate(self.features)}
-        self.walk = tuple((f, p, position.get(p), codes[f],
-                           self.discretizer.cutpoints.get(f), self.log_ratio[f].tolist())
+        self.walk = tuple((f, p, position.get(p), codes[f], self.discretizer.cutpoints.get(f))
                           for f in self.features for p in (self.structure.parent[f],))
 
     @property
     def features(self) -> tuple:
         return self.structure.features
+
+    @cached_property
+    def terms(self) -> tuple:
+        """``terms[i][v][p]``: walk node i's ``NodeContribution`` at domain
+        index v under parent index p (0 at a root); only ``explain`` reads it."""
+        values = {f: list(index) for f, _, _, index, _ in self.walk}
+        return tuple(
+            tuple(tuple(NodeContribution(f, value, pvalue, ratio)
+                        for pvalue, ratio in zip(values[p] if p is not None else (None,), row))
+                  for value, row in zip(values[f], self.log_ratio[f][:-1, :-1].tolist()))
+            for f, p, *_ in self.walk)
 
 
 def estimate_cpts(coded: dict, labels, structure: TanStructure,
@@ -390,23 +404,24 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
     each such feature once, in the order the nodes are walked.
     """
     values, codes = [], []
-    for f, _, _, index, cuts, _ in model.walk:
+    for f, _, _, index, cuts in model.walk:
         value = bisect.bisect_right(cuts, evidence[f]) if cuts is not None else int(evidence[f])
         values.append(value)
         codes.append(index.get(value, -1))
     contributions = []
     out_of_domain: list = []
     log_odds = model.prior_log_odds
-    for (f, p_feat, at, _, _, table), value, code in zip(model.walk, values, codes):
-        parent_value = values[at] if at is not None else None
+    for (f, p_feat, at, _, _), table, value, code in zip(model.walk, model.terms, values, codes):
         pcode = codes[at] if at is not None else 0
         if code < 0 or pcode < 0:
             bad = f if code < 0 else p_feat
             if bad not in out_of_domain:
                 out_of_domain.append(bad)
-        ratio = table[code][pcode]
-        contributions.append(NodeContribution(f, value, parent_value, ratio))
-        log_odds += ratio
+            term = NodeContribution(f, value, values[at] if at is not None else None, 0.0)
+        else:
+            term = table[code][pcode]
+        contributions.append(term)
+        log_odds += term.log_ratio
     return ExplanationRecord(_sigmoid(log_odds), model.prior_log_odds, log_odds,
                              tuple(contributions), tuple(out_of_domain))
 

@@ -177,6 +177,11 @@ class TestInputErrors:
         # directory that was there before stays, as does what it holds
         assert (tmp_path / "x").exists() == (code == 0)
         if code == 2:
+            # every directory the run made goes, up to the one that was there
+            (tmp_path / "kept").mkdir()
+            assert run(["evaluate", "--data", str(raw), "--schema", str(schema),
+                        "--config", str(config), "--out", str(tmp_path / "kept/x/y/z")]) == 2
+            assert (tmp_path / "kept").is_dir() and not any((tmp_path / "kept").iterdir())
             (tmp_path / "empty").mkdir()
             (tmp_path / "full").mkdir()
             (tmp_path / "full" / "old.txt").write_text("old\n")
@@ -1162,6 +1167,50 @@ class TestOutputFiles:
         for i, (path, data) in enumerate(first.items()):
             assert (links / str(i)).read_bytes() == b"old", path
             assert path.read_bytes() == data, path
+
+    def test_rerun_with_fewer_outputs_names_each_stale_file(self, workspace, capsys):
+        # an earlier run's outputs stay as they were, and each one this run
+        # did not write is named; a file of another name never is
+        tmp, raw, schema = workspace
+        out, config = tmp / "out", tmp / "run.cfg"
+        (out / "artifacts" / "fold9x").mkdir(parents=True)
+        for name in ("notes.txt", "metrics.kv", "artifacts/fold9x/a.tsv", "artifacts/b.tsv"):
+            (out / name).write_text("mine\n", encoding="utf-8")
+
+        def outputs():
+            return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                    if p.is_file()}
+
+        def evaluate(folds, *options):
+            config.write_text(FAST_CONFIG + f"folds = {folds}\n", encoding="utf-8")
+            before = outputs()
+            capsys.readouterr()
+            assert run(["evaluate", "--data", raw, "--schema", schema, "--config", str(config),
+                        "--out", str(out), *options]) == 0
+            written = {"metrics_ikt3.txt", "metrics_ikt3.kv", "manifest.kv"} | {
+                f"artifacts/fold{i}/{name}" for i in range(folds)
+                for name in BUNDLE_FILES}
+            stale = sorted(set(before) - written - {"notes.txt", "metrics.kv",
+                                                    "artifacts/fold9x/a.tsv", "artifacts/b.tsv"})
+            assert capsys.readouterr().err.splitlines() == [
+                f"note: {out / name} was not written by this run; an earlier run left it"
+                for name in stale]
+            after = outputs()
+            assert {name: after[name] for name in before if name not in written} == \
+                {name: before[name] for name in before if name not in written}
+            return stale, after
+
+        stale, first = evaluate(5, "--ablation", "--dump-predictions")
+        assert stale == []
+        stale, _ = evaluate(5)
+        assert len(stale) == 4 + 1 + 3 * 5 + 2 * 5
+        assert "ablation_summary.txt" in stale and "artifacts/fold0/tan_ikt1.model" in stale
+        stale, after = evaluate(3)
+        assert "artifacts/fold4/bkt_params.tsv" in stale
+        assert "artifacts/fold2/bkt_params.tsv" not in stale
+        # the five-fold rerun wrote the same bytes as the first run
+        for name in ("artifacts/fold4/bkt_params.tsv", "artifacts/fold4/tan_ikt3.model"):
+            assert after[name] == first[name]
 
     def test_symlinked_predictions_are_written_through(self, bundle, tmp_path):
         schema, fitted, expected = bundle

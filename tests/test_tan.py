@@ -120,6 +120,16 @@ def walk_order_out_of_domain(model, row):
     return tuple(named)
 
 
+def explained_twice(model, rows):
+    """``explain`` of each row, checked against a second pass over the
+    rows in reverse: a record the model keeps is then read again after
+    the rows, out-of-domain ones among them, that followed it at first."""
+    records = [explain(model, row) for row in rows]
+    again = [explain(model, row) for row in reversed(rows)]
+    assert repr(again[::-1]) == repr(records)
+    return records
+
+
 # ---------------------------------------------------------------------------
 
 class TestMdlp:
@@ -387,8 +397,8 @@ class TestPredict:
         model, rows = drawn
         log_odds = _log_odds(model, {f: np.array([r[f] for r in rows])
                                      for f in model.features})
-        for i, row in enumerate(rows):
-            record = explain(model, row)
+        records = explained_twice(model, rows)
+        for i, (row, record) in enumerate(zip(rows, records)):
             assert record.log_odds == log_odds[i]
             assert record.out_of_domain == walk_order_out_of_domain(model, row)
 
@@ -435,8 +445,8 @@ class TestExplain:
     def test_matches_the_oracle_bitwise(self, drawn):
         # the oracle reads the probability tables, not the walk explain reads
         model, rows = drawn
-        for row in rows:
-            got, want = explain(model, row), explain_oracle(model, row)
+        for row, got in zip(rows, explained_twice(model, rows)):
+            want = explain_oracle(model, row)
             # repr tells apart what == does not: -0.0 from 0.0, an int from np.int64
             assert repr(got[1:]) == repr(want[1:])
             assert got.posterior == pytest.approx(want.posterior, abs=1e-15)
@@ -476,6 +486,25 @@ class TestSerialization:
         ev = {"skill": 2, "mastery": 0.8, "profile": 1, "difficulty": 5}
         assert explain(loaded, ev) == explain(model, ev)
         assert np.array_equal(predict_many(loaded, cols), predict_many(model, cols))
+
+    def test_only_explain_builds_the_records(self, tmp_path):
+        # fitting, batch prediction and the model file never read terms
+        rng = np.random.default_rng(17)
+        cols = {"skill": rng.integers(0, 5, 400), "mastery": rng.random(400),
+                "profile": rng.integers(1, 9, 400), "difficulty": rng.integers(0, 11, 400)}
+        labels = (rng.random(400) < 0.3 + 0.5 * cols["mastery"]).astype(int)
+        models = fit_nested_tans(cols, labels, [2, 3, 4])
+        path = tmp_path / "m.model"
+        save_model(models[-1], str(path))
+        models.append(load_model(str(path)))
+        for model in models:
+            predict_many(model, cols)
+            assert "terms" not in vars(model)
+        row = {f: cols[f][0].item() for f in models[-1].features}
+        first, second = explain(models[-1], row), explain(models[-1], row)
+        assert "terms" in vars(models[-1]) and not first.out_of_domain
+        # an in-domain row's records are the model's own, not rebuilt per call
+        assert all(a is b for a, b in zip(first.contributions, second.contributions))
 
     def test_zero_cutpoint_feature_stays_continuous(self, tmp_path):
         rng = np.random.default_rng(16)
