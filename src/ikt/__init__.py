@@ -13,7 +13,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = frozenset({"ability", "bkt", "dataset", "difficulty", "evaluation", "tan"})
+_SUBMODULES = frozenset({"ability", "bkt", "bundle", "dataset", "difficulty", "evaluation", "tan"})
 
 
 def __getattr__(name):

@@ -3,23 +3,7 @@
 ``fit`` writes one bundle, and ``evaluate`` one per fold under
 ``artifacts/foldN``. ``predict`` and ``explain`` read a bundle given as
 ``--model-dir``; ``explain`` takes the skill as an id of that bundle.
-``_write_bundle`` and ``_load_bundle`` own its files; the three tables
-are UTF-8 text, one tab-separated row per line, and a blank line is
-skipped when read:
-
-- ``bkt_params.tsv``: the header ``skill_id l0 t g s``, then one row per
-  skill, its id and its four probabilities to 6 decimals. The row order
-  is the skill coding.
-- ``centroids.tsv``: one row per k-means cluster, its value for each
-  skill, in skill-code order, to 6 decimals; no header, and no row when
-  no cluster was fitted.
-- ``difficulty.tsv``: the line ``# default`` with the level of a problem
-  not listed, then one row per rated problem, its id and its integer
-  level from 0 to 10.
-
-Besides them, a ``tan_<feature set>.model`` per feature set, in the
-layout ``tan.save_model`` describes and ``tan.load_model`` requires, and
-``manifest.kv`` with the bundle format and the configuration.
+``bundle`` owns its files and their format.
 
 ``dataset`` opens every text file: the inputs through ``load_csv`` and
 ``_read_lines``, the outputs, UTF-8 text, through ``_open_output``. Exit
@@ -40,20 +24,17 @@ import traceback
 import numpy as np
 
 from . import __version__, evaluation, tan
-from .ability import ClusterModel
-from .bkt import BktParams
+from .bundle import input_entries, load_bundle, write_bundle, write_manifest
 from .dataset import (CANONICAL_SCHEMA, DataFormatError, SchemaError, load_csv,
                       load_schema, preprocess, render_drop_report, save_canonical,
-                      _open_output, _parse_keyvalue, _probability, _read_lines)
-from .difficulty import DEFAULT_LEVEL, DifficultyTable
-from .evaluation import (FEATURE_SETS, ExperimentConfig, FoldArtifacts,
-                         SingleClassError, evaluate_feature_sets, render_ablation_text)
+                      _open_output, _parse_keyvalue, _write)
+from .evaluation import (FEATURE_SETS, ExperimentConfig, SingleClassError,
+                         evaluate_feature_sets, render_ablation_text)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 _MODEL_DIR_HELP = "bundle directory: fit's --out or evaluate's artifacts/foldN"
-_BUNDLE_FORMAT = "1"
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
@@ -62,7 +43,7 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ExperimentC
 
 
 class InputError(Exception):
-    """User-facing problem: bad input, bad config, bad bundle."""
+    """User-facing problem: bad input, bad config, bad evidence."""
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -106,20 +87,6 @@ def load_config(path: str | None, args=None) -> tuple[ExperimentConfig, bool]:
     return config, ablation
 
 
-def _input_entries(path: str) -> dict:
-    """Manifest lines naming an input file and its sha256."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return {"input.data.path": path, "input.data.sha256": h.hexdigest()}
-
-
-def _write(path: str, text: str) -> None:
-    with _open_output(path) as fh:
-        fh.write(text)
-
-
 def _load_dataset(path: str, schema_path: str | None):
     """Load and clean a log; without a schema it must be canonical csv. An
     id holding a tab or line break is refused: the outputs are TSV lines.
@@ -136,137 +103,6 @@ def _load_dataset(path: str, schema_path: str | None):
         raise InputError(f"{path}: problem id '# default' is the name of difficulty.tsv's "
                          "default line")
     return data
-
-
-def _write_bundle(outdir: str, config: ExperimentConfig, entries: dict,
-                  artifacts: FoldArtifacts | None = None, models: dict | None = None,
-                  paths=()) -> list:
-    """Write a bundle: ``artifacts`` and ``models`` in the files
-    ``_load_bundle`` reads, then ``manifest.kv`` holding the tool version,
-    the bundle format, ``config``, ``entries`` and one ``artifact`` line
-    per file written or given in ``paths``. Returns those files. Without
-    artifacts it writes the manifest alone, as for ``evaluate``'s run
-    directory.
-    """
-    os.makedirs(outdir, exist_ok=True)
-    written = []
-    if artifacts is not None:
-        difficulty = artifacts.difficulty
-        tables = {
-            "bkt_params.tsv": ["skill_id\tl0\tt\tg\ts"] + [
-                f"{skill}\t{p.l0:.6f}\t{p.t:.6f}\t{p.g:.6f}\t{p.s:.6f}"
-                for skill, p in artifacts.params_by_skill.items()],
-            "centroids.tsv": ["\t".join(f"{v:.6f}" for v in row)
-                              for row in artifacts.clusters.centroids],
-            "difficulty.tsv": [f"# default\t{difficulty.default_level}"] + [
-                f"{problem}\t{level}" for problem, level in difficulty.levels.items()],
-        }
-        for name, lines in tables.items():
-            written.append(os.path.join(outdir, name))
-            _write(written[-1], "".join(f"{line}\n" for line in lines))
-    for fs, model in (models or {}).items():
-        written.append(os.path.join(outdir, f"tan_{fs}.model"))
-        tan.save_model(model, written[-1])
-    written.extend(paths)
-    lines = [f"tool_version = {__version__}", f"bundle_format = {_BUNDLE_FORMAT}"]
-    lines += [f"config.{key} = {value}"
-              for key, value in sorted(dataclasses.asdict(config).items())]
-    lines += [f"{key} = {value}" for key, value in entries.items()]
-    lines += [f"artifact = {p}" for p in written]
-    _write(os.path.join(outdir, "manifest.kv"), "\n".join(lines) + "\n")
-    return written
-
-
-def _level(text: str) -> int:
-    level = int(text)
-    if not 0 <= level <= 10:
-        raise ValueError(f"level {text!r} is not from 0 to 10")
-    return level
-
-
-def _read_rows(path: str, parse, width: int | None = None, header: str | None = None,
-               key: str | None = None) -> list:
-    """What ``parse`` returns for each row of the bundle table ``path``,
-    in file order; a row is a non-blank line split on tabs.
-
-    Every row has ``width`` fields, or as many as the first. With
-    ``header`` the first line must start with it and is not a row. With
-    ``key``, the name of what the first field holds, no first field may
-    repeat. A violation, or an error of ``parse``, raises ``ValueError``
-    naming ``path:lineno``.
-    """
-    rows, seen = [], set()
-    lines = enumerate(_read_lines(path), 1)
-    if header is not None and not next(lines, (1, ""))[1].startswith(header):
-        raise ValueError(f"{path}:1: expected a {header!r} header")
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        width = width or len(fields)
-        try:
-            if len(fields) != width:
-                raise ValueError(f"{len(fields)} fields, expected {width}")
-            if key is not None:
-                if fields[0] in seen:
-                    raise ValueError(f"{key} {fields[0]!r} listed twice")
-                seen.add(fields[0])
-            rows.append(parse(*fields))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return rows
-
-
-def _load_bundle(model_dir: str) -> tuple[FoldArtifacts, int, tan.TanModel]:
-    """The artifacts, interval length and classifier of a bundle, as
-    ``_write_bundle`` writes it for ``fit`` and each ``evaluate`` fold.
-
-    The skill vocabulary is the row order of ``bkt_params.tsv``, which
-    every bundle holds in skill-code order; ``interval_len`` and the
-    feature set, which names the model file, come from ``manifest.kv``.
-    A manifest without ``bundle_format`` predates the key: format 1. The
-    model's skill, profile and difficulty domains must fit the tables.
-    """
-    manifest, bkt_path, centroids_path = (os.path.join(model_dir, name) for name in (
-        "manifest.kv", "bkt_params.tsv", "centroids.tsv"))
-    try:
-        entries = _parse_keyvalue(manifest, repeatable=("artifact",))
-        if entries.get("bundle_format", _BUNDLE_FORMAT) != _BUNDLE_FORMAT:
-            raise InputError(f"{manifest}: unknown bundle_format {entries['bundle_format']!r}")
-        feature_set = entries.get("config.feature_set")
-        interval_len = entries.get("config.interval_len", "")
-        if not (feature_set in FEATURE_SETS and interval_len.isdecimal()
-                and int(interval_len) >= 1):
-            raise ValueError(f"{manifest}: needs config.feature_set and a positive "
-                             "config.interval_len")
-        model_path = os.path.join(model_dir, f"tan_{feature_set}.model")
-        model = tan.load_model(model_path)
-        if model.features != FEATURE_SETS[feature_set]:
-            raise ValueError(f"{model_path}: features {' '.join(model.features)}, but "
-                             f"feature set {feature_set} is "
-                             f"{' '.join(FEATURE_SETS[feature_set])}")
-        params = dict(_read_rows(
-            bkt_path, lambda skill, *p: (skill, BktParams(*map(_probability, p))),
-            width=5, header="skill_id", key="skill"))
-        centroids = _read_rows(centroids_path, lambda *row: list(map(_probability, row)))
-        levels = dict(_read_rows(os.path.join(model_dir, "difficulty.tsv"),
-                                 lambda problem, level: (problem, _level(level)),
-                                 width=2, key="problem"))
-    except (SchemaError, DataFormatError, ValueError) as exc:
-        raise InputError(f"malformed artifact: {exc}") from exc
-    if centroids and len(centroids[0]) != len(params):
-        raise InputError(f"{centroids_path}: centroids have dimension {len(centroids[0])}, "
-                         f"but {bkt_path} lists {len(params)} skills")
-    for feature, low, high in (("skill", 0, len(params) - 1),
-                               ("profile", 1, len(centroids) + 1), ("difficulty", 0, 10)):
-        domain = model.domains.get(feature, [low])
-        if not low <= domain[0] <= domain[-1] <= high:
-            raise InputError(f"{model_path}: [domain {feature}] holds {domain[0]}..{domain[-1]}, "
-                             f"outside {low}..{high} of this bundle")
-    default = levels.pop("# default", DEFAULT_LEVEL)
-    return (FoldArtifacts(params_by_skill=params, clusters=ClusterModel(np.array(centroids)),
-                          difficulty=DifficultyTable(levels, default)),
-            int(interval_len), model)
 
 
 def _formatted(values: np.ndarray, fmt, end: str = "\t") -> tuple:
@@ -389,16 +225,14 @@ def cmd_evaluate(args) -> int:
         artifact_paths.append(p)
         sys.stdout.write(render_ablation_text(reports))
 
-    inputs = _input_entries(args.data)
-    manifests = []
+    inputs = input_entries(args.data)
     for output in outputs:
         fold_dir = os.path.join(args.out, "artifacts", f"fold{output.fold_id}")
-        manifests.append(os.path.join(fold_dir, "manifest.kv"))
         train = ",".join(sorted(data.by_student.keys() - output.test_data.by_student))
         fold_entries = {**inputs, "fold": output.fold_id,
                         "train_students.sha256": hashlib.sha256(train.encode()).hexdigest()}
-        artifact_paths.extend(_write_bundle(fold_dir, config, fold_entries,
-                                            output.artifacts, output.models))
+        artifact_paths.extend(write_bundle(fold_dir, config, fold_entries,
+                                           output.artifacts, output.models))
         if args.dump_predictions:
             for fs in feature_sets:
                 p = os.path.join(args.out, f"predictions_{fs}_fold{output.fold_id}.tsv")
@@ -407,11 +241,10 @@ def cmd_evaluate(args) -> int:
                                       output.keep, output.scores[fs])
                 artifact_paths.append(p)
 
-    _write_bundle(args.out, config,
-                  {**inputs, "ablation": ablation,
-                   "fold_digest": reports[feature_sets[0]].fold_digest},
-                  paths=artifact_paths)
-    for path in _stale_outputs(args.out, artifact_paths + manifests):
+    write_manifest(args.out, config, {**inputs, "ablation": ablation,
+                                      "fold_digest": reports[feature_sets[0]].fold_digest},
+                   artifact_paths)
+    for path in _stale_outputs(args.out, artifact_paths):
         sys.stderr.write(f"note: {path} was not written by this run; an earlier run left it\n")
     return EXIT_OK
 
@@ -425,7 +258,7 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     params, = evaluation.skill_params(data, np.ones((len(data.by_student), 1)), config)
     artifacts = evaluation.fit_fold_artifacts(data, config, 0, params)
-    train, = evaluation.build_feature_rows(artifacts, config.interval_len, data)
+    train, = evaluation.build_feature_rows(artifacts, data)
     feats = FEATURE_SETS[config.feature_set]
     model = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
     profile_path = os.path.join(args.out, "profiles.tsv")
@@ -435,17 +268,17 @@ def cmd_fit(args) -> int:
         for row in np.nonzero(train.position % config.interval_len == 0)[0]:
             z = train.position[row] // config.interval_len + 1
             fh.write(f"{students[row_student[row]]}\t{z}\t{train.profile[row]}\n")
-    _write_bundle(args.out, config, _input_entries(args.data), artifacts,
-                  {config.feature_set: model}, paths=[profile_path])
+    write_bundle(args.out, config, input_entries(args.data), artifacts,
+                 {config.feature_set: model}, paths=[profile_path])
     sys.stdout.write(f"fitted artifacts written to {args.out}\n")
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     data = _load_dataset(args.data, args.schema)
-    artifacts, interval_len, model = _load_bundle(args.model_dir)
+    artifacts, model = load_bundle(args.model_dir)
     with _open_output(args.out) as out:
-        table, = evaluation.build_feature_rows(artifacts, interval_len, data)
+        table, = evaluation.build_feature_rows(artifacts, data)
         scores = tan.predict_many(model, table.columns(model.features))
         _dump_predictions(out, data, table, np.ones(len(table), dtype=bool), scores)
     unseen = int((table.skill == len(artifacts.skill_index)).sum())
@@ -459,7 +292,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    artifacts, _, model = _load_bundle(args.model_dir)
+    artifacts, model = load_bundle(args.model_dir)
     codes = artifacts.skill_index
     known = f"(model features: {', '.join(model.features)})"
     evidence: dict = {}

@@ -47,7 +47,7 @@ class SchemaError(Exception):
 
 
 class DataFormatError(Exception):
-    """A cell value cannot be interpreted (e.g. non-binary correctness)."""
+    """An input file's content cannot be interpreted: a log's cell, a bundle's file."""
 
 
 def _parse_keyvalue(path: str, repeatable=()) -> dict[str, str]:
@@ -92,6 +92,11 @@ def _open_output(path: str):
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)
     return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write(path: str, text: str) -> None:
+    with _open_output(path) as fh:
+        fh.write(text)
 
 
 def _undecodable_offset(path: str) -> int:

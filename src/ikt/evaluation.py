@@ -144,12 +144,13 @@ class FoldArtifacts:
 
     The key order of ``params_by_skill`` is the skill coding (id -> code)
     the features were fitted under, kept as ``skill_index``; the centroid
-    columns follow it. ``fallback``, for skills without parameters, is
-    the mean of the fitted ones."""
+    columns follow it. A profile labels an interval of ``interval_len`` attempts.
+    ``fallback``, for skills without parameters, is the mean of the fitted ones."""
 
     params_by_skill: dict
     clusters: ability.ClusterModel
     difficulty: DifficultyTable
+    interval_len: int
     skill_index: dict = field(init=False)
     fallback: bkt.BktParams = field(init=False)
 
@@ -241,7 +242,8 @@ def fit_fold_artifacts(train: Dataset, config: ExperimentConfig, fold_id: int,
         clusters = ability.ClusterModel(centroids=np.zeros((0, train.n_skills)))
 
     return FoldArtifacts(params_by_skill=params, clusters=clusters,
-                         difficulty=build_difficulty_table(train))
+                         difficulty=build_difficulty_table(train),
+                         interval_len=config.interval_len)
 
 
 def _mastery(params: list, data: Dataset) -> np.ndarray:
@@ -288,23 +290,21 @@ def _mastery(params: list, data: Dataset) -> np.ndarray:
     return mastery
 
 
-def _feature_table(artifacts: FoldArtifacts, interval_len: int,
-                   data: Dataset) -> FeatureTable:
+def _feature_table(artifacts: FoldArtifacts, data: Dataset) -> FeatureTable:
     codes = artifacts.skill_index
     unseen = len(codes)
     skill = np.array([codes.get(s, unseen) for s in data.skill_index], dtype=int)[data.skill]
     difficulty = np.array([artifacts.difficulty.lookup(p) for p in data.problem_index],
                           dtype=int)[data.problem]
     profile = ability.profile_labels(skill, data.correct, data.row_counts(),
-                                     artifacts.clusters, unseen, interval_len)
+                                     artifacts.clusters, unseen, artifacts.interval_len)
     params = [artifacts.params_by_skill.get(s, artifacts.fallback) for s in data.skill_index]
     return FeatureTable(skill=skill, mastery=_mastery(params, data), profile=profile,
                         difficulty=difficulty, label=data.correct,
                         position=data.row_position())
 
 
-def build_feature_rows(artifacts: FoldArtifacts, interval_len: int,
-                       *datasets: Dataset) -> tuple[FeatureTable, ...]:
+def build_feature_rows(artifacts: FoldArtifacts, *datasets: Dataset) -> tuple[FeatureTable, ...]:
     """One evidence row per interaction, one table per dataset, in the
     dataset's row order.
 
@@ -317,7 +317,7 @@ def build_feature_rows(artifacts: FoldArtifacts, interval_len: int,
     current-interval label; difficulty comes from the fitted table (5
     when unseen there).
     """
-    return tuple(_feature_table(artifacts, interval_len, data) for data in datasets)
+    return tuple(_feature_table(artifacts, data) for data in datasets)
 
 
 def _warmup_len(config: ExperimentConfig) -> int:
@@ -412,7 +412,7 @@ def _run_fold(data: Dataset, fold_id: int, held_out: np.ndarray, config: Experim
     tested = held_out == fold_id
     train_data, test_data = data.restricted_to(~tested), data.restricted_to(tested)
     artifacts = fit_fold_artifacts(train_data, config, fold_id, params)
-    train, test = build_feature_rows(artifacts, config.interval_len, train_data, test_data)
+    train, test = build_feature_rows(artifacts, train_data, test_data)
     keep = test.position >= _warmup_len(config)
     # the feature sets are nested, so each is a prefix of the largest
     sizes = [len(FEATURE_SETS[fs]) for fs in feature_sets]

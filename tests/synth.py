@@ -17,7 +17,7 @@ import numpy as np
 
 from ikt import tan
 from ikt.ability import ClusterModel
-from ikt.cli import _load_bundle, _write_bundle
+from ikt.bundle import load_bundle, write_bundle
 from ikt.dataset import Dataset
 from ikt.bkt import BktParams
 from ikt.difficulty import DifficultyTable
@@ -185,7 +185,8 @@ def bundle_round_trip(outdir, params, centroids=(), levels=None) -> FoldArtifact
     """
     artifacts = FoldArtifacts(params_by_skill=params,
                               clusters=ClusterModel(np.array(centroids, dtype=float)),
-                              difficulty=DifficultyTable(levels=dict(levels or {})))
-    _write_bundle(str(outdir), ExperimentConfig(), {}, artifacts,
-                  {"ikt3": small_model(len(params), len(centroids))})
-    return _load_bundle(str(outdir))[0]
+                              difficulty=DifficultyTable(levels=dict(levels or {})),
+                              interval_len=20)
+    write_bundle(str(outdir), ExperimentConfig(), {}, artifacts,
+                 {"ikt3": small_model(len(params), len(centroids))})
+    return load_bundle(str(outdir))[0]

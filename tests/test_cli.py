@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from ikt import ability, evaluation, tan
 from ikt.ability import ClusterModel
 from ikt.bkt import BktParams
-from ikt.cli import (InputError, _dump_predictions, _load_bundle, _load_dataset,
-                     _write_bundle, load_config, main)
-from ikt.dataset import Dataset, SchemaError, _open_output, split_folds
+from ikt.bundle import load_bundle, write_bundle
+from ikt.cli import InputError, _dump_predictions, _load_dataset, load_config, main
+from ikt.dataset import DataFormatError, Dataset, SchemaError, _open_output, split_folds
 from ikt.difficulty import DifficultyTable
 from ikt.evaluation import ExperimentConfig, FeatureTable, FoldArtifacts
 
@@ -45,6 +45,11 @@ def workspace(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+def manifest_lines(path):
+    """The (key, value) pairs of a manifest.kv, in file order."""
+    return [tuple(line.split(" = ", 1)) for line in Path(path).read_text().splitlines()]
 
 
 class TestPreprocessCommand:
@@ -551,8 +556,8 @@ class TestInputErrors:
         errors = []
         for ending in ("\n", end):
             (copy / name).write_bytes(faulty.replace("\n", ending).encode())
-            with pytest.raises(InputError) as exc:
-                _load_bundle(str(copy))
+            with pytest.raises(DataFormatError) as exc:
+                load_bundle(str(copy))
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
         assert errors[0].startswith(f"malformed artifact: {copy / name}:{len(lines)}: ")
@@ -622,6 +627,36 @@ class TestEvaluateCommand:
         assert "input.data.sha256" in manifest
         assert (out / "artifacts" / "fold0" / "bkt_params.tsv").exists()
         assert (out / "artifacts" / "fold0" / "tan_ikt3.model").exists()
+
+    def test_run_manifest_names_every_other_file_of_the_run_once(self, workspace):
+        # the fold manifests were once named nowhere
+        tmp, raw, schema = workspace
+        config = tmp / "run.cfg"
+        config.write_text(FAST_CONFIG, encoding="utf-8")
+        out = tmp / "eval"
+        assert run(["evaluate", "--data", raw, "--schema", schema, "--config", str(config),
+                    "--out", str(out), "--ablation", "--dump-predictions"]) == 0
+        named = [os.path.normpath(value) for key, value in manifest_lines(out / "manifest.kv")
+                 if key == "artifact"]
+        assert sorted(named) == sorted(str(p) for p in out.rglob("*")
+                                       if p.is_file() and p != out / "manifest.kv")
+
+    def test_manifest_keys_of_fit_a_fold_and_the_run(self, workspace):
+        tmp, raw, schema = workspace
+        config = tmp / "run.cfg"
+        config.write_text(FAST_CONFIG, encoding="utf-8")
+        options = ["--data", raw, "--schema", schema, "--config", str(config)]
+        assert run(["fit", *options, "--out", str(tmp / "fitted")]) == 0
+        assert run(["evaluate", *options, "--out", str(tmp / "eval")]) == 0
+        common = ["tool_version", "bundle_format", "input.data.path", "input.data.sha256"]
+        fields = [f"config.{f.name}" for f in dataclasses.fields(ExperimentConfig)]
+        for directory, own in (("fitted", []),
+                               ("eval/artifacts/fold0", ["fold", "train_students.sha256"]),
+                               ("eval", ["ablation", "fold_digest"])):
+            lines = manifest_lines(tmp / directory / "manifest.kv")
+            keys = list(dict.fromkeys(key for key, _ in lines))
+            assert [k for k in keys if not k.startswith("config.")] == common + own + ["artifact"]
+            assert sorted(k for k in keys if k.startswith("config.")) == sorted(fields)
 
     def test_skill_seen_only_by_test_students_is_not_in_the_fold(self, tmp_path):
         # one student holds the only attempts on s_private; the fold that
@@ -1058,8 +1093,8 @@ def rows_by_student(rows):
 
 
 class TestBundleTables:
-    """The three tables of a bundle, as ``_write_bundle`` writes them and
-    ``_load_bundle`` reads them."""
+    """The three tables of a bundle, as ``write_bundle`` writes them and
+    ``load_bundle`` reads them."""
 
     def test_round_trip(self, tmp_path):
         model = small_model(2, 0)  # within the tables' domains with and without clusters
@@ -1067,14 +1102,15 @@ class TestBundleTables:
                   "s1": BktParams(0.35, 0.1, 0.25, 0.0500004)}
         centroids = np.array([[0.1234564, 0.5], [0.9, 0.25]])
         artifacts = FoldArtifacts(params_by_skill=params, clusters=ClusterModel(centroids),
-                                  difficulty=DifficultyTable(levels={"p1": 3, "p2": 10}))
+                                  difficulty=DifficultyTable(levels={"p1": 3, "p2": 10}),
+                                  interval_len=20)
         names = ("bkt_params.tsv", "centroids.tsv", "difficulty.tsv")
         tables = []
         for out in (tmp_path / "written", tmp_path / "rewritten"):
-            _write_bundle(str(out), ExperimentConfig(), {}, artifacts, {"ikt3": model})
+            write_bundle(str(out), ExperimentConfig(), {}, artifacts, {"ikt3": model})
             tables.append({n: (out / n).read_bytes() for n in names})
-            artifacts, interval_len, _ = _load_bundle(str(out))
-            assert interval_len == 20
+            artifacts, _ = load_bundle(str(out))
+            assert artifacts.interval_len == 20
             assert list(artifacts.params_by_skill) == ["sk", "s1"]  # row order kept
             for skill, p in params.items():
                 assert np.allclose(dataclasses.astuple(artifacts.params_by_skill[skill]),
@@ -1090,11 +1126,11 @@ class TestBundleTables:
         assert lines["difficulty.tsv"] == ["# default\t5", "p1\t3", "p2\t10"]
         # without clusters (no complete interval) the centroid table is empty
         out = tmp_path / "unclustered"
-        _write_bundle(str(out), ExperimentConfig(), {},
-                      dataclasses.replace(artifacts, clusters=ClusterModel(np.zeros(0))),
-                      {"ikt3": model})
+        write_bundle(str(out), ExperimentConfig(), {},
+                     dataclasses.replace(artifacts, clusters=ClusterModel(np.zeros(0))),
+                     {"ikt3": model})
         assert (out / "centroids.tsv").read_bytes() == b""
-        assert _load_bundle(str(out))[0].clusters.k == 0
+        assert load_bundle(str(out))[0].clusters.k == 0
 
 
     @pytest.mark.parametrize("feature, value", [
@@ -1105,7 +1141,7 @@ class TestBundleTables:
         # unseen-skill code, and other values as whatever they coded there
         schema, fitted, _ = bundle
         copy = copy_bundle(fitted, tmp_path / "copy")
-        artifacts = _load_bundle(str(copy))[0]
+        artifacts = load_bundle(str(copy))[0]
         assert (len(artifacts.skill_index), artifacts.clusters.k) == (3, 7)
         rng = np.random.default_rng(1)
         cols = {"skill": rng.integers(0, 3, 100), "mastery": rng.random(100),
@@ -1330,7 +1366,7 @@ class TestPredictUsesTheBundle:
         got = predict_rows(raw, schema, fitted, tmp_path / "p.tsv")
         assert set(got) == set(expected)
         # without s0 each student starts on s1, at s1's fitted prior
-        l0 = _load_bundle(str(fitted))[0].params_by_skill["s1"].l0
+        l0 = load_bundle(str(fitted))[0].params_by_skill["s1"].l0
         for lines in got.values():
             assert lines[0].split("\t")[2:4] == ["s1", f"{l0:.6f}"]
 
@@ -1340,9 +1376,9 @@ class TestPredictUsesTheBundle:
         write_raw_csv(CLI_ROWS, str(raw))
         data = _load_dataset(str(raw), schema)
         fitted_rows, = evaluation.build_feature_rows(
-            fit_artifacts(data, ExperimentConfig()), 20, data)
-        artifacts, interval_len, _ = _load_bundle(str(fitted))
-        loaded_rows, = evaluation.build_feature_rows(artifacts, interval_len, data)
+            fit_artifacts(data, ExperimentConfig()), data)
+        artifacts, _ = load_bundle(str(fitted))
+        loaded_rows, = evaluation.build_feature_rows(artifacts, data)
         for f in ("skill", "mastery", "profile", "difficulty", "label", "position"):
             assert np.array_equal(getattr(fitted_rows, f), getattr(loaded_rows, f)), f
 

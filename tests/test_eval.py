@@ -100,7 +100,7 @@ def small_data():
 def fold_tables(data, fold_id, held_out, config):
     train_data = data.restricted_to(held_out != fold_id)
     artifacts = fit_artifacts(train_data, config, fold_id)
-    return artifacts, build_feature_rows(artifacts, config.interval_len, train_data,
+    return artifacts, build_feature_rows(artifacts, train_data,
                                          data.restricted_to(held_out == fold_id))
 
 
@@ -177,7 +177,7 @@ class TestFoldPipeline:
         artifacts = fit_artifacts(data, config)
         rows = [("new", f"q{i}", "s_new" if i % 2 else "s0", i % 3 == 0)
                 for i in range(45)]
-        table, = build_feature_rows(artifacts, config.interval_len, to_dataset(rows))
+        table, = build_feature_rows(artifacts, to_dataset(rows))
         unseen = table.skill == len(artifacts.skill_index)
         assert unseen.tolist() == [bool(i % 2) for i in range(45)]
         assert table.mastery[1] == artifacts.fallback.l0
@@ -199,26 +199,26 @@ def artifacts_and_log(draw):
                                        max_size=len(vocabulary)), max_size=3))
     levels = draw(st.dictionaries(st.sampled_from([f"q{i}" for i in range(6)]),
                                   st.integers(0, 10)))
-    artifacts = FoldArtifacts(
-        params_by_skill=params,
-        clusters=ClusterModel(centroids=np.array(centroids).reshape(len(centroids),
-                                                                    len(vocabulary))),
-        difficulty=DifficultyTable(levels=levels))
     attempts = st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers(0, 1))
     students = draw(st.lists(st.lists(attempts, min_size=1, max_size=30),
                              min_size=1, max_size=5))
     rows = [(f"u{u}", f"q{q}", f"k{k}", c)
             for u, log in enumerate(students) for q, k, c in log]
-    return artifacts, draw(st.integers(1, 6)), to_dataset(rows)
+    artifacts = FoldArtifacts(
+        params_by_skill=params,
+        clusters=ClusterModel(centroids=np.array(centroids).reshape(len(centroids),
+                                                                    len(vocabulary))),
+        difficulty=DifficultyTable(levels=levels), interval_len=draw(st.integers(1, 6)))
+    return artifacts, to_dataset(rows)
 
 
 class TestFeatureRowsOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=artifacts_and_log())
     def test_columns_equal_the_per_attempt_replay(self, case):
-        artifacts, interval_len, data = case
-        table, = build_feature_rows(artifacts, interval_len, data)
-        want = feature_rows_oracle(artifacts, interval_len, data)
+        artifacts, data = case
+        table, = build_feature_rows(artifacts, data)
+        want = feature_rows_oracle(artifacts, artifacts.interval_len, data)
         for name, column in want.items():
             assert getattr(table, name).tolist() == column, name
 
@@ -368,7 +368,7 @@ class TestSharedFits:
         for output in outputs:
             train_data = data.restricted_to(split_folds(data, k=config.folds, seed=seed)
                                             != output.fold_id)
-            train, = build_feature_rows(output.artifacts, config.interval_len, train_data)
+            train, = build_feature_rows(output.artifacts, train_data)
             for fs, feats in FEATURE_SETS.items():
                 alone = tan.fit_tan(train.columns(feats), train.label, alpha=config.alpha)
                 assert_same_model(output.models[fs], alone)

@@ -35,14 +35,35 @@ def test_imports_only_the_standard_library_and_numpy(name):
 
 @pytest.mark.parametrize("name", ["__init__"] + MODULES)
 def test_only_the_file_owners_open_files(name):
-    # dataset opens every text file, read or written; cli opens only the
+    # dataset opens every text file, read or written; bundle opens only the
     # input it hashes, in binary. The model layers stay free of file formats
     path = Path(ikt.__file__).with_name(f"{name}.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     opening = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
                if isinstance(node, ast.Call)
                and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
-    assert name == "dataset" or opening <= ({"_input_entries"} if name == "cli" else set())
+    assert name == "dataset" or opening <= ({"input_entries"} if name == "bundle" else set())
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_model_files_are_saved_and_loaded_through_the_tan_module(name):
+    # the benchmark's tracer times save_model and load_model by patching
+    # the attributes of ikt.tan, so a caller that binds them by name, as
+    # ``from .tan import load_model`` does, escapes it
+    path = Path(ikt.__file__).with_name(f"{name}.py")
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            uses.append((node.attr, getattr(node.value, "id", None)))
+        elif isinstance(node, ast.Name):
+            uses.append((node.id, None))
+        elif isinstance(node, (ast.FunctionDef, ast.alias)):
+            uses.append((node.name, None))
+    uses = [(n, owner) for n, owner in uses if n in ("save_model", "load_model")]
+    if name == "bundle":
+        assert sorted(set(uses)) == [("load_model", "tan"), ("save_model", "tan")]
+    else:
+        assert name == "tan" or uses == []
 
 
 def _names_used(*roots):
