@@ -25,15 +25,10 @@ import numpy as np
 __all__ = [
     "BktParams",
     "FitGrid",
-    "NoSkillDataError",
     "fit_skill",
     "fit_all_skills",
     "mean_params",
 ]
-
-
-class NoSkillDataError(Exception):
-    """No non-empty response sequence was supplied for a skill."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,8 @@ def grid_log_likelihoods(sequences, grid: FitGrid, weights=None) -> np.ndarray:
     the unique patterns serves every column; a pattern's weight in a
     column is the sum of its sequences' weights there. Cross-validation
     weighs a student's sequence 1 in each fold that trains on the student
-    and 0 in the fold that tests it.
+    and 0 in the fold that tests it. Without a non-empty sequence every
+    total is 0, the log-likelihood of no responses.
     """
     return _pattern_totals(*_dedup_sequences(sequences, weights), grid)
 
@@ -172,9 +168,6 @@ def _pattern_totals(patterns, weight_matrix: np.ndarray, grid: FitGrid) -> np.nd
     (combination, pattern) block and reduced over the (pattern, column)
     weight matrix W by one matrix product, ``ll @ W``.
     """
-    if not patterns:
-        raise NoSkillDataError("no non-empty response sequences")
-
     l0, tv, gv, sv = grid.l0_values, grid.t_values, grid.g_values, grid.s_values
     shape = (tv.size, gv.size, sv.size)
     n_combo = tv.size * gv.size * sv.size
@@ -268,21 +261,16 @@ def fit_skill(sequences, grid: FitGrid | None = None, weights=None) -> list:
 
 def fit_all_skills(sequences_by_skill: dict, grid: FitGrid | None = None,
                    weights_by_skill: dict | None = None) -> dict:
-    """Each skill's ``fit_skill`` list, one fit per weight column, for
-    every skill that has data; skills without data are omitted.
+    """Each skill's ``fit_skill`` list, one fit per weight column, None
+    where the column weighs none of the skill's non-empty sequences.
 
     ``weights_by_skill`` gives each skill's weights; without it every
     skill is fitted once, each of its sequences weighing 1.
     """
     grid = grid or FitGrid()
-    fitted = {}
-    for skill, seqs in sequences_by_skill.items():
-        weights = None if weights_by_skill is None else weights_by_skill[skill]
-        try:
-            fitted[skill] = fit_skill(seqs, grid, weights)
-        except NoSkillDataError:
-            continue
-    return fitted
+    return {skill: fit_skill(seqs, grid, None if weights_by_skill is None
+                             else weights_by_skill[skill])
+            for skill, seqs in sequences_by_skill.items()}
 
 
 def mean_params(params_list) -> BktParams:

@@ -49,8 +49,8 @@ import numpy as np
 from . import __version__, tan
 from .ability import ClusterModel
 from .bkt import BktParams
-from .dataset import (DataFormatError, SchemaError, _parse_keyvalue, _probability,
-                      _read_lines, _write)
+from .dataset import (DataFormatError, _parse_keyvalue, _probability, _read_lines,
+                      _write)
 from .difficulty import DEFAULT_LEVEL, DifficultyTable
 from .evaluation import FEATURE_SETS, ExperimentConfig, FoldArtifacts
 
@@ -163,7 +163,7 @@ def load_bundle(model_dir: str) -> tuple[FoldArtifacts, tan.TanModel]:
         "manifest.kv", "bkt_params.tsv", "centroids.tsv"))
     try:
         entries = _parse_keyvalue(manifest, repeatable=("artifact",))
-    except (SchemaError, DataFormatError) as exc:
+    except DataFormatError as exc:
         raise DataFormatError(f"malformed artifact: {exc}") from exc
     if entries.get("bundle_format", _BUNDLE_FORMAT) != _BUNDLE_FORMAT:
         raise DataFormatError(f"{manifest}: unknown bundle_format {entries['bundle_format']!r}")

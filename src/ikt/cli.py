@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__, evaluation, tan
 from .bundle import input_entries, load_bundle, write_bundle, write_manifest
-from .dataset import (CANONICAL_SCHEMA, DataFormatError, SchemaError, load_csv,
-                      load_schema, preprocess, render_drop_report, save_canonical,
-                      _open_output, _parse_keyvalue, _write)
+from .dataset import (CANONICAL_SCHEMA, DataFormatError, load_csv, load_schema,
+                      preprocess, render_drop_report, save_canonical, _open_output,
+                      _parse_keyvalue, _write)
 from .evaluation import (FEATURE_SETS, ExperimentConfig, SingleClassError,
                          evaluate_feature_sets, render_ablation_text)
 
@@ -296,7 +296,7 @@ def cmd_explain(args) -> int:
     codes = artifacts.skill_index
     known = f"(model features: {', '.join(model.features)})"
     evidence: dict = {}
-    given: dict = {}  # the skill as given, printed in place of its code
+    given: dict = {}  # the skill and mastery as given, printed in place of code and bin
     for pair in args.evidence:
         if "=" not in pair:
             raise InputError(f"evidence must be name=value, got {pair!r}")
@@ -312,6 +312,8 @@ def cmd_explain(args) -> int:
             evidence[name] = codes.get(given[name], len(codes))
             continue
         kind = float if name in model.discretizer.cutpoints else int
+        if kind is float:
+            given[name] = raw.strip()
         try:
             evidence[name] = kind(raw)
         except ValueError:
@@ -402,7 +404,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SchemaError, DataFormatError, OSError) as exc:
+    except (InputError, DataFormatError, OSError) as exc:
         # an OSError is a path the user gave that cannot be read or written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "SchemaError",
     "DataFormatError",
     "ColumnSchema",
     "Dataset",
@@ -42,12 +41,9 @@ _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
-class SchemaError(Exception):
-    """Schema file is unusable or names a column the file does not have."""
-
-
 class DataFormatError(Exception):
-    """An input file's content cannot be interpreted: a log's cell, a bundle's file."""
+    """An input file's content cannot be interpreted: a schema, config or
+    manifest line, a log's header or cell, a bundle's file."""
 
 
 def _parse_keyvalue(path: str, repeatable=()) -> dict[str, str]:
@@ -60,10 +56,10 @@ def _parse_keyvalue(path: str, repeatable=()) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise DataFormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in out and key not in repeatable:
-            raise SchemaError(f"{path}:{lineno}: {key} is given more than once")
+            raise DataFormatError(f"{path}:{lineno}: {key} is given more than once")
         out[key] = value
     return out
 
@@ -97,20 +93,6 @@ def _open_output(path: str):
 def _write(path: str, text: str) -> None:
     with _open_output(path) as fh:
         fh.write(text)
-
-
-def _undecodable_offset(path: str) -> int:
-    """File offset of the first byte that is not valid UTF-8.
-
-    Text-mode reads report offsets within the decoder's current buffer,
-    so the file is decoded again as a whole; this runs only on failure.
-    """
-    with open(path, "rb") as fh:
-        try:
-            fh.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return exc.start
-    raise AssertionError(f"{path} decodes as UTF-8")
 
 
 def _probability(text: str) -> float:
@@ -153,16 +135,16 @@ def load_schema(path: str) -> ColumnSchema:
     kv = _parse_keyvalue(path)
     missing = [k for k in ("student", "problem", "skill", "correct") if k not in kv]
     if missing:
-        raise SchemaError(f"{path}: missing required schema keys: {', '.join(missing)}")
+        raise DataFormatError(f"{path}: missing required schema keys: {', '.join(missing)}")
     delim = kv.get("delimiter", ",")
     if delim.lower() in ("tab", "\\t"):
         delim = "\t"
     if len(delim) != 1:  # csv.reader takes one character; '#' starts a comment
-        raise SchemaError(f"{path}: delimiter must be one character or tab, got {delim!r}")
+        raise DataFormatError(f"{path}: delimiter must be one character or tab, got {delim!r}")
     for given, needed in (("scaffold_column", "scaffold_keep"),
                           ("scaffold_keep", "scaffold_column")):
         if given in kv and needed not in kv:
-            raise SchemaError(f"{path}: {given} is set but {needed} is missing")
+            raise DataFormatError(f"{path}: {given} is set but {needed} is missing")
     return ColumnSchema(
         student=kv["student"],
         problem=kv["problem"],
@@ -436,8 +418,8 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
             position = {name: i for i, name in enumerate(header)}
             missing = [c for c in needed if c not in position]
             if missing:
-                raise SchemaError(f"{path}: mapped column(s) not in header: "
-                                  f"{', '.join(missing)}")
+                raise DataFormatError(f"{path}: mapped column(s) not in header: "
+                                      f"{', '.join(missing)}")
             at = [position[c] for c in (schema.student, schema.skill, schema.problem,
                                         schema.correct)]
             at.append(position[schema.scaffold_column] if keep_flag is not None else None)
@@ -446,10 +428,11 @@ def load_csv(path: str, schema: ColumnSchema) -> Dataset:
     except (UnicodeDecodeError, csv.Error) as exc:
         # a bad correctness cell read before the failure is reported first
         _kept_rows(columns, coders, keep_flag, schema.order, Counter())
-        if isinstance(exc, csv.Error):
-            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        raise DataFormatError(f"{path}: byte {_undecodable_offset(path)} is not "
-                              "valid UTF-8") from None
+        if isinstance(exc, UnicodeDecodeError):
+            # a text-mode read reports offsets within its buffer; this raises
+            # naming the byte's offset in the file
+            _read_lines(path)
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
     # each list is freed once converted, and the order cells before the sort
     for i, cells in enumerate(columns):

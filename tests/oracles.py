@@ -22,7 +22,7 @@ from collections import Counter
 
 import numpy as np
 
-from ikt.dataset import DataFormatError, Dataset, SchemaError, _undecodable_offset
+from ikt.dataset import DataFormatError, Dataset
 from ikt.tan import (Discretizer, ExplanationRecord, NodeContribution, TanModel,
                      TanStructure)
 
@@ -177,8 +177,8 @@ def load_csv_oracle(path, schema):
             position = {name: i for i, name in enumerate(header)}
             missing = [c for c in needed if c not in position]
             if missing:
-                raise SchemaError(f"{path}: mapped column(s) not in header: "
-                                  f"{', '.join(missing)}")
+                raise DataFormatError(f"{path}: mapped column(s) not in header: "
+                                      f"{', '.join(missing)}")
             at = [position[c] for c in (schema.student, schema.skill, schema.problem,
                                         schema.correct)]
             at += [position[schema.order]] if schema.order else []
@@ -198,7 +198,11 @@ def load_csv_oracle(path, schema):
                              cells[2], correct, cells[4] if schema.order else None,
                              row_idx))
     except UnicodeDecodeError:
-        raise DataFormatError(f"{path}: byte {_undecodable_offset(path)} is not "
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8", "surrogateescape")
+        # a byte that is not UTF-8 decodes to a lone surrogate, which valid UTF-8 never does
+        bad = next(i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff")
+        raise DataFormatError(f"{path}: byte {len(text[:bad].encode())} is not "
                               "valid UTF-8") from None
     except csv.Error as exc:
         raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ikt.bkt import (BktParams, FitGrid, NoSkillDataError, _segment_len, fit_all_skills,
-                     fit_skill, grid_log_likelihoods, mean_params)
+from ikt.bkt import (BktParams, FitGrid, _segment_len, fit_all_skills, fit_skill,
+                     grid_log_likelihoods, mean_params)
 
 from oracles import MasteryTracker, forward_oracle, simulate_bkt
 from synth import bundle_round_trip, mastery_process_rows
@@ -126,14 +126,14 @@ class TestTrace:
             tr = trace(p, rng.integers(0, 2, 30))
             assert np.all(tr >= 0.0) and np.all(tr <= 1.0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(NoSkillDataError):
-            grid_log_likelihoods([], FitGrid())
-        with pytest.raises(NoSkillDataError):
-            grid_log_likelihoods([[]], FitGrid())
-
 
 class TestSequenceLogLikelihood:
+    def test_no_responses_give_zero_totals(self):
+        # the log-likelihood of no responses, at every grid point
+        for seqs in ([], [[]]):
+            total = grid_log_likelihoods(seqs, FitGrid())
+            assert total.shape == (19, 19, 6, 6, 1) and not total.any()
+
     def test_single_emission(self):
         # l0 = 0.5, g = 0.2, s = 0.1; t does not act on a single response
         total = grid_log_likelihoods([[1]], FitGrid())[..., 0]
@@ -295,10 +295,10 @@ class TestFitSkill:
                           "s2": [BktParams(l0=0.4, t=0.1, g=0.15, s=0.05)]}
 
     def test_no_data(self):
-        with pytest.raises(NoSkillDataError):
-            fit_skill([])
-        with pytest.raises(NoSkillDataError):
-            fit_skill([[], []])
+        # a column that weighs no non-empty sequence has no fit
+        assert fit_skill([]) == [None]
+        assert fit_skill([[], []]) == [None]
+        assert fit_skill([[], []], FitGrid(), np.ones((2, 3))) == [None] * 3
 
 
 class TestWeightedColumns:
@@ -345,9 +345,10 @@ class TestWeightedColumns:
         weights = {"a": np.array([[1.0, 0.0], [1.0, 1.0]]), "b": np.array([[0.0, 1.0]]),
                    "c": np.ones((1, 2))}
         fitted = fit_all_skills(seqs, FitGrid(), weights)
-        assert list(fitted) == ["a", "b"]
+        assert list(fitted) == ["a", "b", "c"]
         assert fitted["a"] == fit_skill([[1, 0, 1], [0, 0]]) + fit_skill([[0, 0]])
         assert fitted["b"] == [None] + fit_skill([[1, 1]])
+        assert fitted["c"] == [None, None]
 
 
 class TestParamsTable:

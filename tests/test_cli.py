@@ -15,7 +15,7 @@ from ikt.ability import ClusterModel
 from ikt.bkt import BktParams
 from ikt.bundle import load_bundle, write_bundle
 from ikt.cli import InputError, _dump_predictions, _load_dataset, load_config, main
-from ikt.dataset import DataFormatError, Dataset, SchemaError, _open_output, split_folds
+from ikt.dataset import DataFormatError, Dataset, _open_output, split_folds
 from ikt.difficulty import DifficultyTable
 from ikt.evaluation import ExperimentConfig, FeatureTable, FoldArtifacts
 
@@ -746,7 +746,7 @@ class TestEvaluateCommand:
                              .encode())
             configs.append(load_config(str(path)))
             path.write_bytes(f"seed = 1{ending}folds = 3{ending}seed = 2{ending}".encode())
-            with pytest.raises(SchemaError) as exc:
+            with pytest.raises(DataFormatError) as exc:
                 load_config(str(path))
             errors.append(str(exc.value))
         assert configs[0] == configs[1] == (ExperimentConfig(seed=3, folds=4), False)
@@ -1040,7 +1040,8 @@ class TestFitPredictExplain:
     def test_explain_skill_id_reads_its_code(self, bundle, capsys):
         # recorded with the former `explain --model tan_ikt3.model skill=1 ...`
         # on this bundle, whose bkt_params.tsv lists s1 second (code 1); the
-        # lines print the skill by its id, where they once printed the code
+        # lines print the skill by its id and mastery as given, where they
+        # once printed the code and the bin (mastery=0)
         _, fitted, _ = bundle
         assert run(["explain", "--model-dir", str(fitted), "skill=s1",
                     "mastery=0.4", "profile=1", "difficulty=5"]) == 0
@@ -1048,10 +1049,31 @@ class TestFitPredictExplain:
             "posterior P(correct) = 0.481073\n"
             "prior log-odds       = +0.057524\n"
             "  skill=s1 (class only): -0.193381\n"
-            "  mastery=0 (profile=1): -0.206581\n"
+            "  mastery=0.4 (profile=1): -0.206581\n"
             "  profile=1 (difficulty=5): +0.025533\n"
             "  difficulty=5 (skill=s1): +0.241162\n"
             "sum of contributions = -0.075743 (posterior log-odds -0.075743)\n")
+
+    def test_explain_prints_a_mastery_parent_as_given(self, bundle, tmp_path, capsys):
+        # a hand-built tree under mastery, with uniform tables: every node's
+        # parent text shows the mastery given, stripped, not its bin
+        _, fitted, _ = bundle
+        copy = copy_bundle(fitted, tmp_path / "copy")
+        fitted_model = load_bundle(str(copy))[1]
+        domains = fitted_model.domains
+        parent = {f: None if f == "mastery" else "mastery" for f in fitted_model.features}
+        cpts = {f: np.full((len(domains[f]), len(domains[p]) if p else 1, 2),
+                           1 / len(domains[f])) for f, p in parent.items()}
+        tan.save_model(tan.TanModel(tan.TanStructure(fitted_model.features, parent), domains,
+                                    fitted_model.class_prior, cpts, fitted_model.discretizer),
+                       str(copy / "tan_ikt3.model"))
+        assert run(["explain", "--model-dir", str(copy), "skill=s1", "mastery= 0.40 ",
+                    "profile=1", "difficulty=5"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:6] == [
+            "  skill=s1 (mastery=0.40): +0.000000",
+            "  mastery=0.40 (class only): +0.000000",
+            "  profile=1 (mastery=0.40): +0.000000",
+            "  difficulty=5 (mastery=0.40): +0.000000"]
 
 
 def predict_rows(raw, schema, fitted, out):

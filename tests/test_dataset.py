@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ikt.dataset import (CANONICAL_SCHEMA, ColumnSchema, DataFormatError,
-                         SchemaError, _read_lines, _recode, _undecodable_offset, load_csv,
-                         load_schema, preprocess, save_canonical, split_folds)
+from ikt.dataset import (CANONICAL_SCHEMA, ColumnSchema, DataFormatError, _read_lines,
+                         _recode, load_csv, load_schema, preprocess, save_canonical,
+                         split_folds)
 
 from oracles import load_csv_oracle, preprocess_oracle
 from synth import mastery_process_rows, records, to_dataset
@@ -45,7 +45,7 @@ class TestLoadCsv:
 
     def test_missing_mapped_column(self, tmp_path):
         path = write(tmp_path, "user,item,outcome\na,p1,1\n")
-        with pytest.raises(SchemaError, match="kc"):
+        with pytest.raises(DataFormatError, match="kc"):
             load_csv(path, SCHEMA)
 
     def test_missing_file(self):
@@ -53,16 +53,14 @@ class TestLoadCsv:
             load_csv("/nonexistent/file.csv", SCHEMA)
 
     def test_undecodable_byte_rejected(self, tmp_path):
+        # the offset counts from the file's start, a byte-order mark included
         path = tmp_path / "data.csv"
-        path.write_bytes(b"user,item,kc,outcome\na,p1,s1,1\nb,p\xe91,s1,0\n")
-        with pytest.raises(DataFormatError, match=r"data\.csv: byte 34 is not valid UTF-8"):
-            load_csv(str(path), SCHEMA)
-
-    def test_undecodable_offset_of_a_decodable_file_raises(self, tmp_path):
-        # it is called only after a decode failed; it never invents an offset
-        path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,1\n")
-        with pytest.raises(AssertionError, match="decodes as UTF-8"):
-            _undecodable_offset(path)
+        for mark, offset in ((b"", 34), (b"\xef\xbb\xbf", 37)):
+            path.write_bytes(mark + b"user,item,kc,outcome\na,p1,s1,1\nb,p\xe91,s1,0\n")
+            for loader in (load_csv, load_csv_oracle):
+                with pytest.raises(DataFormatError,
+                                   match=rf"data\.csv: byte {offset} is not valid UTF-8"):
+                    loader(str(path), SCHEMA)
 
     def test_unparseable_correctness(self, tmp_path):
         path = write(tmp_path, "user,item,kc,outcome\na,p1,s1,maybe\n")
@@ -380,7 +378,7 @@ class TestSchemaFile:
 
     def test_missing_keys(self, tmp_path):
         path = write(tmp_path, "student = user\n", name="schema.cfg")
-        with pytest.raises(SchemaError, match="problem"):
+        with pytest.raises(DataFormatError, match="problem"):
             load_schema(path)
 
     @pytest.mark.parametrize("header", ["user,item#a,kc,outcome", "user,item,item#a,kc,outcome"],
