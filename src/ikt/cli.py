@@ -105,6 +105,14 @@ def _load_dataset(path: str, schema_path: str | None):
     return data
 
 
+def _note_drops(data) -> None:
+    """One stderr line tallying the rows loading and cleaning dropped, by
+    ``render_drop_report``'s reasons; none when no row was dropped."""
+    if data.drops:
+        reasons = ", ".join(f"{data.drops[r]} {r}" for r in sorted(data.drops))
+        sys.stderr.write(f"note: {sum(data.drops.values())} rows dropped ({reasons})\n")
+
+
 def _formatted(values: np.ndarray, fmt, end: str = "\t") -> tuple:
     """Each distinct value of a column formatted once, followed by
     ``end``, and each entry's index into those strings.
@@ -196,6 +204,7 @@ def cmd_evaluate(args) -> int:
     if len(data.by_student) < config.folds:
         raise InputError(f"{args.data}: need at least {config.folds} students for "
                          f"{config.folds} folds, have {len(data.by_student)}")
+    _note_drops(data)
     feature_sets = list(FEATURE_SETS) if ablation else [config.feature_set]
     made = []  # the directories makedirs creates, leaf first
     path = os.path.abspath(args.out)
@@ -254,6 +263,7 @@ def cmd_fit(args) -> int:
     data = _load_dataset(args.data, args.schema)
     if data.n_records == 0:
         raise InputError(f"{args.data}: no usable records")
+    _note_drops(data)
 
     os.makedirs(args.out, exist_ok=True)
     params, = evaluation.skill_params(data, np.ones((len(data.by_student), 1)), config)
@@ -276,6 +286,7 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     data = _load_dataset(args.data, args.schema)
+    _note_drops(data)
     artifacts, model = load_bundle(args.model_dir)
     with _open_output(args.out) as out:
         table, = evaluation.build_feature_rows(artifacts, data)

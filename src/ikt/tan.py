@@ -10,19 +10,21 @@ Laplace-smoothed.
 
 Scalar and batch inference read one table: a fitted model holds, per
 node, log P(value | parent value, correct) - log P(value | parent value,
-incorrect), padded with a last row and column of zeros that a value
-outside the domain, coded -1 in both paths, reads: the uniform fallback.
-Both take their nodes from the model's walk, built with it:
-``predict_many`` gathers whole columns, and ``explain`` looks up each
-node's entry as a ``NodeContribution`` in ``terms``, built on its first
-call, giving a node outside the domain the pad's 0.0. Both add the same
-terms in the same order, so explain's contributions are the batch's terms.
+incorrect), padded with a last row and column of zeros, the uniform
+fallback for a value outside the domain. Both take their nodes from the
+model's walk, in feature order, which need not put a parent before its
+child: ``predict_many`` codes whole columns (-1 outside the domain) and
+then gathers, and ``explain`` walks the nodes once, each binning or
+casting its own evidence and its parent's and reading the pair's
+``NodeContribution`` from ``terms``, built on its first call, or taking
+the pad's 0.0 outside the domain. Both add the same terms in the same
+order, so explain's contributions are the batch's terms.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -267,9 +269,9 @@ class TanModel:
     ``log_ratio[f][v, p]`` is node f's log-likelihood ratio for domain
     index v under parent domain index p, and 0 at the pad index -1 of an
     out-of-domain v or p; ``prior_log_odds`` is the class term. ``walk``
-    holds one ``(feature, parent, parent position in walk or None, a dict
-    from each value of f's domain to its index, cutpoints or None)`` entry
-    per node, in feature order; ``terms`` is built from it on first use.
+    holds one ``(feature, parent, parent position in walk or None)`` entry
+    per node, in feature order, which may put a parent after its child;
+    ``terms`` is built from it on first use.
     """
 
     structure: TanStructure
@@ -285,11 +287,10 @@ class TanModel:
     def __post_init__(self):
         self.log_ratio = {f: np.pad(np.log(cpt[..., 1]) - np.log(cpt[..., 0]), (0, 1))
                           for f, cpt in self.cpts.items()}
-        codes = {f: {int(v): i for i, v in enumerate(dom)} for f, dom in self.domains.items()}
         p0, p1 = (float(p) for p in self.class_prior)
         self.prior_log_odds = math.log(p1) - math.log(p0)
         position = {f: i for i, f in enumerate(self.features)}
-        self.walk = tuple((f, p, position.get(p), codes[f], self.discretizer.cutpoints.get(f))
+        self.walk = tuple((f, p, position.get(p))
                           for f in self.features for p in (self.structure.parent[f],))
 
     @property
@@ -298,14 +299,18 @@ class TanModel:
 
     @cached_property
     def terms(self) -> tuple:
-        """``terms[i][v][p]``: walk node i's ``NodeContribution`` at domain
-        index v under parent index p (0 at a root); only ``explain`` reads it."""
-        values = {f: list(index) for f, _, _, index, _ in self.walk}
+        """Per walk node, ``(feature, parent, cutpoints or None, parent's
+        cutpoints or None, table)``, where ``table[value][parent value]``
+        is the node's ``NodeContribution`` at a value of its domain under
+        one of its parent's (None at a root); only ``explain`` reads it."""
+        values = {f: [int(v) for v in dom] for f, dom in self.domains.items()}
+        cuts = self.discretizer.cutpoints
         return tuple(
-            tuple(tuple(NodeContribution(f, value, pvalue, ratio)
-                        for pvalue, ratio in zip(values[p] if p is not None else (None,), row))
-                  for value, row in zip(values[f], self.log_ratio[f][:-1, :-1].tolist()))
-            for f, p, *_ in self.walk)
+            (f, p, cuts.get(f), cuts.get(p),
+             {value: {pvalue: NodeContribution(f, value, pvalue, ratio)
+                      for pvalue, ratio in zip(values[p] if p is not None else (None,), row)}
+              for value, row in zip(values[f], self.log_ratio[f][:-1, :-1].tolist())})
+            for f, p, _ in self.walk)
 
 
 def estimate_cpts(coded: dict, labels, structure: TanStructure,
@@ -403,23 +408,22 @@ def explain(model: TanModel, evidence: dict) -> ExplanationRecord:
     domain contributes 0 (the uniform fallback); ``out_of_domain`` names
     each such feature once, in the order the nodes are walked.
     """
-    values, codes = [], []
-    for f, _, _, index, cuts in model.walk:
-        value = bisect.bisect_right(cuts, evidence[f]) if cuts is not None else int(evidence[f])
-        values.append(value)
-        codes.append(index.get(value, -1))
     contributions = []
     out_of_domain: list = []
     log_odds = model.prior_log_odds
-    for (f, p_feat, at, _, _), table, value, code in zip(model.walk, model.terms, values, codes):
-        pcode = codes[at] if at is not None else 0
-        if code < 0 or pcode < 0:
-            bad = f if code < 0 else p_feat
+    for f, p, cuts, pcuts, table in model.terms:
+        value = bisect_right(cuts, evidence[f]) if cuts is not None else int(evidence[f])
+        if p is None:
+            pvalue = None
+        else:
+            pvalue = bisect_right(pcuts, evidence[p]) if pcuts is not None else int(evidence[p])
+        try:
+            term = table[value][pvalue]
+        except KeyError:  # the value, or the parent's, is outside the domain
+            bad = f if value not in table else p
             if bad not in out_of_domain:
                 out_of_domain.append(bad)
-            term = NodeContribution(f, value, values[at] if at is not None else None, 0.0)
-        else:
-            term = table[code][pcode]
+            term = NodeContribution(f, value, pvalue, 0.0)
         contributions.append(term)
         log_odds += term.log_ratio
     return ExplanationRecord(_sigmoid(log_odds), model.prior_log_odds, log_odds,
@@ -436,7 +440,7 @@ def _log_odds(model: TanModel, columns: dict) -> np.ndarray:
         codes.append(np.where(dom[at] == values, at, -1))
 
     log_odds = np.full(len(values), model.prior_log_odds)
-    for (f, _, at, *_), code in zip(model.walk, codes):
+    for (f, _, at), code in zip(model.walk, codes):
         log_odds += model.log_ratio[f][code, codes[at] if at is not None else 0]
     return log_odds
 
@@ -469,8 +473,8 @@ def save_model(model: TanModel, path: str) -> None:
     - for each continuous feature f, ``[cutpoints f]`` and a line of its
       cutpoints, or no line when it has none;
     - for each feature f, ``[domain f]`` and a line of its values;
-    - ``[tree]`` and one ``f parent`` line per feature, ``-`` for the
-      root;
+    - ``[tree]`` and one ``f parent`` line per feature, ``-`` for a
+      root; the parent links lead from every feature to a root;
     - for each feature f, ``[cpt f]`` and one ``vi pi p0 p1`` row per
       cell of its d x p table: the probabilities of f's vi-th domain
       value given its parent's pi-th, under an incorrect and a correct
@@ -481,9 +485,9 @@ def save_model(model: TanModel, path: str) -> None:
     Values on a line are separated by one space; cutpoints and domains
     are strictly increasing. ``load_model`` takes the sections in any
     order and skips blank lines, but refuses a section with more or
-    fewer lines than this, CPT rows out of this order, a header key
-    missing, repeated or unknown, and a class prior or CPT column that
-    is not probabilities in (0, 1] summing to 1.
+    fewer lines than this, CPT rows out of this order, parent links
+    that cycle, a header key missing, repeated or unknown, and a class
+    prior or CPT column that is not probabilities in (0, 1] summing to 1.
     """
     lines = [_MAGIC,
              f"alpha = {float(model.alpha)!r}",
@@ -615,13 +619,21 @@ def load_model(path: str) -> TanModel:
     parent = dict(rows("tree", _tree_entry, (len(features),)))
     domains = {f: rows(f"domain {f}", lambda line: _increasing(line, int), (1,))[0]
                for f in features}
-    cutpoints, cpts = {}, {}
     for f in features:
         if f not in parent:
             raise ValueError(f"{path}: [tree] has no entry for {f!r}")
         if parent[f] is not None and (parent[f] == f or parent[f] not in features):
             raise ValueError(f"{path}: [tree] parent {parent[f]!r} of {f!r} is not "
                              "another listed feature")
+    for f in features:  # each reaches a root; a forest has more than one
+        chain = [f]
+        while (up := parent[chain[-1]]) is not None:
+            if up in chain:
+                raise ValueError(f"{path}: [tree] {f!r} reaches no root: its parent links "
+                                 f"cycle through {' '.join(chain[chain.index(up):])}")
+            chain.append(up)
+    cutpoints, cpts = {}, {}
+    for f in features:
         if f"cutpoints {f}" in sections:  # zero cutpoints still mean continuous
             cuts = rows(f"cutpoints {f}", lambda line: _increasing(line, float), (0, 1))
             cutpoints[f] = tuple(cuts[0].tolist()) if cuts else ()

@@ -489,12 +489,16 @@ def explain_oracle(model, evidence):
 
 
 def random_tan_model(rng, n_features=4, max_domain=6):
-    """Random small classifier with a random evidence tree."""
+    """Random small classifier with a random evidence tree rooted at the
+    first feature. The tree joins the other features in a random order,
+    each to one joined before it, so any tree rooted there can be drawn,
+    and a parent may come after its child, as in a fitted model."""
     feats = tuple(f"f{i}" for i in range(n_features))
     sizes = [int(rng.integers(2, max_domain + 1)) for _ in feats]
+    joined = (feats[0],) + tuple(feats[1 + i] for i in rng.permutation(n_features - 1))
     parent = {feats[0]: None}
     for j in range(1, n_features):
-        parent[feats[j]] = feats[int(rng.integers(0, j))]
+        parent[joined[j]] = joined[int(rng.integers(0, j))]
     cpts = {}
     for i, f in enumerate(feats):
         psize = sizes[feats.index(parent[f])] if parent[f] is not None else 1

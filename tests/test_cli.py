@@ -396,6 +396,10 @@ class TestInputErrors:
          "tan_ikt3.model:{cut_row}: [cutpoints mastery] is not strictly increasing and finite"),
         (lambda text: re.sub(r"\nmastery \S+\n", "\nmastery foo\n", text),
          "tan_ikt3.model: [tree] parent 'foo' of 'mastery' is not another listed feature"),
+        # the fitted tree leads mastery, profile and difficulty to skill
+        (lambda text: text.replace("\nskill -\n", "\nskill mastery\n"),
+         "tan_ikt3.model: [tree] 'skill' reaches no root: its parent links cycle through "
+         "skill mastery profile difficulty"),
         (lambda text: re.sub(r"(\[cpt skill\]\n\S+ \S+) \S+", r"\1 -0.5", text),
          "tan_ikt3.model:{cpt_row}: [cpt skill] '-0.5' is not a probability in [0, 1]"),
         (lambda text: re.sub(r"class_prior = \S+", "class_prior = nan", text),
@@ -435,7 +439,7 @@ class TestInputErrors:
          "tan_ikt3.model:2: 'alpha 1.0' is not an alpha, class_prior or features line"),
     ], ids=["no_class_prior", "cpt_index_outside_domain", "class_prior_not_numeric",
             "cpt_row_with_three_fields", "domain_out_of_order", "cutpoints_out_of_order",
-            "cutpoint_nan", "tree_parent_not_a_feature",
+            "cutpoint_nan", "tree_parent_not_a_feature", "tree_parent_links_cycle",
             "cpt_probability_negative", "class_prior_nan", "features_not_the_feature_set",
             "cpt_cell_missing", "cpt_cell_repeated", "cpt_rows_out_of_order",
             "domain_section_repeated", "class_prior_zero", "cpt_column_zero",
@@ -605,6 +609,60 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "internal error: broken layer" in err
         assert "Traceback" in err and "in broken" in err
+
+
+def lossy_log(raw, path):
+    """``raw`` plus six rows that loading and cleaning drop: a duplicate
+    of its first row, two later attempts at that row's problem and three
+    rows with a blank cell."""
+    text = Path(raw).read_text(encoding="utf-8")
+    first = text.splitlines(True)[1]
+    student, problem, skill, correct, _ = first.rstrip("\n").split(",")
+    extra = [first, f"{student},{problem},{skill},{correct},100000\n",
+             f"{student},{problem},{skill},{correct},100001\n",
+             f"{student},,{skill},1,100002\n", f"{student},{problem},,1,100003\n",
+             f"{student},{problem},{skill},,100004\n"]
+    path.write_text(text + "".join(extra), encoding="utf-8")
+    return str(path)
+
+
+class TestDropNote:
+    """evaluate, fit and predict name on stderr the rows their log lost."""
+
+    NOTE = ("note: 6 rows dropped (1 duplicate row, 1 missing correctness, "
+            "1 missing problem, 1 missing skill, 2 repeat attempt)\n")
+
+    @staticmethod
+    def argv(command, tmp, data, schema, fitted):
+        tmp.mkdir(exist_ok=True)
+        if command == "predict":
+            return ["predict", "--data", data, "--schema", schema, "--model-dir", str(fitted),
+                    "--out", str(tmp / "p.tsv")]
+        config = tmp / "fast.cfg"
+        config.write_text(FAST_CONFIG, encoding="utf-8")
+        return [command, "--data", data, "--schema", schema, "--config", str(config),
+                "--out", str(tmp / "out")]
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "predict"])
+    def test_each_reason_counted(self, workspace, bundle, capsys, command):
+        # the dropped rows leave the clean log, so stdout is the clean log's
+        tmp, raw, schema = workspace
+        fitted = bundle[1]
+        lossy = lossy_log(raw, tmp / "lossy.csv")
+        capsys.readouterr()
+        assert run(self.argv(command, tmp / "a", lossy, schema, fitted)) == 0
+        lossy_run = capsys.readouterr()
+        assert lossy_run.err == self.NOTE
+        assert run(self.argv(command, tmp / "b", raw, schema, fitted)) == 0
+        clean_run = capsys.readouterr()
+        assert lossy_run.out == clean_run.out.replace(str(tmp / "b"), str(tmp / "a"))
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "predict"])
+    def test_clean_log_notes_nothing(self, workspace, bundle, capsys, command):
+        tmp, raw, schema = workspace
+        capsys.readouterr()
+        assert run(self.argv(command, tmp, raw, schema, bundle[1])) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.fixture()

@@ -71,6 +71,21 @@ def uniform_model(prior=(0.5, 0.5), cpt_b=None):
     )
 
 
+def three_node_model(parent):
+    """Features a, b and c, of 2, 2 and 3 values, under the ``parent``
+    links given, which ``TanModel`` takes unchecked, and drawn tables."""
+    features = ("a", "b", "c")
+    domains = {"a": np.arange(2), "b": np.arange(2), "c": np.arange(3)}
+    rng = np.random.default_rng(21)
+    cpts = {}
+    for f in features:
+        p = len(domains[parent[f]]) if parent[f] is not None else 1
+        cpt = rng.random((len(domains[f]), p, 2)) + 0.1
+        cpts[f] = cpt / cpt.sum(axis=0, keepdims=True)
+    return TanModel(structure=TanStructure(features=features, parent=parent), domains=domains,
+                    class_prior=np.array([0.4, 0.6]), cpts=cpts, discretizer=Discretizer())
+
+
 @st.composite
 def tree_models_and_rows(draw, continuous=False):
     """A small model whose tree joins its nodes in a drawn order, so a
@@ -118,6 +133,13 @@ def walk_order_out_of_domain(model, row):
             named.append(bad[0])
     assert set(named) == outside
     return tuple(named)
+
+
+def parent_after_child(model):
+    """Whether the model's tree gives some feature a parent that comes
+    after it in the feature tuple, as fitted trees do."""
+    return any(p is not None and model.features.index(p) > i
+               for i, p in enumerate(model.structure.parent[f] for f in model.features))
 
 
 def explained_twice(model, rows):
@@ -335,8 +357,10 @@ class TestPredict:
 
     def test_matches_joint_enumeration(self):
         rng = np.random.default_rng(11)
+        shapes = []
         for _ in range(100):
             model, sizes = random_tan_model(rng)
+            shapes.append(parent_after_child(model))
             evidence = {f: int(rng.integers(sizes[i]))
                         for i, f in enumerate(model.features)}
             want, mass = joint_oracle(model, evidence)
@@ -344,6 +368,7 @@ class TestPredict:
             assert posterior(model, evidence) == pytest.approx(want, abs=1e-9)
             batch = predict_many(model, {f: [v] for f, v in evidence.items()})
             assert batch[0] == pytest.approx(want, abs=1e-9)
+        assert any(shapes) and not all(shapes)
 
     def test_never_exactly_zero_or_one_with_smoothing(self):
         rng = np.random.default_rng(12)
@@ -361,6 +386,7 @@ class TestPredict:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(13)
         model, sizes = random_tan_model(rng)
+        assert parent_after_child(model)  # f1's parent is f3
         # values one past either end of each domain are out of domain
         cols = {f: rng.integers(-1, sizes[i] + 1, 200)
                 for i, f in enumerate(model.features)}
@@ -426,8 +452,10 @@ class TestExplain:
 
     def test_contributions_sum_to_log_odds(self):
         rng = np.random.default_rng(14)
+        shapes = []
         for _ in range(50):
             model, sizes = random_tan_model(rng)
+            shapes.append(parent_after_child(model))
             evidence = {f: int(rng.integers(sizes[i]))
                         for i, f in enumerate(model.features)}
             record = explain(model, evidence)
@@ -439,6 +467,7 @@ class TestExplain:
             p = predict_many(model, {f: [v] for f, v in evidence.items()})[0]
             assert record.posterior == pytest.approx(p, abs=1e-12)
             assert record.log_odds == _log_odds(model, {f: [v] for f, v in evidence.items()})[0]
+        assert any(shapes) and not all(shapes)
 
     @settings(max_examples=300, deadline=None)
     @given(tree_models_and_rows(continuous=True))
@@ -590,6 +619,31 @@ class TestSerialization:
         path.write_text(edit(text))
         with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
             load_model(str(path))
+
+    @pytest.mark.parametrize("parent, message", [
+        ({"a": "c", "b": "a", "c": "b"}, "'a' reaches no root: its parent links cycle "
+                                         "through a c b"),
+        ({"a": None, "b": "c", "c": "b"}, "'b' reaches no root: its parent links cycle "
+                                          "through b c"),
+    ], ids=["no_root", "root_beside_a_cycle"])
+    def test_tree_whose_parent_links_cycle_rejected(self, tmp_path, parent, message):
+        # such a file once loaded, and explain gave a posterior from it
+        path = tmp_path / "cycle.model"
+        save_model(three_node_model(parent), str(path))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: [tree] {message}")):
+            load_model(str(path))
+
+    def test_forest_loads(self, tmp_path):
+        # two roots still make a network: every node reaches one of them
+        model = three_node_model({"a": None, "b": "c", "c": None})
+        path = tmp_path / "forest.model"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded.structure.parent == model.structure.parent
+        for row in ({"a": 0, "b": 1, "c": 2}, {"a": 1, "b": 0, "c": 5}):
+            assert explain(loaded, row) == explain(model, row)
+            columns = {f: [v] for f, v in row.items()}
+            assert explain(loaded, row).log_odds == _log_odds(loaded, columns)[0]
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.model"
